@@ -8,7 +8,6 @@ evaluate the grid.  ``RINGSIM_THREADS`` caps the worker count.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import os
@@ -117,32 +116,32 @@ class SweepConfig:
         return json.dumps(doc, sort_keys=True, separators=(", ", ": "))
 
 
+def _number(key: str, value: object, kind: type, noun: str) -> int | float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key}: expected {noun}, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        finite = False
+    if not finite:
+        raise ConfigError(f"{key}: must be finite, got {value!r}")
+    if kind is int and not float(value).is_integer():
+        raise ConfigError(f"{key}: expected {noun}, got {value!r}")
+    return kind(value)
+
+
 def _coerce(mode: str, key: str, value: object) -> object:
     default = _DEFAULTS[mode][key]
-    if isinstance(default, bool):  # not currently used, but keep bool != int
-        raise ConfigError(f"{key}: unsupported type")
-    if isinstance(default, int):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{key}: expected an integer, got {value!r}")
-        if float(value) != int(value):
-            raise ConfigError(f"{key}: expected an integer, got {value!r}")
-        return int(value)
-    if isinstance(default, float):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{key}: expected a number, got {value!r}")
-        return float(value)
     if isinstance(default, list):
         if not isinstance(value, (list, tuple)) or not value:
             raise ConfigError(f"{key}: expected a non-empty list, got {value!r}")
         kind = type(default[0])
-        out = []
-        for item in value:
-            if isinstance(item, bool) or not isinstance(item, (int, float)):
-                raise ConfigError(f"{key}: expected numbers, got {item!r}")
-            if kind is int and float(item) != int(item):
-                raise ConfigError(f"{key}: expected integers, got {item!r}")
-            out.append(kind(item))
-        return out
+        noun = "integers" if kind is int else "numbers"
+        return [_number(key, item, kind, noun) for item in value]
+    if isinstance(default, int):
+        return _number(key, value, int, "an integer")
+    if isinstance(default, float):
+        return _number(key, value, float, "a number")
     raise ConfigError(f"{key}: unsupported type")
 
 
@@ -204,6 +203,14 @@ def _validate(mode: str, params: dict) -> None:
             "splitter_counts",
             "every entry must be >= 1",
         )
+        # a beam splitter cannot drop more than all of its power
+        check(
+            params["gamma_per_m"] * params["length_m"] <= min(params["splitter_counts"]),
+            "splitter_counts",
+            "every entry must be >= gamma_per_m * length_m",
+        )
+    if mode == "langevin-compare":
+        check(params["tau"] > 0.0, "tau", "must be > 0 to match Langevin rates")
     if "seed" in params:
         check(params["seed"] >= 0, "seed", "must be >= 0")
 
@@ -225,7 +232,7 @@ def load_config(
                 doc = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError("config file must hold a flat JSON object")
@@ -257,7 +264,7 @@ def load_config(
             )
         try:
             value = json.loads(raw)
-        except json.JSONDecodeError:
+        except ValueError:  # not JSON, or an int too long to parse
             value = raw
         params[key] = _coerce(mode, key, value)
     _validate(mode, params)
@@ -280,19 +287,38 @@ def _worker_count() -> int:
     return count
 
 
-def _chunked_rows(total: int, compute, workers: int) -> list[list]:
-    """Evaluate ``compute(lo, hi)`` over chunks, preserving canonical order."""
-    spans = [(lo, min(lo + _CHUNK, total)) for lo in range(0, total, _CHUNK)]
-    if not spans:
-        return []
-    if workers <= 1 or len(spans) == 1:
-        rows: list[list] = []
-        for lo, hi in spans:
-            rows.extend(compute(lo, hi))
-        return rows
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = pool.map(lambda span: compute(*span), spans)
-        return [row for part in parts for row in part]
+class Table:
+    """A sweep's rows, held column-wise in chunks of formatted cells.
+
+    Each chunk is a list of equal-length columns of cell text: the ``repr``
+    of each float (so non-finite cells read ``nan``, ``inf`` or ``-inf``)
+    and the ``str`` of each int.  Chunks keep the canonical row order;
+    ``len(table)`` is the row count.  A table is rendered once: `drain`
+    lets go of each chunk as it is taken, so the cells of the whole grid
+    and its rendered text are never held together.
+    """
+
+    def __init__(self, chunks: list[list[list[str]]]) -> None:
+        self._chunks = [chunk for chunk in chunks if chunk[0]]
+        self._rows = sum(len(chunk[0]) for chunk in self._chunks)
+
+    def __len__(self) -> int:
+        return self._rows
+
+    def drain(self):
+        """Yield the chunks in row order, releasing each one."""
+        while self._chunks:
+            yield self._chunks.pop(0)
+
+
+def _cells(values) -> list[str]:
+    """Cell text of one value column."""
+    return list(map(repr, np.asarray(values).tolist()))
+
+
+def _table(*columns) -> Table:
+    """A one-chunk table from whole value columns."""
+    return Table([[_cells(column) for column in columns]])
 
 
 # --- sweep implementations -------------------------------------------------
@@ -300,20 +326,23 @@ def _chunked_rows(total: int, compute, workers: int) -> list[list]:
 
 def _sweep_single_bus(p: dict, workers: int):
     coupler = CouplerParams.from_magnitude(p["tau"])
-    thetas = np.linspace(p["theta_min"], p["theta_max"], p["theta_count"])
-
-    def compute(lo: int, hi: int) -> list[list]:
-        rows = []
-        for theta in thetas[lo:hi]:
-            ring = RingParams.from_alpha(p["alpha"], theta=float(theta))
-            amp, noise = single_bus.transfer_amplitude(coupler, ring)
-            rows.append(
-                [float(theta), amp.real, amp.imag, abs(amp) ** 2, noise]
-            )
-        return rows
-
+    thetas = np.linspace(p["theta_min"], p["theta_max"], p["theta_count"]).tolist()
+    amps, noises = [], []
+    for theta in thetas:
+        amp, noise = single_bus.transfer_amplitude(
+            coupler, RingParams.from_alpha(p["alpha"], theta=theta)
+        )
+        amps.append(amp)
+        noises.append(noise)
+    table = _table(
+        thetas,
+        [amp.real for amp in amps],
+        [amp.imag for amp in amps],
+        [abs(amp) ** 2 for amp in amps],
+        noises,
+    )
     columns = ["theta_rad", "transfer_re", "transfer_im", "power", "noise_power"]
-    return columns, _chunked_rows(len(thetas), compute, workers), None
+    return columns, table, None
 
 
 def _sweep_langevin_compare(p: dict, workers: int):
@@ -323,72 +352,59 @@ def _sweep_langevin_compare(p: dict, workers: int):
     )
     x = np.concatenate([-per_side[::-1], per_side])
     deltas = x / p["round_trip_time_s"]
-    table = single_bus.power_comparison(
+    xval, ring_pow, lor_pow = single_bus.power_comparison(
         coupler, p["alpha"], p["round_trip_time_s"], deltas
-    )
-
-    def compute(lo: int, hi: int) -> list[list]:
-        rows = []
-        for xval, ring_pow, lor_pow in table[lo:hi]:
-            rel = abs(ring_pow - lor_pow) / lor_pow if lor_pow else math.inf
-            rows.append([float(xval), float(ring_pow), float(lor_pow), float(rel)])
-        return rows
-
+    ).T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.where(lor_pow != 0.0, np.abs(ring_pow - lor_pow) / lor_pow, math.inf)
     columns = ["delta_tr", "power_phasor", "power_lorentzian", "rel_diff"]
-    return columns, _chunked_rows(len(table), compute, workers), None
+    return columns, _table(xval, ring_pow, lor_pow, rel), None
 
 
 def _sweep_attenuation_chain(p: dict, workers: int):
     gamma, length, beta = p["gamma_per_m"], p["length_m"], p["beta_per_m"]
     counts = p["splitter_counts"]
     limit = math.exp(-gamma * length)
-
-    def compute(lo: int, hi: int) -> list[list]:
-        rows = []
-        for n in counts[lo:hi]:
-            chain = attenuation.BeamSplitterChain(gamma, length, beta, n)
-            rows.append([int(n), chain.power, limit, abs(chain.power - limit)])
-        return rows
-
+    powers = [
+        attenuation.BeamSplitterChain(gamma, length, beta, n).power for n in counts
+    ]
+    table = _table(
+        counts, powers, [limit] * len(counts), [abs(pw - limit) for pw in powers]
+    )
     columns = ["n_splitters", "chain_power", "continuum_power", "abs_error"]
-    return columns, _chunked_rows(len(counts), compute, workers), None
+    return columns, table, None
 
 
 def _sweep_add_drop(p: dict, workers: int):
     coupler_in = CouplerParams.from_magnitude(p["tau"])
     coupler_drop = CouplerParams.from_magnitude(p["eta"])
-    thetas = np.linspace(p["theta_min"], p["theta_max"], p["theta_count"])
-
-    def compute(lo: int, hi: int) -> list[list]:
-        rows = []
-        for theta in thetas[lo:hi]:
-            params = add_drop.AddDropParams(
-                coupler_in,
-                coupler_drop,
-                RingParams.from_alpha(p["alpha"], theta=float(theta)),
-            )
-            m = add_drop.transfer_matrix(params)
-            comm = add_drop.noise_commutators(m)
-            rows.append(
-                [
-                    float(theta),
-                    m[0, 0].real, m[0, 0].imag,
-                    m[0, 1].real, m[0, 1].imag,
-                    m[1, 0].real, m[1, 0].imag,
-                    m[1, 1].real, m[1, 1].imag,
-                    comm[0, 0].real, comm[1, 1].real,
-                    comm[0, 1].real, comm[0, 1].imag,
-                ]
-            )
-        return rows
-
+    thetas = np.linspace(p["theta_min"], p["theta_max"], p["theta_count"]).tolist()
+    m = np.empty((len(thetas), 2, 2), dtype=complex)
+    comm = np.empty_like(m)
+    for k, theta in enumerate(thetas):
+        params = add_drop.AddDropParams(
+            coupler_in,
+            coupler_drop,
+            RingParams.from_alpha(p["alpha"], theta=theta),
+        )
+        m[k] = add_drop.transfer_matrix(params)
+        comm[k] = add_drop.noise_commutators(m[k])
+    table = _table(
+        thetas,
+        m[:, 0, 0].real, m[:, 0, 0].imag,
+        m[:, 0, 1].real, m[:, 0, 1].imag,
+        m[:, 1, 0].real, m[:, 1, 0].imag,
+        m[:, 1, 1].real, m[:, 1, 1].imag,
+        comm[:, 0, 0].real, comm[:, 1, 1].real,
+        comm[:, 0, 1].real, comm[:, 0, 1].imag,
+    )
     columns = [
         "theta_rad",
         "m_ca_re", "m_ca_im", "m_cb_re", "m_cb_im",
         "m_da_re", "m_da_im", "m_db_re", "m_db_im",
         "comm_cc", "comm_dd", "comm_cd_re", "comm_cd_im",
     ]
-    return columns, _chunked_rows(len(thetas), compute, workers), None
+    return columns, table, None
 
 
 def _grid_axes(p: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -398,31 +414,57 @@ def _grid_axes(p: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return taus, etas, thetas
 
 
-def _sweep_homm_grid(p: dict, workers: int):
-    taus, etas, thetas = _grid_axes(p)
-    shape = (len(taus), len(etas), len(thetas))
-    total = int(np.prod(shape))
-    threshold = p["threshold"]
+def _grid_table(p: dict, workers: int, evaluate) -> Table:
+    """Tabulate a (tau, eta, theta) grid, chunk by chunk, in canonical order.
 
-    def compute(lo: int, hi: int) -> list[list]:
-        it, ie, ith = np.unravel_index(np.arange(lo, hi), shape)
-        ratio = hom.coincidence_ratio_grid(
-            taus[it], etas[ie], thetas[ith], p["alpha"]
-        )
-        keep = ratio <= threshold  # NaN (undefined ratio) never passes
+    A chunk is a block of (tau, eta) pairs against the whole theta axis, so
+    ``evaluate(tau, eta, theta)`` receives broadcastable (pairs, 1),
+    (pairs, 1) and (1, theta_count) arrays.  It returns the values on that
+    block and a mask of the points that become rows.  Each chunk is
+    reduced to the cells of its rows where it is evaluated, so the kernel's
+    arrays live only as long as their chunk; each axis value is formatted
+    once.
+    """
+    axes = _grid_axes(p)
+    taus, etas, thetas = axes
+    tau_cells, eta_cells, theta_cells = (
+        np.array(_cells(axis), dtype=object) for axis in axes
+    )
+    pairs = len(taus) * len(etas)
+    step = max(1, _CHUNK // len(thetas))
+
+    def chunk(lo: int) -> list[list[str]]:
+        it, ie = np.divmod(np.arange(lo, min(lo + step, pairs)), len(etas))
+        values, keep = evaluate(taus[it][:, None], etas[ie][:, None], thetas[None, :])
+        pair, ith = np.nonzero(keep)
         return [
-            [float(taus[a]), float(etas[b]), float(thetas[c]), float(r)]
-            for a, b, c, r in zip(it[keep], ie[keep], ith[keep], ratio[keep])
+            tau_cells[it[pair]].tolist(),
+            eta_cells[ie[pair]].tolist(),
+            theta_cells[ith].tolist(),
+            _cells(values[pair, ith]),
         ]
 
-    rows = _chunked_rows(total, compute, workers)
+    starts = range(0, pairs, step)
+    if workers <= 1 or len(starts) == 1:
+        return Table([chunk(lo) for lo in starts])
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return Table(list(pool.map(chunk, starts)))
+
+
+def _sweep_homm_grid(p: dict, workers: int):
+    def evaluate(tau, eta, theta):
+        ratio = hom.coincidence_ratio_grid(tau, eta, theta, p["alpha"])
+        return ratio, ratio <= p["threshold"]  # NaN (undefined ratio) never passes
+
+    table = _grid_table(p, workers, evaluate)
+    shape = (p["tau_count"], p["eta_count"], p["theta_count"])
     summary = {
-        "count": len(rows),
-        "fraction": len(rows) / total,
+        "count": len(table),
+        "fraction": len(table) / math.prod(shape),
         "grid": "x".join(str(n) for n in shape),
     }
     columns = ["tau", "eta", "theta_rad", "coincidence_ratio"]
-    return columns, rows, summary
+    return columns, table, summary
 
 
 def _sweep_critical_dip(p: dict, workers: int):
@@ -431,34 +473,17 @@ def _sweep_critical_dip(p: dict, workers: int):
     curves = [
         hom.coincidence_ratio_grid(tau, tau, thetas, a) for a in p["alphas"]
     ]
-
-    def compute(lo: int, hi: int) -> list[list]:
-        return [
-            [float(thetas[i])] + [float(curve[i]) for curve in curves]
-            for i in range(lo, hi)
-        ]
-
     columns = ["theta_rad"] + [f"coincidence_alpha_{a!r}" for a in p["alphas"]]
-    return columns, _chunked_rows(len(thetas), compute, workers), None
+    return columns, _table(thetas, *curves), None
 
 
 def _sweep_entropy_grid(p: dict, workers: int):
-    taus, etas, thetas = _grid_axes(p)
-    shape = (len(taus), len(etas), len(thetas))
-    total = int(np.prod(shape))
-
-    def compute(lo: int, hi: int) -> list[list]:
-        it, ie, ith = np.unravel_index(np.arange(lo, hi), shape)
-        bits = hom.entropy_grid(
-            taus[it], etas[ie], thetas[ith], p["alpha"], p["p1_threshold"]
-        )
-        return [
-            [float(taus[a]), float(etas[b]), float(thetas[c]), float(s)]
-            for a, b, c, s in zip(it, ie, ith, bits)
-        ]
+    def evaluate(tau, eta, theta):
+        bits = hom.entropy_grid(tau, eta, theta, p["alpha"], p["p1_threshold"])
+        return bits, np.ones(bits.shape, dtype=bool)
 
     columns = ["tau", "eta", "theta_rad", "entropy_bits"]
-    return columns, _chunked_rows(total, compute, workers), None
+    return columns, _grid_table(p, workers, evaluate), None
 
 
 _SWEEPS = {
@@ -471,51 +496,64 @@ _SWEEPS = {
     "entropy-grid": _sweep_entropy_grid,
 }
 
+_NON_FINITE = frozenset(("nan", "inf", "-inf"))
 
-def _fmt_cell(value) -> str:
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return str(int(value))
-    return repr(float(value))
+# Stands in for the rows while json.dumps lays out the rest of the payload.
+_ROWS_SLOT = "\0rows"
 
 
-def render_csv(config: SweepConfig, columns, rows, summary) -> str:
-    buf = io.StringIO()
-    buf.write(f"# config: {config.canonical()}\n")
-    buf.write(",".join(columns) + "\n")
-    for row in rows:
-        buf.write(",".join(_fmt_cell(v) for v in row) + "\n")
+def _json_cells(cells: list[str]) -> list[str]:
+    if _NON_FINITE.isdisjoint(cells):
+        return cells
+    return ["null" if cell in _NON_FINITE else cell for cell in cells]
+
+
+def render_csv(config: SweepConfig, columns, table: Table, summary) -> str:
+    lines = [f"# config: {config.canonical()}", ",".join(columns)]
+    lines += ("\n".join(map(",".join, zip(*chunk))) for chunk in table.drain())
     if summary is not None:
-        pairs = " ".join(f"{k}={_fmt_cell(v) if not isinstance(v, str) else v}"
-                         for k, v in summary.items())
-        buf.write(f"# summary: {pairs}\n")
-    return buf.getvalue()
+        pairs = " ".join(
+            f"{k}={v if isinstance(v, str) else repr(v)}" for k, v in summary.items()
+        )
+        lines.append(f"# summary: {pairs}")
+    lines.append("")
+    return "\n".join(lines)
 
 
-def render_json(config: SweepConfig, columns, rows, summary) -> str:
-    def clean(v):
-        if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
-            return int(v)
-        v = float(v)
-        return v if math.isfinite(v) else None
-
+def render_json(config: SweepConfig, columns, table: Table, summary) -> str:
+    """The bytes of ``json.dumps(payload, indent=2)``, with the rows laid
+    out from their cell text (undefined cells become ``null``)."""
     payload = {
         "mode": config.mode,
         "config": dict(sorted(config.params.items())),
         "columns": list(columns),
-        "rows": [[clean(v) for v in row] for row in rows],
+        "rows": _ROWS_SLOT,
     }
     if summary is not None:
         payload["summary"] = summary
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    text = json.dumps(payload, indent=2, allow_nan=False)
+    head, _, tail = text.partition(json.dumps(_ROWS_SLOT))
+    row_sep = "\n    ],\n    [\n      "
+    texts = [
+        row_sep.join(map(",\n      ".join, zip(*map(_json_cells, chunk))))
+        for chunk in table.drain()
+    ]
+    parts = [head, "[\n    [\n      " if texts else "[]"]
+    for text in texts:
+        parts += [text, row_sep]
+    if texts:
+        parts[-1] = "\n    ]\n  ]"
+    parts += [tail, "\n"]
+    return "".join(parts)
 
 
 def run_sweep(config: SweepConfig) -> str:
     """Evaluate one sweep and return the rendered output text."""
     if config.mode not in _SWEEPS:
         raise ConfigError(f"mode: unknown sweep mode {config.mode!r}")
-    columns, rows, summary = _SWEEPS[config.mode](config.params, _worker_count())
+    columns, table, summary = _SWEEPS[config.mode](config.params, _worker_count())
     renderer = render_csv if config.fmt == "csv" else render_json
-    return renderer(config, columns, rows, summary)
+    return renderer(config, columns, table, summary)
 
 
 # --- identity audit ---------------------------------------------------------
@@ -784,8 +822,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.mode == "audit":
-            if args.samples < 1:
-                raise ConfigError(f"samples: must be >= 1, got {args.samples}")
+            _validate("audit", {"seed": args.seed, "samples": args.samples})
             report = run_audit(args.seed, args.samples)
             sys.stdout.write(render_audit_text(report, args.samples))
             if args.out:

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from ringsim import add_drop, attenuation, cli, hom, single_bus
 from ringsim.core import CouplerParams, RingParams
 from ringsim.single_bus import transfer_amplitude
 
@@ -25,6 +26,12 @@ def _run(*args, env_extra=None):
         env=env,
         timeout=120,
     )
+
+
+def _main(capsys, *args):
+    """Run ``ringsim`` in-process; return the exit code and stderr."""
+    code = cli.main(list(args))
+    return code, capsys.readouterr().err
 
 
 def _parse_csv(text):
@@ -92,7 +99,24 @@ def test_unknown_key_is_a_config_error(tmp_path):
     assert "unknown key" in proc.stderr
 
 
-def test_invalid_values_are_config_errors():
+# (arguments, expected stderr fragment) of inputs that must end in one
+# config-error line, never in a traceback or in non-finite rows
+_BAD_INPUTS = [
+    (("single-bus", "--set", "theta_count=Infinity"), "theta_count: must be finite"),
+    (("single-bus", "--set", "theta_count=NaN"), "theta_count: must be finite"),
+    (("single-bus", "--set", "theta_count=1" + "0" * 400), "must be finite"),
+    (("single-bus", "--set", "tau=NaN"), "tau: must be finite"),
+    (("langevin-compare", "--set", "delta_tr_max=Infinity"), "must be finite"),
+    (("critical-dip", "--set", "alphas=[1.0,NaN]"), "alphas: must be finite"),
+    (
+        ("attenuation-chain", "--set", "gamma_per_m=5", "--set", "splitter_counts=[1]"),
+        "splitter_counts: every entry must be >= gamma_per_m * length_m",
+    ),
+    (("langevin-compare", "--set", "tau=0"), "tau: must be > 0"),
+]
+
+
+def test_invalid_values_are_config_errors(capsys):
     proc = _run("single-bus", "--set", "tau=1.5")
     assert proc.returncode == 1
     assert "must lie in [0, 1]" in proc.stderr
@@ -104,6 +128,12 @@ def test_invalid_values_are_config_errors():
     proc = _run("single-bus", "--set", "tau")
     assert proc.returncode == 1
     assert "key=value" in proc.stderr
+
+    for args, message in _BAD_INPUTS:
+        code, err = _main(capsys, *args)
+        assert code == 1, args
+        assert err.startswith("ringsim: config error: ") and message in err, args
+        assert err.count("\n") == 1, args
 
 
 def test_config_file_problems_are_config_errors(tmp_path):
@@ -163,7 +193,8 @@ def test_worker_count_never_changes_output_bytes(tmp_path):
         "homm-grid",
         "--set", "tau_count=41",
         "--set", "eta_count=41",
-        "--set", "theta_count=41",  # two chunks: exercises the fan-out path
+        # 1681 (tau, eta) pairs of 41 points: two chunks, the fan-out path
+        "--set", "theta_count=41",
     )
     serial, threaded = tmp_path / "serial.csv", tmp_path / "threaded.csv"
     proc = _run(*args, "--out", str(serial), env_extra={"RINGSIM_THREADS": "1"})
@@ -199,9 +230,14 @@ def test_audit_passes_and_writes_report(tmp_path):
     assert all(item["max_residual"] <= item["tolerance"] for item in doc["identities"])
 
 
-def test_audit_rejects_bad_sample_count():
+def test_audit_rejects_bad_sample_count(capsys):
     proc = _run("audit", "--samples", "0")
     assert proc.returncode == 1
+    assert proc.stderr == "ringsim: config error: samples: must be >= 1 (got 0)\n"
+
+    code, err = _main(capsys, "audit", "--seed", "-1")
+    assert code == 1
+    assert err == "ringsim: config error: seed: must be >= 0 (got -1)\n"
 
 
 def test_critical_dip_curves():
@@ -284,3 +320,195 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith(CONFIG_PREFIX)
+
+
+# --- byte identity of the columnar pipeline ----------------------------------
+#
+# The reference builds every row as a list of numbers, one point at a time
+# for the per-theta sweeps and from flattened grids for the grid sweeps,
+# and formats each cell with ``repr`` as it writes the row.
+
+
+def _reference_table(mode, p):
+    """(columns, rows, summary) built row by row."""
+    if "theta_min" in p:
+        thetas = np.linspace(p["theta_min"], p["theta_max"], p["theta_count"])
+    if mode == "single-bus":
+        coupler = CouplerParams.from_magnitude(p["tau"])
+        rows = []
+        for theta in thetas:
+            ring = RingParams.from_alpha(p["alpha"], theta=float(theta))
+            amp, noise = single_bus.transfer_amplitude(coupler, ring)
+            rows.append([float(theta), amp.real, amp.imag, abs(amp) ** 2, noise])
+        return ["theta_rad", "transfer_re", "transfer_im", "power", "noise_power"], rows, None
+    if mode == "langevin-compare":
+        per_side = np.logspace(math.log10(p["delta_tr_min"]),
+                               math.log10(p["delta_tr_max"]), p["delta_count"])
+        x = np.concatenate([-per_side[::-1], per_side])
+        table = single_bus.power_comparison(
+            CouplerParams.from_magnitude(p["tau"]), p["alpha"],
+            p["round_trip_time_s"], x / p["round_trip_time_s"],
+        )
+        rows = []
+        for xval, ring_pow, lor_pow in table:
+            rel = abs(ring_pow - lor_pow) / lor_pow if lor_pow else math.inf
+            rows.append([float(xval), float(ring_pow), float(lor_pow), float(rel)])
+        return ["delta_tr", "power_phasor", "power_lorentzian", "rel_diff"], rows, None
+    if mode == "attenuation-chain":
+        limit = math.exp(-p["gamma_per_m"] * p["length_m"])
+        rows = []
+        for n in p["splitter_counts"]:
+            chain = attenuation.BeamSplitterChain(
+                p["gamma_per_m"], p["length_m"], p["beta_per_m"], n
+            )
+            rows.append([int(n), chain.power, limit, abs(chain.power - limit)])
+        return ["n_splitters", "chain_power", "continuum_power", "abs_error"], rows, None
+    if mode == "add-drop":
+        rows = []
+        for theta in thetas:
+            m = add_drop.transfer_matrix(add_drop.AddDropParams(
+                CouplerParams.from_magnitude(p["tau"]),
+                CouplerParams.from_magnitude(p["eta"]),
+                RingParams.from_alpha(p["alpha"], theta=float(theta)),
+            ))
+            c = add_drop.noise_commutators(m)
+            rows.append(
+                [float(theta)]
+                + [part for z in m.ravel() for part in (z.real, z.imag)]
+                + [c[0, 0].real, c[1, 1].real, c[0, 1].real, c[0, 1].imag]
+            )
+        columns = ["theta_rad"] + [
+            f"m_{a}_{part}" for a in ("ca", "cb", "da", "db") for part in ("re", "im")
+        ] + ["comm_cc", "comm_dd", "comm_cd_re", "comm_cd_im"]
+        return columns, rows, None
+    if mode == "critical-dip":
+        tau = 1.0 / math.sqrt(2.0)
+        curves = [hom.coincidence_ratio_grid(tau, tau, thetas, a) for a in p["alphas"]]
+        rows = [[float(th)] + [float(c[i]) for c in curves] for i, th in enumerate(thetas)]
+        columns = ["theta_rad"] + [f"coincidence_alpha_{a!r}" for a in p["alphas"]]
+        return columns, rows, None
+    axes = (
+        np.linspace(0.0, 1.0, p["tau_count"]),
+        np.linspace(0.0, 1.0, p["eta_count"]),
+        np.linspace(-math.pi, math.pi, p["theta_count"]),
+    )
+    t, e, th = (g.ravel() for g in np.meshgrid(*axes, indexing="ij"))
+    if mode == "entropy-grid":
+        bits = hom.entropy_grid(t, e, th, p["alpha"], p["p1_threshold"])
+        rows = [[float(a), float(b), float(c), float(s)] for a, b, c, s in zip(t, e, th, bits)]
+        return ["tau", "eta", "theta_rad", "entropy_bits"], rows, None
+    ratio = hom.coincidence_ratio_grid(t, e, th, p["alpha"])
+    keep = ratio <= p["threshold"]
+    rows = [[float(a), float(b), float(c), float(r)]
+            for a, b, c, r in zip(t[keep], e[keep], th[keep], ratio[keep])]
+    summary = {"count": len(rows), "fraction": len(rows) / t.size,
+               "grid": "x".join(str(len(axis)) for axis in axes)}
+    return ["tau", "eta", "theta_rad", "coincidence_ratio"], rows, summary
+
+
+def _reference_cell(value):
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return repr(float(value))
+
+
+def _reference_csv(config, columns, rows, summary):
+    lines = [f"# config: {config.canonical()}", ",".join(columns)]
+    lines += [",".join(_reference_cell(v) for v in row) for row in rows]
+    if summary is not None:
+        lines.append("# summary: " + " ".join(
+            f"{k}={v if isinstance(v, str) else _reference_cell(v)}"
+            for k, v in summary.items()
+        ))
+    return "\n".join(lines) + "\n"
+
+
+def _reference_json(config, columns, rows, summary):
+    def clean(v):
+        if isinstance(v, (int, np.integer)):
+            return int(v)
+        return float(v) if math.isfinite(v) else None
+
+    payload = {
+        "mode": config.mode,
+        "config": dict(sorted(config.params.items())),
+        "columns": list(columns),
+        "rows": [[clean(v) for v in row] for row in rows],
+    }
+    if summary is not None:
+        payload["summary"] = summary
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
+def _sweep_and_reference(monkeypatch, mode, sets, fmt, threads):
+    monkeypatch.setenv("RINGSIM_THREADS", str(threads))
+    config = cli.load_config(mode, None, list(sets), None, fmt)
+    render = _reference_csv if fmt == "csv" else _reference_json
+    return cli.run_sweep(config), render(config, *_reference_table(mode, config.params))
+
+
+_SMALL = {
+    "single-bus": ("theta_count=9",),
+    "langevin-compare": ("delta_count=6",),
+    "attenuation-chain": ("splitter_counts=[1,7,100]",),
+    "add-drop": ("theta_count=9",),
+    "homm-grid": ("tau_count=9", "eta_count=8", "theta_count=13", "threshold=0.05"),
+    "critical-dip": ("theta_count=11",),
+    "entropy-grid": ("tau_count=4", "eta_count=5", "theta_count=7"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("mode", sorted(_SMALL))
+def test_every_mode_matches_the_row_by_row_reference(monkeypatch, mode, fmt):
+    assert set(_SMALL) == set(cli.SWEEP_MODES)
+    text, want = _sweep_and_reference(monkeypatch, mode, _SMALL[mode], fmt, 1)
+    assert text == want
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "mode, sets",
+    [
+        ("entropy-grid", ("tau_count=1", "eta_count=3", "theta_count=5")),
+        ("homm-grid", ("tau_count=1", "eta_count=21", "theta_count=31", "threshold=0.05")),
+        # 16 // 7 = 2 pairs per chunk: theta_count does not divide the chunk size
+        ("entropy-grid", ("tau_count=3", "eta_count=5", "theta_count=7")),
+        ("homm-grid", ("tau_count=9", "eta_count=9", "theta_count=7", "threshold=0.05")),
+        # more theta points than the chunk size: one pair per chunk
+        ("entropy-grid", ("tau_count=2", "eta_count=3", "theta_count=40")),
+        ("homm-grid", ("tau_count=7", "eta_count=7", "theta_count=40", "threshold=0.05")),
+    ],
+)
+def test_grid_chunking_never_changes_output_bytes(monkeypatch, mode, sets, fmt):
+    monkeypatch.setattr(cli, "_CHUNK", 16)
+    for threads in (1, 3):
+        text, want = _sweep_and_reference(monkeypatch, mode, sets, fmt, threads)
+        assert text == want
+
+
+def test_empty_census_has_no_rows(monkeypatch):
+    sets = ("tau_count=5", "eta_count=5", "theta_count=7", "threshold=1e-300")
+    text, want = _sweep_and_reference(monkeypatch, "homm-grid", sets, "json", 2)
+    assert text == want
+    assert '\n  "rows": [],\n' in text
+    text, want = _sweep_and_reference(monkeypatch, "homm-grid", sets, "csv", 2)
+    assert text == want
+    lines = text.splitlines()
+    assert len(lines) == 3
+    assert lines[1] == "tau,eta,theta_rad,coincidence_ratio"
+    assert lines[2] == "# summary: count=0 fraction=0.0 grid=5x5x7"
+
+
+def test_undefined_and_negative_zero_cells_keep_their_text(monkeypatch):
+    # tau = eta = 1 has no one-photon sector (nan); pure one-photon states
+    # have entropy -0.0, which must not print as 0.0
+    sets = ("tau_count=3", "eta_count=3", "theta_count=5")
+    csv_text, want = _sweep_and_reference(monkeypatch, "entropy-grid", sets, "csv", 2)
+    assert csv_text == want
+    assert csv_text.count(",nan\n") == 5
+    assert csv_text.count(",-0.0\n") == 20
+    json_text, want = _sweep_and_reference(monkeypatch, "entropy-grid", sets, "json", 2)
+    assert json_text == want
+    assert json_text.count("      null\n") == 5
+    assert json_text.count("      -0.0\n") == 20
