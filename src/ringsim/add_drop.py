@@ -142,6 +142,7 @@ def noise_commutators(matrix: np.ndarray) -> np.ndarray:
         comm[c, d] = -(M_ca conj(M_da) + M_cb conj(M_db)),
 
     Hermitian and positive semidefinite whenever M is a contraction.
+    Broadcasts over a (..., 2, 2) stack of matrices.
 
     Raises
     ------
@@ -150,17 +151,27 @@ def noise_commutators(matrix: np.ndarray) -> np.ndarray:
         amplifies some input and cannot come from a passive ring.
     """
     m = np.asarray(matrix, dtype=complex)
-    if m.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    comm = np.eye(2, dtype=complex) - m @ m.conj().T
-    for i, label in enumerate("cd"):
-        diag = comm[i, i].real
-        if not -1e-12 <= diag <= 1.0 + 1e-12:
-            raise UnitarityError(
-                f"[F_{label}, F_{label}†] = {diag!r} outside [0, 1]; "
-                "transfer matrix is not a passive contraction"
-            )
+    if m.shape[-2:] != (2, 2):
+        raise ValueError(f"expected 2x2 matrices, got shape {m.shape}")
+    comm = np.eye(2, dtype=complex) - m @ m.conj().swapaxes(-1, -2)
+    diag = comm.diagonal(0, -2, -1).real
+    outside = np.flatnonzero(~((-1e-12 <= diag) & (diag <= 1.0 + 1e-12)))  # NaN too
+    if outside.size:
+        label = "cd"[outside[0] % 2]
+        raise UnitarityError(
+            f"[F_{label}, F_{label}†] = {diag.flat[outside[0]]!r} outside [0, 1]; "
+            "transfer matrix is not a passive contraction"
+        )
     return comm
+
+
+def _inverse_conjugate(m00, m01, m10, m11):
+    """Entries (G00, G01, G10, G11) of G = conj(M^{-1}) from those of M.
+
+    Broadcasts over array entries; a singular M gives inf or NaN, no error.
+    """
+    det = m00 * m11 - m01 * m10
+    return np.conj(m11 / det), np.conj(-m01 / det), np.conj(-m10 / det), np.conj(m00 / det)
 
 
 def inverse_conjugate(matrix: np.ndarray) -> np.ndarray:
@@ -179,8 +190,7 @@ def inverse_conjugate(matrix: np.ndarray) -> np.ndarray:
     det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
     if abs(det) < 1e-14:
         raise ValueError(f"matrix is singular: |det| = {abs(det):.3e} < 1e-14")
-    adj = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
-    return np.conj(adj / det)
+    return np.array(_inverse_conjugate(*m.ravel())).reshape(2, 2)
 
 
 def permanent2(matrix: np.ndarray) -> complex:

@@ -19,7 +19,6 @@ import cmath
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 __all__ = [
     "BeamSplitterChain",
@@ -125,9 +124,10 @@ def continuum_commutator(gamma: float, length: float) -> float:
         raise ValueError(f"length must be > 0, got {length}")
     gl = gamma * length
     n = _simpson_panels(gl)
-    z = np.linspace(0.0, length, n + 1)
-    integral = simpson(gamma * np.exp(-gamma * z), x=z)
-    return math.exp(-gl) + float(integral)
+    f = gamma * np.exp(-gamma * np.linspace(0.0, length, n + 1))
+    # composite Simpson: h/3 times the weights 1, 4, 2, 4, ..., 2, 4, 1
+    weighted = f[0] + 4.0 * f[1::2].sum() + 2.0 * f[2:-1:2].sum() + f[-1]
+    return math.exp(-gl) + float(length / n / 3.0 * weighted)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import add_drop, attenuation, hom, single_bus
-from .core import CouplerParams, RingParams
+from .core import CouplerParams, ResonantDivergenceError, RingParams
 
 __all__ = [
     "AuditReport",
@@ -38,6 +38,12 @@ EXIT_IO = 3
 #: Grid points handled per worker task; fixed so output never depends on
 #: the worker count.
 _CHUNK = 65536
+
+#: Most points a sweep may have: the product of its counts (critical-dip
+#: also counts its curves).  Six times a 201x201x401 census grid.
+_MAX_POINTS = 100_000_000
+
+_COUNT_KEYS = ("tau_count", "eta_count", "theta_count", "delta_count")
 
 _PI = math.pi
 
@@ -178,9 +184,13 @@ def _validate(mode: str, params: dict) -> None:
             "theta_min",
             "must not exceed theta_max",
         )
-    for key in ("theta_count", "tau_count", "eta_count", "delta_count", "samples"):
+    for key in (*_COUNT_KEYS, "samples"):
         if key in params:
             check(params[key] >= 1, key, "must be >= 1")
+    axes = [key for key in (*_COUNT_KEYS, "alphas") if key in params]
+    points = math.prod(len(params[k]) if k == "alphas" else params[k] for k in axes)
+    if points > _MAX_POINTS:
+        raise ConfigError(f"{' * '.join(axes)}: must not exceed {_MAX_POINTS} points")
     if "threshold" in params:
         check(params["threshold"] > 0.0, "threshold", "must be > 0")
     if "p1_threshold" in params:
@@ -380,7 +390,6 @@ def _sweep_add_drop(p: dict, workers: int):
     coupler_drop = CouplerParams.from_magnitude(p["eta"])
     thetas = np.linspace(p["theta_min"], p["theta_max"], p["theta_count"]).tolist()
     m = np.empty((len(thetas), 2, 2), dtype=complex)
-    comm = np.empty_like(m)
     for k, theta in enumerate(thetas):
         params = add_drop.AddDropParams(
             coupler_in,
@@ -388,7 +397,7 @@ def _sweep_add_drop(p: dict, workers: int):
             RingParams.from_alpha(p["alpha"], theta=theta),
         )
         m[k] = add_drop.transfer_matrix(params)
-        comm[k] = add_drop.noise_commutators(m[k])
+    comm = add_drop.noise_commutators(m)
     table = _table(
         thetas,
         m[:, 0, 0].real, m[:, 0, 0].imag,
@@ -834,7 +843,7 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_OK if report.ok else EXIT_AUDIT
         config = load_config(args.mode, args.config, args.overrides, args.out, args.fmt)
         text = run_sweep(config)
-    except ConfigError as exc:
+    except (ConfigError, ResonantDivergenceError) as exc:  # theta axis hits a pole
         sys.stderr.write(f"ringsim: config error: {exc}\n")
         return EXIT_CONFIG
     try:

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import xlogy
 
+from . import add_drop
 from .core import UnitarityError
 
 __all__ = [
@@ -90,23 +91,51 @@ def output_state(minv: np.ndarray) -> TwoPhotonOutputState:
     g = np.asarray(minv, dtype=complex)
     if g.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {g.shape}")
-    perm = g[0, 0] * g[1, 1] + g[0, 1] * g[1, 0]
-    two_photon = np.array(
-        [
-            math.sqrt(2.0) * g[0, 0] * g[1, 0],
-            perm,
-            math.sqrt(2.0) * g[0, 1] * g[1, 1],
-        ]
-    )
-    branch_c = -np.array([2.0 * g[0, 0] * g[1, 0], perm])
-    branch_d = -np.array([perm, 2.0 * g[0, 1] * g[1, 1]])
-    env_pair = 0.5 * (np.outer(g[0], g[1]) + np.outer(g[1], g[0]))
+    perm, pair_c, pair_d = _pairs(*g.ravel())
     return TwoPhotonOutputState(
-        two_photon=two_photon,
-        branch_c=branch_c,
-        branch_d=branch_d,
-        env_pair=env_pair,
+        two_photon=np.array([math.sqrt(2.0) * pair_c, perm, math.sqrt(2.0) * pair_d]),
+        branch_c=np.array([-2.0 * pair_c, -perm]),
+        branch_d=np.array([-perm, -2.0 * pair_d]),
+        env_pair=np.array([[pair_c, perm / 2.0], [perm / 2.0, pair_d]]),
     )
+
+
+def _pairs(g00, g01, g10, g11):
+    """(Perm G, G00 G10, G01 G11): the products of G that weight every term
+    of a† b† in (c†, d†, F_c†, F_d†).  Broadcasts over array entries."""
+    return g00 * g11 + g01 * g10, g00 * g10, g01 * g11
+
+
+def _sectors(perm, pair_c, pair_d, c):
+    """Raw sector norms and the unnormalized one-photon matrix.
+
+    ``c`` is the commutator matrix C, rows ((C00, C01), (C10, C11)).
+    Returns ``(p2, p1, p0, r00, r11, r01)``: the two-, one- and zero-photon
+    norms before normalization and the entries of
+    rho1 = sum_ij conj(C_ij) B_i B_j† over the branches B_c, B_d.
+    Broadcasts over array entries; never raises, so NaN passes through.
+    """
+    (c00, c01), (c10, c11) = c
+    branches = ((-2.0 * pair_c, -perm), (-perm, -2.0 * pair_d))
+    r00 = r11 = r01 = 0j
+    for i in range(2):
+        for j in range(2):
+            w = np.conj(c[i][j])
+            r00 = r00 + w * branches[i][0] * np.conj(branches[j][0])
+            r11 = r11 + w * branches[i][1] * np.conj(branches[j][1])
+            r01 = r01 + w * branches[i][0] * np.conj(branches[j][1])
+    p2 = 2.0 * np.abs(pair_c) ** 2 + np.abs(perm) ** 2 + 2.0 * np.abs(pair_d) ** 2
+    # Wick pairing over E = [[pair_c, perm/2], [perm/2, pair_d]]: p0 = 2 Re sum
+    # conj(E) * X, X = C E C^T; X is symmetric, so X01 and X10 join under perm.
+    half = perm / 2.0
+    ce00, ce01 = c00 * pair_c + c01 * half, c00 * half + c01 * pair_d
+    ce10, ce11 = c10 * pair_c + c11 * half, c10 * half + c11 * pair_d
+    p0 = 2.0 * (
+        np.conj(pair_c) * (ce00 * c00 + ce01 * c01)
+        + np.conj(perm) * (ce00 * c10 + ce01 * c11)
+        + np.conj(pair_d) * (ce10 * c10 + ce11 * c11)
+    ).real
+    return p2, r00.real + r11.real, p0, r00, r11, r01
 
 
 @dataclass(frozen=True)
@@ -146,33 +175,24 @@ def reduce_density(state: TwoPhotonOutputState, comms: np.ndarray) -> SectorDens
     c = np.asarray(comms, dtype=complex)
     if c.shape != (2, 2):
         raise ValueError(f"expected a 2x2 commutator matrix, got shape {c.shape}")
-    amps = state.two_photon
-    p2_raw = float(np.sum(np.abs(amps) ** 2))
-
-    # One-photon sector: |Psi1> = sum_i |branch_i> F_i†|0>, so the photon's
-    # (unnormalized) density matrix is sum_ij conj(C)_ij B_i B_j†.
-    branches = np.stack([state.branch_c, state.branch_d])  # index i, then mode
-    rho1_raw = np.einsum("ij,ia,jb->ab", np.conj(c), branches, np.conj(branches))
-    p1_raw = float(np.trace(rho1_raw).real)
-
-    # Zero-photon sector norm via Wick pairing of <0|F_j F_i F_k† F_l†|0>.
+    # the pair table E = [[pair_c, perm/2], [perm/2, pair_d]] holds all three
     e = state.env_pair
-    p0_raw = 2.0 * float(
-        np.einsum("ij,kl,ik,jl->", np.conj(e), e, c, c).real
-    )
-
-    total = p2_raw + p1_raw + p0_raw
+    p2_raw, p1_raw, p0_raw, r00, r11, r01 = _sectors(2.0 * e[0, 1], e[0, 0], e[1, 1], c)
+    total = float(p2_raw + p1_raw + p0_raw)
     if total <= 0:
         raise UnitarityError(f"sector norms sum to {total!r}; state is empty")
-    p2, p1, p0 = p2_raw / total, p1_raw / total, p0_raw / total
+    p2, p1, p0 = (float(raw) / total for raw in (p2_raw, p1_raw, p0_raw))
     for name, value in (("p2", p2), ("p1", p1), ("p0", p0)):
         if value < -_EIG_SLACK:
             raise UnitarityError(
                 f"sector weight {name} = {value!r} is negative; "
                 "commutator matrix is inconsistent with the state"
             )
+    amps = state.two_photon
     rho2 = np.outer(amps, np.conj(amps)) / p2_raw
-    rho1 = rho1_raw / p1_raw if p1 > P1_THRESHOLD else None
+    rho1 = None
+    if p1 > P1_THRESHOLD:
+        rho1 = np.array([[r00, r01], [np.conj(r01), r11]]) / p1_raw
     return SectorDensity(
         p2=p2, p1=p1, p0=p0, rho2=rho2, rho1=rho1, normalizer=total
     )
@@ -347,16 +367,25 @@ def entropy_one_photon(density: SectorDensity) -> float:
     if density.rho1 is None:
         return math.nan
     rho = density.rho1
-    mean = 0.5 * (rho[0, 0].real + rho[1, 1].real)
-    half_gap = math.hypot(0.5 * (rho[0, 0].real - rho[1, 1].real), abs(rho[0, 1]))
-    eigs = [mean + half_gap, mean - half_gap]
-    total = 0.0
-    for lam in eigs:
-        if lam < -_EIG_SLACK:
-            raise UnitarityError(f"density matrix eigenvalue {lam!r} < 0")
-        if lam > 0.0:
-            total -= lam * math.log2(lam)
-    return total
+    bits, low = _entropy_bits(rho[0, 0].real, rho[1, 1].real, rho[0, 1])
+    if low < -_EIG_SLACK:
+        raise UnitarityError(f"density matrix eigenvalue {float(low)!r} < 0")
+    return float(bits)
+
+
+def _entropy_bits(a, d, off):
+    """Entropy (bits) of the unit-trace Hermitian [[a, off], [conj(off), d]].
+
+    Returns ``(bits, low)`` with ``low`` the smaller eigenvalue; the larger
+    one is at least 1/2.  A ``low`` within ``_EIG_SLACK`` below 0 counts as
+    0 and the caller rejects a lower one.  Broadcasts over array entries;
+    NaN passes through.
+    """
+    mean = 0.5 * (a + d)
+    half_gap = np.sqrt((0.5 * (a - d)) ** 2 + np.abs(off) ** 2)
+    high, low = mean + half_gap, mean - half_gap
+    low = np.where((low > -_EIG_SLACK) & (low < 0.0), 0.0, low)
+    return -(xlogy(high, high) + xlogy(low, low)) / math.log(2.0), low
 
 
 def entropy_grid(
@@ -389,72 +418,22 @@ def entropy_grid(
 
     with np.errstate(divide="ignore", invalid="ignore"):
         m11 = (t - e * z) / denom
-        m12 = -gam * kap * s / denom
-        m21 = -kap * gam * s / denom
+        m12 = m21 = -gam * kap * s / denom
         m22 = (e - t * z) / denom
-        det = m11 * m22 - m12 * m21
-        # inverse-conjugate entries
-        g11 = np.conj(m22 / det)
-        g12 = np.conj(-m12 / det)
-        g21 = np.conj(-m21 / det)
-        g22 = np.conj(m11 / det)
-        # noise commutators I - M M†
+        # noise commutators I - M M†, entry by entry
         c11 = 1.0 - np.abs(m11) ** 2 - np.abs(m12) ** 2
         c22 = 1.0 - np.abs(m21) ** 2 - np.abs(m22) ** 2
         c12 = -(m11 * np.conj(m21) + m12 * np.conj(m22))
-        c21 = np.conj(c12)
-        cm = ((c11, c12), (c21, c22))
-
-        perm = g11 * g22 + g12 * g21
-        pair_c = g11 * g21
-        pair_d = g12 * g22
-        # branches: photon state paired with F_c†, F_d†
-        bc = (-2.0 * pair_c, -perm)
-        bd = (-perm, -2.0 * pair_d)
-        branches = (bc, bd)
-
-        r00 = np.zeros(np.broadcast(t, e, z).shape, dtype=complex)
-        r11 = np.zeros_like(r00)
-        r01 = np.zeros_like(r00)
-        for i in range(2):
-            for j in range(2):
-                w = np.conj(cm[i][j])
-                r00 = r00 + w * branches[i][0] * np.conj(branches[j][0])
-                r11 = r11 + w * branches[i][1] * np.conj(branches[j][1])
-                r01 = r01 + w * branches[i][0] * np.conj(branches[j][1])
-        p1_raw = r00.real + r11.real
-
-        p2_raw = (
-            2.0 * np.abs(pair_c) ** 2
-            + np.abs(perm) ** 2
-            + 2.0 * np.abs(pair_d) ** 2
+        g = add_drop._inverse_conjugate(m11, m12, m21, m22)
+        p2_raw, p1_raw, p0_raw, r00, r11, r01 = _sectors(
+            *_pairs(*g), ((c11, c12), (np.conj(c12), c22))
         )
-        env = ((pair_c, perm / 2.0), (perm / 2.0, pair_d))
-        p0_raw = np.zeros_like(p1_raw)
-        for i in range(2):
-            for j in range(2):
-                for k in range(2):
-                    for l in range(2):
-                        p0_raw = p0_raw + 2.0 * (
-                            np.conj(env[i][j]) * env[k][l] * cm[i][k] * cm[j][l]
-                        ).real
-        total = p2_raw + p1_raw + p0_raw
-        p1 = p1_raw / total
-
-        a = r00.real / p1_raw
-        cdiag = r11.real / p1_raw
-        off = r01 / p1_raw
-        mean = 0.5 * (a + cdiag)
-        half_gap = np.sqrt((0.5 * (a - cdiag)) ** 2 + np.abs(off) ** 2)
-        lam1 = mean + half_gap
-        lam2 = mean - half_gap
-        lam1 = np.where((lam1 > -_EIG_SLACK) & (lam1 < 0.0), 0.0, lam1)
-        lam2 = np.where((lam2 > -_EIG_SLACK) & (lam2 < 0.0), 0.0, lam2)
-        defined = p1 > p1_threshold
-        bad = defined & (np.nan_to_num(lam2, nan=0.0) < -_EIG_SLACK)
-        if np.any(bad):
-            raise UnitarityError(
-                f"negative one-photon eigenvalue at {int(bad.sum())} grid points"
-            )
-        entropy = -(xlogy(lam1, lam1) + xlogy(lam2, lam2)) / math.log(2.0)
-        return np.where(defined, entropy, math.nan)
+        p1 = p1_raw / (p2_raw + p1_raw + p0_raw)
+        bits, low = _entropy_bits(r00.real / p1_raw, r11.real / p1_raw, r01 / p1_raw)
+    defined = p1 > p1_threshold
+    bad = defined & (low < -_EIG_SLACK)  # NaN compares False
+    if np.any(bad):
+        raise UnitarityError(
+            f"negative one-photon eigenvalue at {int(bad.sum())} grid points"
+        )
+    return np.where(defined, bits, math.nan)

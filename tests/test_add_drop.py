@@ -131,13 +131,16 @@ def test_noise_couplings_vanish_lossless_and_decoupled():
 
 def test_noise_commutators_equal_unitarity_deficit():
     rng = np.random.default_rng(23)
-    for _ in range(100):
-        m = transfer_matrix(_random_params(rng))
+    stack = np.array([transfer_matrix(_random_params(rng)) for _ in range(100)])
+    for m in stack:
         comm = noise_commutators(m)
         np.testing.assert_allclose(comm, np.eye(2) - m @ m.conj().T, atol=1e-14)
         eigs = np.linalg.eigvalsh(comm)
         assert eigs.min() > -1e-12  # PSD: Gram matrix of noise modes
         assert abs(comm[0, 1] - comm[1, 0].conjugate()) < 1e-14
+    # a stack of matrices gives the stack of their commutators, bit for bit
+    comms = noise_commutators(stack.reshape(4, 25, 2, 2)).reshape(100, 2, 2)
+    assert np.array_equal(comms, [noise_commutators(m) for m in stack])
 
 
 def test_noise_commutators_lossless_zero():
@@ -155,8 +158,11 @@ def test_noise_commutators_single_bus_limit():
 
 
 def test_noise_commutators_reject_amplifying_matrix():
-    with pytest.raises(UnitarityError):
+    with pytest.raises(UnitarityError, match="F_c"):
         noise_commutators(np.array([[1.2, 0.0], [0.0, 0.5]]))
+    stack = np.array([np.diag([0.5, 0.5]), np.diag([0.5, np.nan])])
+    with pytest.raises(UnitarityError, match="F_d"):
+        noise_commutators(stack)
 
 
 def test_inverse_conjugate_round_trip():

@@ -1,9 +1,11 @@
+import hashlib
 import json
 import math
 import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,6 +115,23 @@ _BAD_INPUTS = [
         "splitter_counts: every entry must be >= gamma_per_m * length_m",
     ),
     (("langevin-compare", "--set", "tau=0"), "tau: must be > 0"),
+    (("single-bus", "--set", "theta_count=1e300"), "theta_count: must not exceed"),
+    (
+        ("homm-grid", *("--set", "tau_count=100000", "--set", "eta_count=100000"),
+         "--set", "theta_count=100000"),
+        "tau_count * eta_count * theta_count: must not exceed 100000000 points",
+    ),
+    # theta = 0 lies on the axis: a lossless ring with closed couplers
+    # has unit loop gain there
+    (
+        ("single-bus", "--set", "tau=1", "--set", "alpha=1", "--set", "theta_count=3"),
+        "unit loop gain",
+    ),
+    (
+        ("add-drop", "--set", "tau=1", "--set", "eta=1", "--set", "alpha=1",
+         "--set", "theta_count=3"),
+        "unit loop gain",
+    ),
 ]
 
 
@@ -512,3 +531,23 @@ def test_undefined_and_negative_zero_cells_keep_their_text(monkeypatch):
     assert json_text == want
     assert json_text.count("      null\n") == 5
     assert json_text.count("      -0.0\n") == 20
+
+
+# --- golden digests -----------------------------------------------------------
+#
+# ``bench/golden.json`` holds the SHA-256 of every benchmark sweep's output,
+# recorded from the library before any optimisation.  The row-by-row
+# reference above recomputes through the library and so follows any drift
+# in the kernels; the digests do not.
+
+_GOLDEN = json.loads(
+    (Path(__file__).resolve().parents[1] / "bench" / "golden.json").read_text()
+)
+
+
+@pytest.mark.parametrize("key", sorted(_GOLDEN))
+def test_sweep_output_matches_golden_digest(monkeypatch, tmp_path, key):
+    monkeypatch.setenv("RINGSIM_THREADS", "2")
+    out = tmp_path / "sweep.out"
+    assert cli.main([*key.split(), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _GOLDEN[key]

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -399,6 +400,70 @@ def test_entropy_grid_matches_scalar_route():
                 np.testing.assert_allclose(
                     grid[i, j, k], expected, atol=1e-10, equal_nan=True
                 )
+
+
+# --- independent oracle: one-photon entropy from the operator expansion -------
+#
+# G comes from np.linalg.inv.  Expanding a†b† = sum_kl G0k G1l (x_k† - F_k†)
+# (x_l† - F_l†), x = (c, d), every sector norm is an explicit Wick sum with
+# <0|x_k x_l†|0> = delta_kl and <0|F_k F_l†|0> = C[k, l], C = I - M M†; the
+# entropy comes from np.linalg.eigvalsh.  Nothing here calls the hom kernels.
+
+
+def _oracle_entropy(tau, eta, alpha, theta):
+    m = _matrix(tau, eta, alpha, theta)
+    g = np.conj(np.linalg.inv(m))
+    c = np.eye(2) - m @ m.conj().T
+    pair = np.outer(g[0], g[1])  # coefficient of x_k† x_l† (or F_k† F_l†)
+    idx = [(k, l) for k in range(2) for l in range(2)]
+    p2 = sum(
+        np.conj(pair[k, l]) * pair[q, r] * ((k == q) * (l == r) + (k == r) * (l == q))
+        for k, l in idx for q, r in idx
+    ).real
+    p0 = sum(
+        np.conj(pair[k, l]) * pair[q, r] * (c[k, q] * c[l, r] + c[k, r] * c[l, q])
+        for k, l in idx for q, r in idx
+    ).real
+    # branch[i][k]: coefficient of x_k† F_i†
+    branch = [[-(g[0, k] * g[1, i] + g[0, i] * g[1, k]) for k in range(2)] for i in range(2)]
+    rho1 = np.zeros((2, 2), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            for a in range(2):
+                for b in range(2):
+                    rho1[a, b] += c[j, i] * branch[i][a] * np.conj(branch[j][b])
+    p1 = np.trace(rho1).real
+    if p1 / (p2 + p1 + p0) <= 1e-12:
+        return math.nan
+    eigs = np.linalg.eigvalsh(rho1 / p1)
+    return float(-sum(lam * math.log2(lam) for lam in eigs if lam > 0.0))
+
+
+def test_entropy_routes_match_independent_oracle():
+    taus = (0.0, 0.3, 1 / math.sqrt(2), 0.95, 1.0)
+    etas = (0.2, 0.6, 1.0)
+    thetas = (-2.7, -0.4, 0.0, 1.3, 3.1)
+    nans = 0
+    for alpha in (0.5, 0.75, 1.0):
+        grid = entropy_grid(
+            np.array(taus)[:, None, None],
+            np.array(etas)[None, :, None],
+            np.array(thetas)[None, None, :],
+            alpha,
+        )
+        for (i, tau), (j, eta), (k, theta) in itertools.product(
+            enumerate(taus), enumerate(etas), enumerate(thetas)
+        ):
+            if tau == eta == alpha == 1.0 and theta == 0.0:
+                continue  # unit loop gain: M itself is undefined
+            want = _oracle_entropy(tau, eta, alpha, theta)
+            state, comms = _state_and_comms(_matrix(tau, eta, alpha, theta))
+            scalar = entropy_one_photon(reduce_density(state, comms))
+            for got in (grid[i, j, k], scalar):
+                np.testing.assert_allclose(got, want, atol=1e-10, equal_nan=True)
+            nans += math.isnan(want)
+    # lossless rings and the decoupled tau = eta = 1 line have no photon lost
+    assert nans == len(taus) * len(etas) * len(thetas) - 1 + 2 * len(thetas)
 
 
 def test_entropy_grid_nan_on_decoupled_line():
