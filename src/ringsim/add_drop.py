@@ -35,51 +35,18 @@ __all__ = [
     "transfer_matrix",
 ]
 
-_SPLIT_TOL = 1e-12
-
-
 @dataclass(frozen=True)
 class AddDropParams:
     """Parameters of an add/drop ring.
 
     ``coupler_in`` carries (tau, kappa) at the a/c bus, ``coupler_drop``
-    carries (eta, gamma) at the b/d bus.  By default the ring's loss and
-    phase are split evenly between the two half arcs (sqrt(alpha) and
-    theta/2 each).  An explicit asymmetric ``split`` of the form
-    ``((alpha_1, theta_1), (alpha_2, theta_2))`` is accepted as long as it
-    recombines to the full ring (alpha_1*alpha_2 = alpha,
-    theta_1+theta_2 = theta); the transfer matrix depends only on the
-    recombined quantities, so any valid split gives the same M.
+    carries (eta, gamma) at the b/d bus.  The ring's loss and phase are
+    split evenly between the two half arcs (sqrt(alpha) and theta/2 each).
     """
 
     coupler_in: CouplerParams
     coupler_drop: CouplerParams
     ring: RingParams
-    split: tuple[tuple[float, float], tuple[float, float]] | None = None
-
-    def __post_init__(self) -> None:
-        if self.split is None:
-            return
-        (a1, _t1), (a2, _t2) = self.split
-        if not (0.0 < a1 <= 1.0 and 0.0 < a2 <= 1.0):
-            raise ValueError(f"half-arc survival factors must be in (0, 1]: {self.split}")
-        if abs(a1 * a2 - self.ring.alpha) > _SPLIT_TOL:
-            raise ValueError(
-                f"split alphas recombine to {a1 * a2!r}, ring has {self.ring.alpha!r}"
-            )
-        if abs(_t1 + _t2 - self.ring.round_trip_phase) > _SPLIT_TOL:
-            raise ValueError(
-                f"split phases sum to {_t1 + _t2!r}, ring has "
-                f"{self.ring.round_trip_phase!r}"
-            )
-
-    @property
-    def half_segments(self) -> tuple[tuple[float, float], tuple[float, float]]:
-        """The two (alpha, theta) half arcs; symmetric unless overridden."""
-        if self.split is not None:
-            return self.split
-        half = (math.sqrt(self.ring.alpha), 0.5 * self.ring.round_trip_phase)
-        return half, half
 
 
 def transfer_matrix(params: AddDropParams) -> np.ndarray:

@@ -43,6 +43,19 @@ _CHUNK = 65536
 #: also counts its curves).  Six times a 201x201x401 census grid.
 _MAX_POINTS = 100_000_000
 
+#: Most beam splitters in an attenuation chain.  Beyond it the step
+#: transmission 1 - gamma*L/N rounds before its N-th power is taken, so the
+#: chain error no longer measures the O(1/N) discretisation.
+_MAX_SPLITTERS = 1_000_000
+
+#: Most audit draws per identity; each identity keeps every residual.
+_MAX_SAMPLES = 1_000_000
+
+#: Largest detuning or matched rate (rad/s) of a langevin-compare sweep,
+#: and the inverse of the smallest detuning: the Lorentzian squares both,
+#: and the squares must neither overflow nor vanish.
+_MAX_RATE = 1e150
+
 _COUNT_KEYS = ("tau_count", "eta_count", "theta_count", "delta_count")
 
 _PI = math.pi
@@ -187,6 +200,8 @@ def _validate(mode: str, params: dict) -> None:
     for key in (*_COUNT_KEYS, "samples"):
         if key in params:
             check(params[key] >= 1, key, "must be >= 1")
+    if "samples" in params:
+        check(params["samples"] <= _MAX_SAMPLES, "samples", f"must be <= {_MAX_SAMPLES}")
     axes = [key for key in (*_COUNT_KEYS, "alphas") if key in params]
     points = math.prod(len(params[k]) if k == "alphas" else params[k] for k in axes)
     if points > _MAX_POINTS:
@@ -213,14 +228,37 @@ def _validate(mode: str, params: dict) -> None:
             "splitter_counts",
             "every entry must be >= 1",
         )
+        check(
+            max(params["splitter_counts"]) <= _MAX_SPLITTERS,
+            "splitter_counts",
+            f"every entry must be <= {_MAX_SPLITTERS}",
+        )
         # a beam splitter cannot drop more than all of its power
         check(
             params["gamma_per_m"] * params["length_m"] <= min(params["splitter_counts"]),
             "splitter_counts",
             "every entry must be >= gamma_per_m * length_m",
         )
+    if "beta_per_m" in params:
+        check(
+            math.isfinite(params["beta_per_m"] * params["length_m"]),
+            "beta_per_m",
+            "times length_m must be finite",
+        )
     if mode == "langevin-compare":
         check(params["tau"] > 0.0, "tau", "must be > 0 to match Langevin rates")
+        # every matched rate times T_R is at most 2 / sqrt(tau * alpha)
+        top = max(
+            params["delta_tr_max"],
+            2.0 / math.sqrt(params["tau"]) / math.sqrt(params["alpha"]),
+        )
+        t_r = params["round_trip_time_s"]
+        check(
+            params["delta_tr_min"] / t_r >= 1.0 / _MAX_RATE and top / t_r <= _MAX_RATE,
+            "round_trip_time_s",
+            f"must keep detunings and matched rates within [{1.0 / _MAX_RATE:g}, "
+            f"{_MAX_RATE:g}] rad/s",
+        )
     if "seed" in params:
         check(params["seed"] >= 0, "seed", "must be >= 0")
 
@@ -798,8 +836,19 @@ def _write_output(text: str, out: str | None) -> None:
         fh.write(text)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Command-line parser whose usage errors exit with `EXIT_CONFIG`.
+
+    argparse exits with 2, which would read as a failed audit.
+    """
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ringsim",
         description=(
             "Lossy ring-resonator sweeps: transfer functions, noise "

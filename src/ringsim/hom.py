@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from . import add_drop
 from .core import UnitarityError
@@ -385,7 +384,21 @@ def _entropy_bits(a, d, off):
     half_gap = np.sqrt((0.5 * (a - d)) ** 2 + np.abs(off) ** 2)
     high, low = mean + half_gap, mean - half_gap
     low = np.where((low > -_EIG_SLACK) & (low < 0.0), 0.0, low)
-    return -(xlogy(high, high) + xlogy(low, low)) / math.log(2.0), low
+    return -(_xlogx(high) + _xlogx(low)) / math.log(2.0), low
+
+
+def _xlogx(x):
+    """x log x, taken as 0 at x = 0 and NaN below 0 or at NaN.
+
+    Each logarithm is `math.log`, the C library's ``log``; numpy's own
+    ``log`` rounds some values differently and would change output bytes.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.where(x == 0.0, 0.0, math.nan)
+    pos = x > 0.0
+    vals = x[pos]
+    out[pos] = vals * np.fromiter(map(math.log, vals.tolist()), float, vals.size)
+    return out
 
 
 def entropy_grid(

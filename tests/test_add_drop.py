@@ -90,28 +90,6 @@ def test_cross_term_reciprocity():
         assert abs(m[0, 1]) == pytest.approx(abs(m[1, 0]), abs=1e-14)
 
 
-def test_asymmetric_split_leaves_matrix_unchanged():
-    base = _params(0.8, 0.7, 0.85, 1.1)
-    skewed = AddDropParams(
-        base.coupler_in,
-        base.coupler_drop,
-        base.ring,
-        split=((0.95, 0.3), (0.85 / 0.95, 1.1 - 0.3)),
-    )
-    np.testing.assert_allclose(transfer_matrix(skewed), transfer_matrix(base))
-    assert skewed.half_segments[0] == (0.95, 0.3)
-    assert base.half_segments == base.half_segments[::-1]  # symmetric default
-
-
-def test_split_validation():
-    ring = RingParams.from_alpha(0.85, theta=1.1)
-    couplers = (CouplerParams.from_magnitude(0.8), CouplerParams.from_magnitude(0.7))
-    with pytest.raises(ValueError, match="recombine"):
-        AddDropParams(*couplers, ring, split=((0.9, 0.55), (0.9, 0.55)))
-    with pytest.raises(ValueError, match="phases"):
-        AddDropParams(*couplers, ring, split=((0.85, 0.3), (1.0, 0.3)))
-
-
 def test_noise_couplings_structure():
     p = _params(0.8, 0.6, math.exp(-0.25), 0.4)  # Gamma*L = 0.5 on unit ring
     f = noise_couplings(p)

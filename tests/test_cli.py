@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -9,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringsim import add_drop, attenuation, cli, hom, single_bus
 from ringsim.core import CouplerParams, RingParams
@@ -115,7 +119,20 @@ _BAD_INPUTS = [
         "splitter_counts: every entry must be >= gamma_per_m * length_m",
     ),
     (("langevin-compare", "--set", "tau=0"), "tau: must be > 0"),
+    # 1 - gamma*L/N rounds to 1.0 and the chain would report no loss
+    (
+        ("attenuation-chain", "--set", "splitter_counts=[100000000000000000000]"),
+        "splitter_counts: every entry must be <= 1000000",
+    ),
     (("single-bus", "--set", "theta_count=1e300"), "theta_count: must not exceed"),
+    # the Lorentzian squares detunings and rates in rad/s: NaN rows, or an
+    # OverflowError from squaring a matched rate
+    (("langevin-compare", "--set", "delta_tr_max=1e200"), "round_trip_time_s: must keep"),
+    (("langevin-compare", "--set", "tau=1e-300"), "round_trip_time_s: must keep"),
+    (("langevin-compare", "--set", "round_trip_time_s=1e-300"), "round_trip_time_s: must"),
+    (("langevin-compare", "--set", "round_trip_time_s=1e300"), "round_trip_time_s: must"),
+    # the step phase beta*L/N overflows and the chain power reads NaN
+    (("attenuation-chain", "--set", "beta_per_m=1.5e308"), "beta_per_m: times length_m"),
     (
         ("homm-grid", *("--set", "tau_count=100000", "--set", "eta_count=100000"),
          "--set", "theta_count=100000"),
@@ -257,6 +274,76 @@ def test_audit_rejects_bad_sample_count(capsys):
     code, err = _main(capsys, "audit", "--seed", "-1")
     assert code == 1
     assert err == "ringsim: config error: seed: must be >= 0 (got -1)\n"
+
+    code, err = _main(capsys, "audit", "--samples", "1000001")
+    assert code == 1
+    assert err == "ringsim: config error: samples: must be <= 1000000 (got 1000001)\n"
+
+
+def test_usage_errors_are_config_errors():
+    # exit 2 would read as a failed audit
+    for args in (("audit", "--samples", "abc"), ("single-bus", "--bogus")):
+        proc = _run(*args)
+        assert proc.returncode == 1, args
+        assert proc.stderr.startswith("usage: ringsim"), args
+        assert "Traceback" not in proc.stderr, args
+
+
+def test_cli_import_loads_no_scipy():
+    probe = (
+        "import sys, ringsim.cli; "
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+# Values of every kind: small and huge numbers of both signs, non-finite
+# ones, strings and lists.  Valid counts stay small so each example runs in
+# milliseconds; huge ones must be rejected before any work.
+_FUZZ_NUMBERS = st.one_of(
+    st.integers(-64, 64),
+    st.floats(-64.0, 64.0),
+    st.integers(min_value=10**9) | st.integers(max_value=-(10**9)),
+    st.floats(min_value=1e9) | st.floats(max_value=-1e9),
+    st.sampled_from([math.nan, math.inf, -math.inf, 5e-324, -0.0, 1e-300, 1e300]),
+)
+_FUZZ_VALUES = st.one_of(
+    _FUZZ_NUMBERS, st.text(max_size=8), st.lists(_FUZZ_NUMBERS, max_size=4)
+)
+_SMALL_COUNTS = {
+    "tau_count": 3, "eta_count": 3, "theta_count": 5, "delta_count": 5, "samples": 8
+}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fuzzed_values_end_cleanly(data):
+    """Sweep ``--set`` values and audit options: a result or one error line."""
+    mode = data.draw(st.sampled_from([*cli.SWEEP_MODES, "audit"]))
+    keys = sorted(cli._DEFAULTS[mode])
+    fuzzed = data.draw(
+        st.lists(st.tuples(st.sampled_from(keys), _FUZZ_VALUES), min_size=1, max_size=3)
+    )
+    args = [mode]
+    for key, value in [*_SMALL_COUNTS.items(), *fuzzed]:
+        if key in keys:
+            text = value if isinstance(value, str) else json.dumps(value)
+            args += [f"--{key}={text}"] if mode == "audit" else ["--set", f"{key}={text}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(args)
+        except SystemExit as exc:  # an argparse usage error
+            code = exc.code
+    assert code in (0, 1, 3), (args, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        lines = err.getvalue().splitlines()
+        assert lines[-1].startswith(("ringsim: config error: ", "ringsim audit: error: "))
 
 
 def test_critical_dip_curves():

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from ringsim import hom
 from ringsim.core import CouplerParams, RingParams, UnitarityError
 from ringsim.add_drop import (
     AddDropParams,
@@ -481,3 +482,22 @@ def test_entropy_grid_validates_inputs():
         entropy_grid(np.float64(0.5), np.float64(0.5), np.float64(0.0), 1.5)
     with pytest.raises(ValueError, match="amplitudes"):
         entropy_grid(np.float64(-0.1), np.float64(0.5), np.float64(0.0), 0.9)
+
+
+def test_xlogx_rounds_like_libm():
+    rng = np.random.default_rng(41)
+    special = [0.0, -0.0, 1.0, 5e-324, math.inf, math.nan, -0.25]
+    values = np.concatenate(
+        [special, rng.random(20000), np.exp(rng.uniform(-700.0, 0.0, 20000))]
+    )
+    got = hom._xlogx(values)
+    want = [
+        0.0 if v == 0.0 else v * math.log(v) if v > 0.0 else math.nan
+        for v in values.tolist()
+    ]
+    np.testing.assert_array_equal(got.view(np.int64), np.array(want).view(np.int64))
+    assert hom._xlogx(np.float64(0.5)) == 0.5 * math.log(0.5)
+
+    special_fn = pytest.importorskip("scipy.special")
+    want = special_fn.xlogy(values, values)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
