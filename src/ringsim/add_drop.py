@@ -18,13 +18,19 @@ noise operators attached to the outputs and is produced by
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CouplerParams, ResonantDivergenceError, RingParams, UnitarityError
+from .core import (
+    CouplerParams,
+    ResonantDivergenceError,
+    RingParams,
+    UnitarityError,
+    _cdiv,
+    _cmul,
+)
 
 __all__ = [
     "AddDropParams",
@@ -58,22 +64,38 @@ def transfer_matrix(params: AddDropParams) -> np.ndarray:
         If the circulation denominator 1 - conj(tau) conj(eta) z vanishes
         (lossless, both couplers fully reflective, on resonance).
     """
-    tau, kappa = params.coupler_in.tau, params.coupler_in.kappa
-    eta, gamma = params.coupler_drop.tau, params.coupler_drop.kappa
-    z = params.ring.loop_factor
-    s = cmath.sqrt(params.ring.alpha) * cmath.exp(0.5j * params.ring.round_trip_phase)
-    denom = 1.0 - tau.conjugate() * eta.conjugate() * z
-    if denom == 0:
+    coupler_in, coupler_drop, ring = params.coupler_in, params.coupler_drop, params.ring
+    return _matrix(
+        coupler_in.tau,
+        coupler_in.kappa,
+        coupler_drop.tau,
+        coupler_drop.kappa,
+        ring.alpha,
+        ring.round_trip_phase,
+    )
+
+
+def _matrix(tau, kappa, eta, gamma, alpha, theta) -> np.ndarray:
+    """`transfer_matrix` broadcast over arrays: a (..., 2, 2) stack.
+
+    Complex products and division round as CPython's, so every entry
+    equals the module formula evaluated in Python scalars, bit for bit.
+    """
+    z = alpha * np.exp(1j * theta)
+    s = np.sqrt(alpha) * np.exp(0.5j * theta)
+    denom = 1.0 - _cmul(_cmul(np.conj(tau), np.conj(eta)), z)
+    if np.any(denom == 0):
         raise ResonantDivergenceError(
             "unit loop gain: conj(tau)*conj(eta)*alpha*exp(i*theta) == 1"
         )
-    cross = s / denom
-    return np.array(
-        [
-            [(tau - eta.conjugate() * z) / denom, -gamma.conjugate() * kappa * cross],
-            [-kappa.conjugate() * gamma * cross, (eta - tau.conjugate() * z) / denom],
-        ]
+    cross = _cdiv(s, denom)
+    entries = (
+        _cdiv(tau - _cmul(np.conj(eta), z), denom),
+        _cmul(_cmul(-np.conj(gamma), kappa), cross),
+        _cmul(_cmul(-np.conj(kappa), gamma), cross),
+        _cdiv(eta - _cmul(np.conj(tau), z), denom),
     )
+    return np.stack(np.broadcast_arrays(*entries), axis=-1).reshape(denom.shape + (2, 2))
 
 
 def noise_couplings(params: AddDropParams) -> np.ndarray:
@@ -145,6 +167,7 @@ def inverse_conjugate(matrix: np.ndarray) -> np.ndarray:
     """Conjugated inverse of M, the matrix that maps output modes back to inputs.
 
     Satisfies conj(result) @ M = I.  For a unitary M this is just M^T.
+    Broadcasts over a (..., 2, 2) stack of matrices.
 
     Raises
     ------
@@ -152,12 +175,14 @@ def inverse_conjugate(matrix: np.ndarray) -> np.ndarray:
         If |det M| < 1e-14 (matrix is singular to working precision).
     """
     m = np.asarray(matrix, dtype=complex)
-    if m.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    if abs(det) < 1e-14:
-        raise ValueError(f"matrix is singular: |det| = {abs(det):.3e} < 1e-14")
-    return np.array(_inverse_conjugate(*m.ravel())).reshape(2, 2)
+    if m.shape[-2:] != (2, 2):
+        raise ValueError(f"expected 2x2 matrices, got shape {m.shape}")
+    entries = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    det = np.asarray(np.abs(entries[0] * entries[3] - entries[1] * entries[2]))
+    if np.any(det < 1e-14):
+        small = det[det < 1e-14].flat[0]
+        raise ValueError(f"matrix is singular: |det| = {small:.3e} < 1e-14")
+    return np.stack(_inverse_conjugate(*entries), axis=-1).reshape(m.shape)
 
 
 def permanent2(matrix: np.ndarray) -> complex:

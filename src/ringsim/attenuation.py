@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _elementwise
+
 __all__ = [
     "BeamSplitterChain",
     "LossSegment",
@@ -159,13 +161,23 @@ def piecewise_commutator(segments: list[LossSegment] | tuple[LossSegment, ...]) 
     """
     if not segments:
         raise ValueError("need at least one segment")
+    gammas = np.array([seg.gamma for seg in segments])
+    lengths = np.array([seg.length for seg in segments])
+    return float(_piecewise(gammas, lengths))
+
+
+def _piecewise(gamma, length):
+    """`piecewise_commutator` with the segments along the leading axis of
+    broadcast ``gamma`` and ``length`` arrays.  Each segment power is the C
+    library's ``exp``, as in `LossSegment.power`."""
+    power = _elementwise(math.exp, -gamma * length)
     total = 1.0
-    for seg in segments:
-        total *= seg.power
+    for p in power:
+        total = total * p
     tail = 1.0
-    for seg in reversed(segments):
-        total += tail * (1.0 - seg.power)
-        tail *= seg.power
+    for p in power[::-1]:
+        total = total + tail * (1.0 - p)
+        tail = tail * p
     return total
 
 

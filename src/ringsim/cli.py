@@ -18,7 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import add_drop, attenuation, hom, single_bus
-from .core import CouplerParams, ResonantDivergenceError, RingParams
+from .core import (
+    CouplerParams,
+    ResonantDivergenceError,
+    RingParams,
+    _abs,
+    _coupler,
+    _square,
+    _survival,
+)
 
 __all__ = [
     "AuditReport",
@@ -48,8 +56,16 @@ _MAX_POINTS = 100_000_000
 #: chain error no longer measures the O(1/N) discretisation.
 _MAX_SPLITTERS = 1_000_000
 
-#: Most audit draws per identity; each identity keeps every residual.
+#: Most audit draws per identity.  Memory stays bounded by the draw block
+#: (`_AUDIT_BLOCK`), so this bounds the run time: the per-draw Simpson
+#: quadrature of the uniform-line identity grows with the draw count.
 _MAX_SAMPLES = 1_000_000
+
+#: Smallest entropy-grid alpha.  On the tau = 0 and eta = 0 edges the
+#: inverse transfer matrix grows like 1/alpha and the sector norms like
+#: alpha**-3, which overflow below alpha = 2.2e-103 (probed on those edges
+#: against dense eta, tau and theta axes); the floor keeps a margin.
+_MIN_ENTROPY_ALPHA = 1e-100
 
 #: Largest detuning or matched rate (rad/s) of a langevin-compare sweep,
 #: and the inverse of the smallest detuning: the Lorentzian squares both,
@@ -174,6 +190,12 @@ def _validate(mode: str, params: dict) -> None:
             check(0.0 <= params[key] <= 1.0, key, "must lie in [0, 1]")
     if "alpha" in params:
         check(0.0 < params["alpha"] <= 1.0, "alpha", "must lie in (0, 1]")
+    if mode == "entropy-grid":
+        check(
+            params["alpha"] >= _MIN_ENTROPY_ALPHA,
+            "alpha",
+            f"must be >= {_MIN_ENTROPY_ALPHA:g} for entropy-grid",
+        )
     if "alphas" in params:
         check(
             all(0.0 < a <= 1.0 for a in params["alphas"]),
@@ -373,22 +395,10 @@ def _table(*columns) -> Table:
 
 
 def _sweep_single_bus(p: dict, workers: int):
-    coupler = CouplerParams.from_magnitude(p["tau"])
-    thetas = np.linspace(p["theta_min"], p["theta_max"], p["theta_count"]).tolist()
-    amps, noises = [], []
-    for theta in thetas:
-        amp, noise = single_bus.transfer_amplitude(
-            coupler, RingParams.from_alpha(p["alpha"], theta=theta)
-        )
-        amps.append(amp)
-        noises.append(noise)
-    table = _table(
-        thetas,
-        [amp.real for amp in amps],
-        [amp.imag for amp in amps],
-        [abs(amp) ** 2 for amp in amps],
-        noises,
-    )
+    tau, _ = _coupler(p["tau"])
+    thetas = np.linspace(p["theta_min"], p["theta_max"], p["theta_count"])
+    amp, power, _ = single_bus._transfer(tau, _survival(p["alpha"]), thetas)
+    table = _table(thetas, amp.real, amp.imag, power, 1.0 - power)
     columns = ["theta_rad", "transfer_re", "transfer_im", "power", "noise_power"]
     return columns, table, None
 
@@ -423,18 +433,14 @@ def _sweep_attenuation_chain(p: dict, workers: int):
     return columns, table, None
 
 
+def _add_drop_matrices(tau, eta, alpha, theta):
+    """Transfer matrices of rings with real couplers, as a (..., 2, 2) stack."""
+    return add_drop._matrix(*_coupler(tau), *_coupler(eta), alpha, theta)
+
+
 def _sweep_add_drop(p: dict, workers: int):
-    coupler_in = CouplerParams.from_magnitude(p["tau"])
-    coupler_drop = CouplerParams.from_magnitude(p["eta"])
-    thetas = np.linspace(p["theta_min"], p["theta_max"], p["theta_count"]).tolist()
-    m = np.empty((len(thetas), 2, 2), dtype=complex)
-    for k, theta in enumerate(thetas):
-        params = add_drop.AddDropParams(
-            coupler_in,
-            coupler_drop,
-            RingParams.from_alpha(p["alpha"], theta=theta),
-        )
-        m[k] = add_drop.transfer_matrix(params)
+    thetas = np.linspace(p["theta_min"], p["theta_max"], p["theta_count"])
+    m = _add_drop_matrices(p["tau"], p["eta"], _survival(p["alpha"]), thetas)
     comm = add_drop.noise_commutators(m)
     table = _table(
         thetas,
@@ -608,10 +614,19 @@ def run_sweep(config: SweepConfig) -> str:
 
 @dataclass(frozen=True)
 class IdentityRecord:
+    """One audited identity: its residual count, worst residual and tolerance.
+
+    ``worst_draw`` names the draw with the worst residual, as
+    ``{"index": i, "params": {name: value}}``: the draw's index among the
+    identity's draws and the parameters drawn for it, so a failure can be
+    reproduced.
+    """
+
     name: str
     samples: int
     max_residual: float
     tolerance: float
+    worst_draw: dict | None = None
 
     @property
     def passed(self) -> bool:
@@ -628,164 +643,228 @@ class AuditReport:
         return all(record.passed for record in self.records)
 
 
-def _random_add_drop(rng: np.random.Generator) -> add_drop.AddDropParams:
-    return add_drop.AddDropParams(
-        CouplerParams.from_magnitude(rng.uniform(0.05, 0.98)),
-        CouplerParams.from_magnitude(rng.uniform(0.05, 0.98)),
-        RingParams.from_alpha(rng.uniform(0.3, 0.98), theta=rng.uniform(-_PI, _PI)),
+#: Draws an audit identity evaluates at once.  Bounds the audit's working
+#: arrays: one block of 5000 draws raised peak memory by about a fifth.
+_AUDIT_BLOCK = 1024
+
+# Variates of one draw, in the order the generator yields them:
+# (name, low, high) of each uniform.
+_PHASE = (-_PI, _PI)
+_LOSSLESS_ADD_DROP = (("tau", 0.05, 0.98), ("eta", 0.05, 0.98), ("theta", *_PHASE))
+_ADD_DROP = (*_LOSSLESS_ADD_DROP[:2], ("alpha", 0.3, 0.98), _LOSSLESS_ADD_DROP[2])
+
+
+def _stack_entries(m):
+    """The entries (M00, M01, M10, M11) of a (..., 2, 2) stack."""
+    return m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+
+
+def _single_bus_noise(tau, tau_phase, alpha, theta):
+    tau, kappa = _coupler(tau, tau_phase)
+    alpha = _survival(alpha)
+    _, power, denom = single_bus._transfer(tau, alpha, theta)
+    closed = single_bus._closed_noise(kappa, alpha, denom)
+    return np.abs((1.0 - power) - closed), tau.size
+
+
+def _double_sum(tau, alpha, theta):
+    # the truncated double sum is evaluated one draw at a time
+    series = [
+        single_bus.commutator_sum_series(
+            CouplerParams.from_magnitude(t), RingParams.from_alpha(a, theta=th), 200, 200
+        )
+        for t, a, th in zip(tau.tolist(), alpha.tolist(), theta.tolist())
+    ]
+    tau, kappa = _coupler(tau)
+    alpha = _survival(alpha)
+    _, _, denom = single_bus._transfer(tau, alpha, theta)
+    closed = single_bus._closed_noise(kappa, alpha, denom)
+    return np.abs(np.array(series) - closed), tau.size
+
+
+def _uniform_line(gamma, length):
+    # Simpson grids differ in size from draw to draw
+    residuals = [
+        abs(attenuation.continuum_commutator(g, ell) - 1.0)
+        for g, ell in zip(gamma.tolist(), length.tolist())
+    ]
+    return np.array(residuals), gamma.size
+
+
+def _piecewise_line(*variates):
+    gammas, lengths = np.array(variates[0::2]), np.array(variates[1::2])
+    return np.abs(attenuation._piecewise(gammas, lengths) - 1.0), gammas.shape[1]
+
+
+def _lorentzian_unity(coupling, intrinsic, delta):
+    amp, noise = single_bus._lorentzian(coupling, intrinsic, delta)
+    return np.abs(_square(_abs(amp)) + noise - 1.0), delta.size
+
+
+def _rate_matching(tau, alpha, round_trip_time):
+    coupling, intrinsic = single_bus._match_rates(
+        _abs(_coupler(tau)[0]), _survival(alpha), round_trip_time
     )
+    scale = np.sqrt(alpha * tau) * round_trip_time
+    plus = np.abs(0.5 * (coupling + intrinsic) * scale - (1.0 - alpha * tau))
+    minus = np.abs(0.5 * (coupling - intrinsic) * scale - (alpha - tau))
+    return np.maximum(plus, minus), 2 * tau.size
+
+
+def _commutator_entries(tau, eta, alpha, theta):
+    m = _add_drop_matrices(tau, eta, _survival(alpha), theta)
+    comm = add_drop.noise_commutators(m)
+    m00, m01, m10, m11 = _stack_entries(m)
+    residuals = (
+        _abs(comm[:, 0, 0] - (1.0 - _square(_abs(m00)) - _square(_abs(m01)))),
+        _abs(comm[:, 1, 1] - (1.0 - _square(_abs(m10)) - _square(_abs(m11)))),
+        _abs(comm[:, 0, 1] - (-(m00 * np.conj(m10) + m01 * np.conj(m11)))),
+        _abs(comm[:, 1, 0] - np.conj(comm[:, 0, 1])),
+    )
+    return np.max(residuals, axis=0), 4 * tau.size
+
+
+def _lossless_unitarity(tau, eta, theta):
+    m = _add_drop_matrices(tau, eta, 1.0, theta)
+    deviation = m @ np.conj(m).swapaxes(-1, -2) - np.eye(2)
+    return np.abs(deviation).max(axis=(-2, -1)), tau.size
+
+
+def _sector_state(tau, eta, alpha, theta):
+    """M, its sector norms and normalized weights, as `reduce_density` finds them."""
+    m = _add_drop_matrices(tau, eta, _survival(alpha), theta)
+    pairs = hom._pairs(*_stack_entries(add_drop.inverse_conjugate(m)))
+    comm = np.moveaxis(add_drop.noise_commutators(m), 0, -1)
+    sectors = hom._sectors(*pairs, comm)
+    return m, pairs, sectors, hom._weights(*sectors[:3])
+
+
+def _sector_weights_and_psd(tau, eta, alpha, theta):
+    _, pairs, (p2_raw, p1_raw, _, r00, r11, r01), (p2, p1, p0, _) = _sector_state(
+        tau, eta, alpha, theta
+    )
+    rho2, rho1 = hom._densities(hom._amplitudes(*pairs), p2_raw, r00, r11, r01, p1_raw)
+    defined = p1 > hom.P1_THRESHOLD
+    rho1_low = np.zeros_like(p1)
+    rho1_low[defined] = np.linalg.eigvalsh(rho1[defined]).min(axis=-1)
+    residuals = (
+        np.abs(p0 + p1 + p2 - 1.0),
+        np.maximum(0.0, -np.linalg.eigvalsh(rho2).min(axis=-1)),
+        np.maximum(0.0, -rho1_low),
+    )
+    return np.max(residuals, axis=0), 2 * tau.size + int(defined.sum())
+
+
+def _sector_norm(tau, eta, alpha, theta):
+    m, _, _, (_, _, _, total) = _sector_state(tau, eta, alpha, theta)
+    closed = hom._sector_normalizer(m)
+    return np.abs(total - closed) / np.maximum(1.0, np.abs(closed)), tau.size
+
+
+def _ratio_inversion(tau, eta, alpha, theta):
+    m = _add_drop_matrices(tau, eta, _survival(alpha), theta)
+    direct = hom._coincidence_ratio(m)
+    inverted = hom._coincidence_ratio(add_drop.inverse_conjugate(m))
+    return np.abs(direct - inverted) / (1.0 + direct), tau.size
+
+
+def _lossless_routes(tau, eta, theta):
+    m = _add_drop_matrices(tau, eta, 1.0, theta)
+    amps = hom._amplitudes(*hom._pairs(*_stack_entries(add_drop.inverse_conjugate(m))))
+    return np.abs(hom._coincidence_ratio(m) - hom._coincidence_probability(amps)), tau.size
+
+
+# (name, tolerance, most draws or None for all, variates, residuals).  Each
+# residual function compares two routes to one quantity over a block of
+# draws: it takes the block's variate columns and returns the worst
+# residual of each draw and the number of residuals the block holds.
+_IDENTITIES = (
+    (
+        "single_bus_noise_closed_form", 1e-12, None,
+        (("tau", 0.0, 0.99), ("tau_phase", *_PHASE), ("alpha", 0.3, 1.0), ("theta", *_PHASE)),
+        _single_bus_noise,
+    ),
+    (
+        "circulation_double_sum_closed_form", 1e-8, 100,
+        (("tau", 0.0, 0.9), ("alpha", 0.3, 0.95), ("theta", *_PHASE)),
+        _double_sum,
+    ),
+    (
+        "uniform_line_commutator_unity", 1e-10, None,
+        (("gamma", 0.01, 2.5), ("length", 0.1, 2.0)),
+        _uniform_line,
+    ),
+    (
+        "piecewise_commutator_unity", 1e-10, None,
+        tuple(
+            variate
+            for k in range(5)
+            for variate in ((f"gamma_{k}", 0.0, 2.0), (f"length_{k}", 0.05, 1.0))
+        ),
+        _piecewise_line,
+    ),
+    (
+        "lorentzian_power_plus_noise_unity", 1e-12, None,
+        (("coupling", 0.0, 2.0), ("intrinsic", 0.0, 2.0), ("delta", -3.0, 3.0)),
+        _lorentzian_unity,
+    ),
+    (
+        "rate_matching_two_forms", 1e-12, None,
+        (("tau", 0.05, 0.999), ("alpha", 0.05, 0.999), ("round_trip_time", 1e-13, 1e-9)),
+        _rate_matching,
+    ),
+    ("noise_commutator_entries", 1e-12, None, _ADD_DROP, _commutator_entries),
+    ("lossless_matrix_unitarity", 1e-12, None, _LOSSLESS_ADD_DROP, _lossless_unitarity),
+    ("sector_probabilities_and_psd", 1e-10, None, _ADD_DROP, _sector_weights_and_psd),
+    ("sector_norm_closed_form", 1e-10, None, _ADD_DROP, _sector_norm),
+    ("coincidence_ratio_inversion_invariance", 1e-12, None, _ADD_DROP, _ratio_inversion),
+    (
+        "lossless_coincidence_route_agreement", 1e-8, None, _LOSSLESS_ADD_DROP,
+        _lossless_routes,
+    ),
+)
+
+
+def _draw_blocks(rng: np.random.Generator, variates, draws: int):
+    """Yield ``(first draw index, (n, k) variates)`` blocks of `_AUDIT_BLOCK`
+    draws at most.  The values equal those of one scalar ``rng.uniform``
+    call per variate, draw after draw."""
+    _, low, high = zip(*variates)
+    for start in range(0, draws, _AUDIT_BLOCK):
+        size = (min(_AUDIT_BLOCK, draws - start), len(low))
+        yield start, rng.uniform(low, high, size=size)
 
 
 def run_audit(seed: int, samples: int) -> AuditReport:
     """Re-derive every bookkeeping identity on random parameters.
 
     Deterministic for a fixed seed; each identity records its worst
-    residual over ``samples`` draws.
+    residual over ``samples`` draws and the draw that produced it.
     """
     if samples < 1:
         raise ConfigError(f"samples: must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
-    records: list[IdentityRecord] = []
-
-    def record(name: str, tolerance: float, residuals) -> None:
-        worst = float(np.max(residuals))
+    records = []
+    for name, tolerance, most, variates, residuals in _IDENTITIES:
+        count, worst, worst_at, worst_row = 0, -math.inf, 0, None
+        for start, block in _draw_blocks(rng, variates, min(samples, most or samples)):
+            res, entries = residuals(*block.T)
+            count += entries
+            i = int(np.argmax(res))  # the first NaN, if any
+            if res[i] > worst or (np.isnan(res[i]) and not np.isnan(worst)):
+                worst, worst_at, worst_row = float(res[i]), start + i, block[i]
         records.append(
             IdentityRecord(
                 name=name,
-                samples=len(residuals),
+                samples=count,
                 max_residual=worst,
                 tolerance=tolerance,
+                worst_draw={
+                    "index": worst_at,
+                    "params": dict(zip((v[0] for v in variates), worst_row.tolist())),
+                },
             )
         )
-
-    def rand_single(max_tau: float = 0.99):
-        coupler = CouplerParams.from_magnitude(
-            rng.uniform(0.0, max_tau), tau_phase=rng.uniform(-_PI, _PI)
-        )
-        ring = RingParams.from_alpha(
-            rng.uniform(0.3, 1.0), theta=rng.uniform(-_PI, _PI)
-        )
-        return coupler, ring
-
-    res = []
-    for _ in range(samples):
-        ident = single_bus.commutator_sum_identity(*rand_single())
-        res.append(abs(ident.analytic - ident.closed))
-    record("single_bus_noise_closed_form", 1e-12, res)
-
-    res = []
-    for _ in range(min(samples, 100)):
-        coupler = CouplerParams.from_magnitude(rng.uniform(0.0, 0.9))
-        ring = RingParams.from_alpha(rng.uniform(0.3, 0.95), theta=rng.uniform(-_PI, _PI))
-        series = single_bus.commutator_sum_series(coupler, ring, n_max=200, m_max=200)
-        closed = single_bus.commutator_sum_identity(coupler, ring).closed
-        res.append(abs(series - closed))
-    record("circulation_double_sum_closed_form", 1e-8, res)
-
-    res = []
-    for _ in range(samples):
-        gamma, length = rng.uniform(0.01, 2.5), rng.uniform(0.1, 2.0)
-        res.append(abs(attenuation.continuum_commutator(gamma, length) - 1.0))
-    record("uniform_line_commutator_unity", 1e-10, res)
-
-    res = []
-    for _ in range(samples):
-        segments = [
-            attenuation.LossSegment(rng.uniform(0.0, 2.0), rng.uniform(0.05, 1.0))
-            for _ in range(5)
-        ]
-        res.append(abs(attenuation.piecewise_commutator(segments) - 1.0))
-    record("piecewise_commutator_unity", 1e-10, res)
-
-    res = []
-    for _ in range(samples):
-        rates = single_bus.LangevinRates(rng.uniform(0.0, 2.0), rng.uniform(0.0, 2.0))
-        amp, noise = single_bus.langevin_transfer(rates, rng.uniform(-3.0, 3.0))
-        res.append(abs(abs(amp) ** 2 + noise - 1.0))
-    record("lorentzian_power_plus_noise_unity", 1e-12, res)
-
-    res = []
-    for _ in range(samples):
-        t, a = rng.uniform(0.05, 0.999), rng.uniform(0.05, 0.999)
-        tr = rng.uniform(1e-13, 1e-9)
-        rates = single_bus.match_rates(
-            CouplerParams.from_magnitude(t), RingParams.from_alpha(a, theta=0.0), tr
-        )
-        scale = math.sqrt(a * t) * tr
-        res.append(abs(rates.gamma_plus * scale - (1.0 - a * t)))
-        res.append(abs(rates.gamma_minus * scale - (a - t)))
-    record("rate_matching_two_forms", 1e-12, res)
-
-    res = []
-    for _ in range(samples):
-        m = add_drop.transfer_matrix(_random_add_drop(rng))
-        comm = add_drop.noise_commutators(m)
-        res.append(abs(comm[0, 0] - (1.0 - abs(m[0, 0]) ** 2 - abs(m[0, 1]) ** 2)))
-        res.append(abs(comm[1, 1] - (1.0 - abs(m[1, 0]) ** 2 - abs(m[1, 1]) ** 2)))
-        res.append(
-            abs(
-                comm[0, 1]
-                - (-(m[0, 0] * m[1, 0].conjugate() + m[0, 1] * m[1, 1].conjugate()))
-            )
-        )
-        res.append(abs(comm[1, 0] - comm[0, 1].conjugate()))
-    record("noise_commutator_entries", 1e-12, res)
-
-    res = []
-    for _ in range(samples):
-        params = add_drop.AddDropParams(
-            CouplerParams.from_magnitude(rng.uniform(0.05, 0.98)),
-            CouplerParams.from_magnitude(rng.uniform(0.05, 0.98)),
-            RingParams.from_alpha(1.0, theta=rng.uniform(-_PI, _PI)),
-        )
-        m = add_drop.transfer_matrix(params)
-        res.append(float(np.max(np.abs(m @ m.conj().T - np.eye(2)))))
-    record("lossless_matrix_unitarity", 1e-12, res)
-
-    res = []
-    for _ in range(samples):
-        m = add_drop.transfer_matrix(_random_add_drop(rng))
-        state = hom.output_state(add_drop.inverse_conjugate(m))
-        density = hom.reduce_density(state, add_drop.noise_commutators(m))
-        res.append(abs(density.p0 + density.p1 + density.p2 - 1.0))
-        eigs = np.linalg.eigvalsh(density.rho2)
-        res.append(max(0.0, -float(eigs.min())))
-        if density.rho1 is not None:
-            eigs = np.linalg.eigvalsh(density.rho1)
-            res.append(max(0.0, -float(eigs.min())))
-    record("sector_probabilities_and_psd", 1e-10, res)
-
-    res = []
-    for _ in range(samples):
-        m = add_drop.transfer_matrix(_random_add_drop(rng))
-        state = hom.output_state(add_drop.inverse_conjugate(m))
-        density = hom.reduce_density(state, add_drop.noise_commutators(m))
-        closed = hom.sector_normalizer(m)
-        res.append(abs(density.normalizer - closed) / max(1.0, abs(closed)))
-    record("sector_norm_closed_form", 1e-10, res)
-
-    res = []
-    for _ in range(samples):
-        m = add_drop.transfer_matrix(_random_add_drop(rng))
-        direct = hom.coincidence_ratio(m)
-        inverted = hom.coincidence_ratio(add_drop.inverse_conjugate(m))
-        res.append(abs(direct - inverted) / (1.0 + direct))
-    record("coincidence_ratio_inversion_invariance", 1e-12, res)
-
-    res = []
-    for _ in range(samples):
-        params = add_drop.AddDropParams(
-            CouplerParams.from_magnitude(rng.uniform(0.05, 0.98)),
-            CouplerParams.from_magnitude(rng.uniform(0.05, 0.98)),
-            RingParams.from_alpha(1.0, theta=rng.uniform(-_PI, _PI)),
-        )
-        m = add_drop.transfer_matrix(params)
-        state = hom.output_state(add_drop.inverse_conjugate(m))
-        res.append(
-            abs(hom.coincidence_ratio(m) - hom.coincidence_probability(state))
-        )
-    record("lossless_coincidence_route_agreement", 1e-8, res)
-
     return AuditReport(seed=seed, records=tuple(records))
 
 
@@ -817,6 +896,7 @@ def render_audit_json(report: AuditReport, samples: int) -> str:
                 "max_residual": r.max_residual,
                 "tolerance": r.tolerance,
                 "pass": r.passed,
+                "worst_draw": r.worst_draw,
             }
             for r in report.records
         ],

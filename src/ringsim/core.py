@@ -12,6 +12,8 @@ import math
 import cmath
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "CouplerParams",
     "RingParams",
@@ -135,11 +137,7 @@ class CouplerParams:
     kappa: complex
 
     def __post_init__(self) -> None:
-        defect = abs(abs(self.tau) ** 2 + abs(self.kappa) ** 2 - 1.0)
-        if not defect < 1e-12:
-            raise UnitarityError(
-                f"|tau|^2 + |kappa|^2 must equal 1 (defect {defect:.3e})"
-            )
+        _check_power(self.tau, self.kappa)
 
     @classmethod
     def from_through(cls, tau: complex) -> "CouplerParams":
@@ -154,13 +152,8 @@ class CouplerParams:
         cls, magnitude: float, tau_phase: float = 0.0, kappa_phase: float = 0.0
     ) -> "CouplerParams":
         """Build from real through magnitude in [0, 1] plus optional phases."""
-        if not 0.0 <= magnitude <= 1.0:
-            raise UnitarityError(f"through magnitude must be in [0, 1], got {magnitude}")
-        cross = math.sqrt(1.0 - magnitude * magnitude)
-        return cls(
-            tau=magnitude * cmath.exp(1j * tau_phase),
-            kappa=cross * cmath.exp(1j * kappa_phase),
-        )
+        tau, kappa = _coupler(magnitude, tau_phase, kappa_phase)
+        return cls(tau=complex(tau), kappa=complex(kappa))
 
 
 @dataclass(frozen=True)
@@ -218,3 +211,101 @@ class RingParams:
     def loop_factor(self) -> complex:
         """One full circulation: alpha * exp(i*theta)."""
         return self.alpha * cmath.exp(1j * self.round_trip_phase)
+
+
+def _check_power(tau, kappa) -> None:
+    """Raise unless |tau|^2 + |kappa|^2 = 1 for every coupler of a broadcast pair."""
+    defect = np.asarray(np.abs(np.abs(tau) ** 2 + np.abs(kappa) ** 2 - 1.0))
+    bad = ~(defect < 1e-12)  # NaN too
+    if np.any(bad):
+        raise UnitarityError(
+            f"|tau|^2 + |kappa|^2 must equal 1 (defect {defect[bad].flat[0]:.3e})"
+        )
+
+
+def _coupler(magnitude, tau_phase=0.0, kappa_phase=0.0):
+    """(tau, kappa) of `CouplerParams.from_magnitude`, broadcast over arrays.
+
+    Raises `UnitarityError` like the scalar constructor: for a magnitude
+    outside [0, 1] and for a power defect of 1e-12 or more.
+    """
+    mag = np.asarray(magnitude, dtype=float)
+    inside = (0.0 <= mag) & (mag <= 1.0)
+    if not np.all(inside):
+        raise UnitarityError(
+            f"through magnitude must be in [0, 1], got {mag[~inside].flat[0]}"
+        )
+    tau = mag * np.exp(1j * np.asarray(tau_phase, dtype=float))
+    kappa = np.sqrt(1.0 - mag * mag) * np.exp(1j * np.asarray(kappa_phase, dtype=float))
+    _check_power(tau, kappa)
+    return tau, kappa
+
+
+def _survival(alpha) -> np.ndarray:
+    """Survival factors as `RingParams.from_alpha(alpha, theta).alpha` reads them.
+
+    Each alpha in (0, 1] takes the scalar route's round trip through the
+    loss rate of a unit-circumference ring, with the C library's ``log``
+    and ``exp`` (numpy's round differently), so a batched route sees the
+    scalar route's alpha bit for bit.  Broadcasts over arrays.
+    """
+    a = np.asarray(alpha, dtype=float)
+    inside = (0.0 < a) & (a <= 1.0)
+    if not np.all(inside):
+        raise ValueError(f"alpha must be in (0, 1], got {a[~inside].flat[0]}")
+    gamma = -2.0 * _elementwise(math.log, a)  # `RingParams.from_alpha`
+    return _elementwise(math.exp, -0.5 * gamma)  # `alpha_from_loss`
+
+
+def _abs(z):
+    """|z| rounded as Python's ``abs(complex)``; ``np.abs`` rounds differently."""
+    return np.hypot(np.real(z), np.imag(z))
+
+
+def _square(x):
+    """x ** 2 rounded as Python's float ``**``: the C library's ``pow``.
+
+    numpy's ``x * x`` and ``x ** 2`` round some values differently.
+    """
+    return _elementwise(lambda v: v**2, x)
+
+
+def _elementwise(fn, x) -> np.ndarray:
+    """``fn`` (a `math` function) applied to each element of x, as a float array."""
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def _cmul(a, b):
+    """a * b with CPython's complex product, broadcast over arrays.
+
+    numpy's complex ``*`` on arrays fuses a multiply and an add where the
+    CPU has FMA, so it rounds differently from CPython's product.  Like
+    CPython's, it overflows to inf or NaN silently.
+    """
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    out = np.empty(a.shape, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out.real = a.real * b.real - a.imag * b.imag
+        out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _cdiv(a, b):
+    """a / b with CPython's complex division, broadcast over arrays.
+
+    numpy's complex ``/`` rounds differently from CPython's, whose Smith
+    division this ports: scale by the larger part of ``b`` and divide by
+    ``denom``, never multiplying by its reciprocal.  A NaN in ``b`` gives
+    NaN; a zero ``b`` gives NaN where CPython raises, so callers check it.
+    """
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    by_re = np.abs(br) >= np.abs(bi)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        ratio = np.where(by_re, bi / br, br / bi)
+        denom = np.where(by_re, br + bi * ratio, br * ratio + bi)
+        out = np.empty(a.shape, dtype=complex)
+        out.real = np.where(by_re, ar + ai * ratio, ar * ratio + ai) / denom
+        out.imag = np.where(by_re, ai - ar * ratio, ai * ratio - ar) / denom
+    return out

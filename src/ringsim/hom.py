@@ -92,7 +92,7 @@ def output_state(minv: np.ndarray) -> TwoPhotonOutputState:
         raise ValueError(f"expected a 2x2 matrix, got shape {g.shape}")
     perm, pair_c, pair_d = _pairs(*g.ravel())
     return TwoPhotonOutputState(
-        two_photon=np.array([math.sqrt(2.0) * pair_c, perm, math.sqrt(2.0) * pair_d]),
+        two_photon=_amplitudes(perm, pair_c, pair_d),
         branch_c=np.array([-2.0 * pair_c, -perm]),
         branch_d=np.array([-perm, -2.0 * pair_d]),
         env_pair=np.array([[pair_c, perm / 2.0], [perm / 2.0, pair_d]]),
@@ -103,6 +103,12 @@ def _pairs(g00, g01, g10, g11):
     """(Perm G, G00 G10, G01 G11): the products of G that weight every term
     of a† b† in (c†, d†, F_c†, F_d†).  Broadcasts over array entries."""
     return g00 * g11 + g01 * g10, g00 * g10, g01 * g11
+
+
+def _amplitudes(perm, pair_c, pair_d):
+    """Two-photon amplitudes on (|2,0>, |1,1>, |0,2>), stacked on a last axis."""
+    root2 = math.sqrt(2.0)
+    return np.stack(np.broadcast_arrays(root2 * pair_c, perm, root2 * pair_d), axis=-1)
 
 
 def _sectors(perm, pair_c, pair_d, c):
@@ -177,24 +183,52 @@ def reduce_density(state: TwoPhotonOutputState, comms: np.ndarray) -> SectorDens
     # the pair table E = [[pair_c, perm/2], [perm/2, pair_d]] holds all three
     e = state.env_pair
     p2_raw, p1_raw, p0_raw, r00, r11, r01 = _sectors(2.0 * e[0, 1], e[0, 0], e[1, 1], c)
-    total = float(p2_raw + p1_raw + p0_raw)
-    if total <= 0:
-        raise UnitarityError(f"sector norms sum to {total!r}; state is empty")
-    p2, p1, p0 = (float(raw) / total for raw in (p2_raw, p1_raw, p0_raw))
-    for name, value in (("p2", p2), ("p1", p1), ("p0", p0)):
-        if value < -_EIG_SLACK:
+    p2, p1, p0, total = (float(w) for w in _weights(p2_raw, p1_raw, p0_raw))
+    rho2, rho1 = _densities(state.two_photon, p2_raw, r00, r11, r01, p1_raw)
+    return SectorDensity(
+        p2=p2,
+        p1=p1,
+        p0=p0,
+        rho2=rho2,
+        rho1=rho1 if p1 > P1_THRESHOLD else None,
+        normalizer=total,
+    )
+
+
+def _weights(p2_raw, p1_raw, p0_raw):
+    """``(p2, p1, p0, total)``: the sector norms over their total, broadcast.
+
+    Raises `UnitarityError` where the total is not positive or a weight is
+    below -1e-10, as `reduce_density` does; NaN passes through.
+    """
+    total = np.asarray(p2_raw + p1_raw + p0_raw)
+    if np.any(total <= 0):
+        raise UnitarityError(
+            f"sector norms sum to {float(total[total <= 0].flat[0])!r}; state is empty"
+        )
+    weights = tuple(np.asarray(raw / total) for raw in (p2_raw, p1_raw, p0_raw))
+    for name, value in zip(("p2", "p1", "p0"), weights):
+        negative = value < -_EIG_SLACK
+        if np.any(negative):
             raise UnitarityError(
-                f"sector weight {name} = {value!r} is negative; "
+                f"sector weight {name} = {float(value[negative].flat[0])!r} is negative; "
                 "commutator matrix is inconsistent with the state"
             )
-    amps = state.two_photon
-    rho2 = np.outer(amps, np.conj(amps)) / p2_raw
-    rho1 = None
-    if p1 > P1_THRESHOLD:
-        rho1 = np.array([[r00, r01], [np.conj(r01), r11]]) / p1_raw
-    return SectorDensity(
-        p2=p2, p1=p1, p0=p0, rho2=rho2, rho1=rho1, normalizer=total
-    )
+    return (*weights, total)
+
+
+def _densities(amps, p2_raw, r00, r11, r01, p1_raw):
+    """``(rho2, rho1)``: (..., 3, 3) and (..., 2, 2) stacks of the two- and
+    one-photon matrices, each over its raw sector norm.  Broadcasts; a zero
+    norm gives inf or NaN entries, no error."""
+    rho1 = np.stack(np.broadcast_arrays(r00, r01, np.conj(r01), r11), axis=-1)
+    rho1 = rho1.reshape(rho1.shape[:-1] + (2, 2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho2 = amps[..., :, None] * np.conj(amps[..., None, :])
+        return (
+            rho2 / np.asarray(p2_raw)[..., None, None],
+            rho1 / np.asarray(p1_raw)[..., None, None],
+        )
 
 
 def sector_normalizer(matrix: np.ndarray) -> float:
@@ -206,8 +240,13 @@ def sector_normalizer(matrix: np.ndarray) -> float:
     m = np.asarray(matrix, dtype=complex)
     if m.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    w = 2.0 * np.linalg.inv(m @ m.conj().T) - np.eye(2)
-    return float((w[0, 0] * w[1, 1] + w[0, 1] * w[1, 0]).real)
+    return float(_sector_normalizer(m))
+
+
+def _sector_normalizer(m):
+    """`sector_normalizer` over a (..., 2, 2) stack of transfer matrices."""
+    w = 2.0 * np.linalg.inv(m @ np.conj(m).swapaxes(-1, -2)) - np.eye(2)
+    return (w[..., 0, 0] * w[..., 1, 1] + w[..., 0, 1] * w[..., 1, 0]).real
 
 
 def coincidence_ratio(matrix: np.ndarray) -> float:
@@ -221,11 +260,16 @@ def coincidence_ratio(matrix: np.ndarray) -> float:
     m = np.asarray(matrix, dtype=complex)
     if m.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    if det == 0:
+    return float(_coincidence_ratio(m))
+
+
+def _coincidence_ratio(m):
+    """`coincidence_ratio` over a (..., 2, 2) stack of matrices."""
+    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    if np.any(det == 0):
         raise ValueError("transfer matrix is singular; ratio undefined")
-    perm = m[0, 0] * m[1, 1] + m[0, 1] * m[1, 0]
-    return abs(perm) ** 2 / abs(det) ** 2
+    perm = m[..., 0, 0] * m[..., 1, 1] + m[..., 0, 1] * m[..., 1, 0]
+    return np.abs(perm) ** 2 / np.abs(det) ** 2
 
 
 def coincidence_probability(state: TwoPhotonOutputState) -> float:
@@ -234,11 +278,15 @@ def coincidence_probability(state: TwoPhotonOutputState) -> float:
     |<1,1|Psi2>|^2 / <Psi2|Psi2> — exact at any loss level, unlike
     `coincidence_ratio`, but requires the sectored state.
     """
-    amps = state.two_photon
-    norm = float(np.sum(np.abs(amps) ** 2))
-    if norm == 0:
+    return float(_coincidence_probability(state.two_photon))
+
+
+def _coincidence_probability(amps):
+    """`coincidence_probability` over a (..., 3) stack of two-photon amplitudes."""
+    norm = np.sum(np.abs(amps) ** 2, axis=-1)
+    if np.any(norm == 0):
         raise ValueError("two-photon sector is empty")
-    return float(abs(amps[1]) ** 2) / norm
+    return np.abs(amps[..., 1]) ** 2 / norm
 
 
 def joint_coincidence(state: TwoPhotonOutputState, comms: np.ndarray) -> float:

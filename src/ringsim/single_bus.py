@@ -37,6 +37,10 @@ from .core import (
     ResonantDivergenceError,
     SERIES_TOL,
     TruncationError,
+    _abs,
+    _cdiv,
+    _cmul,
+    _square,
     geometric_sum_truncated,
     truncation_order,
 )
@@ -90,14 +94,31 @@ def transfer_amplitude(coupler: CouplerParams, ring: RingParams) -> SingleBusRes
         If conj(tau)*alpha*e^{i theta} == 1 (lossless, fully reflective,
         on resonance), where the circulation sum diverges.
     """
-    z = ring.loop_factor
-    denom = 1.0 - _conj(coupler.tau) * z
-    if denom == 0:
+    amp, power, _ = _transfer(coupler.tau, ring.alpha, ring.round_trip_phase)
+    return SingleBusResponse(transfer=complex(amp), noise_power=1.0 - float(power))
+
+
+def _transfer(tau, alpha, theta):
+    """``(A, |A|^2, D)`` of `transfer_amplitude`, broadcast over arrays.
+
+    D = 1 - conj(tau) alpha e^{i theta} is the circulation denominator.
+    Products, division, modulus and square round as CPython's complex and
+    float arithmetic do, so every entry equals the module formula evaluated
+    in Python scalars, bit for bit.
+    """
+    z = alpha * np.exp(1j * theta)
+    denom = 1.0 - _cmul(np.conj(tau), z)
+    if np.any(denom == 0):
         raise ResonantDivergenceError(
             "unit loop gain: conj(tau)*alpha*exp(i*theta) == 1"
         )
-    amp = (coupler.tau - z) / denom
-    return SingleBusResponse(transfer=amp, noise_power=1.0 - abs(amp) ** 2)
+    amp = _cdiv(tau - z, denom)
+    return amp, _square(_abs(amp)), denom
+
+
+def _closed_noise(kappa, alpha, denom):
+    """Closed noise power |kappa|^2 (1 - alpha^2) / |D|^2, broadcast over arrays."""
+    return _square(_abs(kappa)) * (1.0 - _square(alpha)) / _square(_abs(denom))
 
 
 def transfer_series(
@@ -181,14 +202,19 @@ def langevin_transfer(rates: LangevinRates, delta: float) -> SingleBusResponse:
     noise power gamma_c*gamma_int/(gamma_plus^2 + delta^2) completes
     |A|^2 + noise to exactly 1.
     """
-    gp, gm = rates.gamma_plus, rates.gamma_minus
-    if gp == 0.0 and delta == 0.0:
+    amp, noise = _lorentzian(rates.coupling, rates.intrinsic, delta)
+    return SingleBusResponse(transfer=complex(amp), noise_power=float(noise))
+
+
+def _lorentzian(coupling, intrinsic, delta):
+    """``(A, noise)`` of `langevin_transfer` from its rates, broadcast over arrays."""
+    gp, gm = 0.5 * (coupling + intrinsic), 0.5 * (coupling - intrinsic)
+    if np.any((gp == 0.0) & (delta == 0.0)):
         raise ResonantDivergenceError(
             "response undefined at zero linewidth and zero detuning"
         )
-    amp = (gm + 1j * delta) / (gp - 1j * delta)
-    noise = rates.coupling * rates.intrinsic / (gp * gp + delta * delta)
-    return SingleBusResponse(transfer=amp, noise_power=noise)
+    amp = _cdiv(gm + 1j * delta, gp - 1j * delta)
+    return amp, coupling * intrinsic / (gp * gp + delta * delta)
 
 
 def match_rates(
@@ -205,20 +231,25 @@ def match_rates(
     gamma_minus*T_R = (a - t)/sqrt(a t).  For weak loss and near-unity
     coupling these reduce to the familiar (1 - t)/T_R and Gamma L / (2 T_R).
     """
-    if round_trip_time <= 0:
-        raise ValueError(f"round-trip time must be > 0, got {round_trip_time}")
-    t = abs(coupler.tau)
-    a = ring.alpha
-    if t == 0.0 or a == 0.0:
+    coupling, intrinsic = _match_rates(abs(coupler.tau), ring.alpha, round_trip_time)
+    return LangevinRates(coupling=float(coupling), intrinsic=float(intrinsic))
+
+
+def _match_rates(t, a, round_trip_time):
+    """``(coupling, intrinsic)`` of `match_rates` for |tau| = t and alpha = a,
+    broadcast over arrays."""
+    t_r = np.asarray(round_trip_time)
+    if np.any(t_r <= 0):
+        raise ValueError(f"round-trip time must be > 0, got {t_r[t_r <= 0].flat[0]}")
+    zero = (t == 0.0) | (a == 0.0)
+    if np.any(zero):
+        t0, a0 = (np.broadcast_to(x, np.shape(zero))[zero].flat[0] for x in (t, a))
         raise ValueError(
             "rate matching needs tau != 0 and alpha != 0 "
-            f"(got |tau| = {t}, alpha = {a})"
+            f"(got |tau| = {t0}, alpha = {a0})"
         )
-    scale = 1.0 / (math.sqrt(a * t) * round_trip_time)
-    return LangevinRates(
-        coupling=(1.0 + a) * (1.0 - t) * scale,
-        intrinsic=(1.0 - a) * (1.0 + t) * scale,
-    )
+    scale = 1.0 / (np.sqrt(a * t) * round_trip_time)
+    return (1.0 + a) * (1.0 - t) * scale, (1.0 - a) * (1.0 + t) * scale
 
 
 def power_comparison(
@@ -271,12 +302,9 @@ def commutator_sum_identity(
     |kappa|^2 (1 - alpha^2) / |1 - conj(tau) alpha e^{i theta}|^2.
     The two agree to rounding for every parameter set.
     """
-    amp, noise = transfer_amplitude(coupler, ring)
-    denom = 1.0 - _conj(coupler.tau) * ring.loop_factor
-    closed = (
-        abs(coupler.kappa) ** 2 * (1.0 - ring.alpha**2) / abs(denom) ** 2
-    )
-    return CommutatorIdentity(analytic=noise, closed=closed)
+    _, power, denom = _transfer(coupler.tau, ring.alpha, ring.round_trip_phase)
+    closed = _closed_noise(coupler.kappa, ring.alpha, denom)
+    return CommutatorIdentity(analytic=1.0 - float(power), closed=float(closed))
 
 
 def commutator_sum_term(

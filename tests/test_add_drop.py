@@ -1,18 +1,27 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 
-from ringsim.core import CouplerParams, ResonantDivergenceError, RingParams, UnitarityError
+from ringsim.core import (
+    CouplerParams,
+    ResonantDivergenceError,
+    RingParams,
+    UnitarityError,
+    _coupler,
+    _survival,
+)
 from ringsim.add_drop import (
     AddDropParams,
+    _matrix,
     inverse_conjugate,
     noise_commutators,
     noise_couplings,
     permanent2,
     transfer_matrix,
 )
-from ringsim.single_bus import commutator_sum_identity, transfer_amplitude
+from ringsim.single_bus import _transfer, commutator_sum_identity, transfer_amplitude
 
 
 def _params(tau, eta, alpha, theta, tau_phase=0.0, eta_phase=0.0):
@@ -166,3 +175,29 @@ def test_permanent_small_cases():
     assert permanent2(np.array([[0.0, 3.0], [2.0, 0.0]])) == 6.0
     bs = np.array([[1.0, 1.0j], [1.0j, 1.0]]) / math.sqrt(2)
     assert abs(permanent2(bs)) < 1e-15  # balanced-splitter coincidence null
+
+
+def test_broadcast_kernels_round_like_python_scalars():
+    # complex couplers: every product is a full complex product
+    rng = np.random.default_rng(31)
+    draws = rng.uniform([0, -4, -4, 0, -4, -4, 0.05, -4], [1, 4, 4, 1, 4, 4, 1, 4], (2000, 8))
+    tau, kappa = _coupler(*draws[:, 0:3].T)
+    eta, gamma = _coupler(*draws[:, 3:6].T)
+    alpha, theta = _survival(draws[:, 6]), draws[:, 7]
+    stack = _matrix(tau, kappa, eta, gamma, alpha, theta)
+    amp, power, _ = _transfer(tau, alpha, theta)
+    for k in range(len(draws)):
+        t, c, e, g = (complex(x[k]) for x in (tau, kappa, eta, gamma))
+        ring = RingParams.from_alpha(draws[k, 6], theta=theta[k])
+        z = ring.loop_factor
+        a = (t - z) / (1.0 - t.conjugate() * z)
+        assert (amp[k], power[k]) == (a, abs(a) ** 2)
+        s = cmath.sqrt(ring.alpha) * cmath.exp(0.5j * theta[k])
+        denom = 1.0 - t.conjugate() * e.conjugate() * z
+        cross = s / denom
+        assert stack[k].ravel().tolist() == [
+            (t - e.conjugate() * z) / denom,
+            -g.conjugate() * c * cross,
+            -c.conjugate() * g * cross,
+            (e - t.conjugate() * z) / denom,
+        ]

@@ -1,3 +1,4 @@
+import cmath
 import contextlib
 import hashlib
 import io
@@ -23,7 +24,7 @@ SUMMARY_PREFIX = "# summary: "
 
 
 def _run(*args, env_extra=None):
-    env = dict(os.environ)
+    env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning")
     env.update(env_extra or {})
     return subprocess.run(
         [sys.executable, "-m", "ringsim", *args],
@@ -149,6 +150,10 @@ _BAD_INPUTS = [
          "--set", "theta_count=3"),
         "unit loop gain",
     ),
+    # the sector norms overflow on the tau = 0 and eta = 0 edges: warnings
+    # and NaN cells
+    (("entropy-grid", "--set", "alpha=5e-324"), "alpha: must be >= 1e-100 for entropy-grid"),
+    (("entropy-grid", "--set", "alpha=2.6e-139"), "alpha: must be >= 1e-100"),
 ]
 
 
@@ -243,6 +248,21 @@ def test_worker_count_never_changes_output_bytes(tmp_path):
     assert summary is not None and "grid=41x41x41" in summary
     assert f"count={len(rows)}" in summary
     assert len(rows) == 1732
+
+
+def test_entropy_grid_at_the_alpha_floor_is_clean():
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "ringsim", "entropy-grid",
+         "--set", f"alpha={cli._MIN_ENTROPY_ALPHA!r}",
+         "--set", "tau_count=5", "--set", "eta_count=5", "--set", "theta_count=9"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    _, _, rows, _ = _parse_csv(proc.stdout)
+    # only the decoupled tau = eta = 1 line is undefined
+    undefined = [row for row in rows if math.isnan(row[3])]
+    assert len(rows) == 225 and len(undefined) == 9
+    assert all(row[0] == 1.0 and row[1] == 1.0 for row in undefined)
 
 
 def test_invalid_thread_env_is_a_config_error():
@@ -618,6 +638,58 @@ def test_undefined_and_negative_zero_cells_keep_their_text(monkeypatch):
     assert json_text == want
     assert json_text.count("      null\n") == 5
     assert json_text.count("      -0.0\n") == 20
+
+
+def _python_rows(mode, p):
+    """Rows of a single-bus or add-drop sweep in Python scalars: complex
+    arithmetic, ``abs`` and ``**`` as CPython rounds them, one theta at a
+    time.  The sweep's broadcast kernels must reproduce them bit for bit."""
+    def coupler(mag):  # `CouplerParams.from_magnitude` at zero phases
+        return mag * cmath.exp(0j), math.sqrt(1.0 - mag * mag) * cmath.exp(0j)
+
+    thetas = np.linspace(p["theta_min"], p["theta_max"], p["theta_count"]).tolist()
+    tau, kappa = coupler(p["tau"])
+    rows = []
+    for theta in thetas:
+        ring = RingParams.from_alpha(p["alpha"], theta=theta)
+        z = ring.loop_factor
+        if mode == "single-bus":
+            amp = (tau - z) / (1.0 - tau.conjugate() * z)
+            rows.append([theta, amp.real, amp.imag, abs(amp) ** 2, 1.0 - abs(amp) ** 2])
+            continue
+        eta, gamma = coupler(p["eta"])
+        s = cmath.sqrt(ring.alpha) * cmath.exp(0.5j * theta)
+        denom = 1.0 - tau.conjugate() * eta.conjugate() * z
+        cross = s / denom
+        m = np.array([
+            [(tau - eta.conjugate() * z) / denom, -gamma.conjugate() * kappa * cross],
+            [-kappa.conjugate() * gamma * cross, (eta - tau.conjugate() * z) / denom],
+        ])
+        c = add_drop.noise_commutators(m)
+        rows.append(
+            [theta]
+            + [part for entry in m.ravel().tolist() for part in (entry.real, entry.imag)]
+            + [c[0, 0].real, c[1, 1].real, c[0, 1].real, c[0, 1].imag]
+        )
+    return rows
+
+
+@pytest.mark.parametrize("mode", ["single-bus", "add-drop"])
+def test_per_theta_kernels_match_python_scalars(monkeypatch, mode):
+    rng = np.random.default_rng(11 if mode == "single-bus" else 12)
+    for _ in range(3):
+        lo, hi = np.sort(rng.uniform(-math.pi, math.pi, 2)).tolist()
+        sets = [f"tau={rng.uniform(0, 1)!r}", f"eta={rng.uniform(0, 1)!r}",
+                f"alpha={rng.uniform(0.05, 1)!r}", f"theta_min={lo!r}",
+                f"theta_max={hi!r}", "theta_count=2001"]
+        if mode == "single-bus":
+            sets.remove(sets[1])
+        text, wrappers = _sweep_and_reference(monkeypatch, mode, sets, "csv", 1)
+        config = cli.load_config(mode, None, sets, None, "csv")
+        columns = text.splitlines()[1].split(",")
+        assert text == _reference_csv(config, columns, _python_rows(mode, config.params), None)
+        # and the scalar wrappers over the same kernels agree point by point
+        assert text == wrappers
 
 
 # --- golden digests -----------------------------------------------------------

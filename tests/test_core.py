@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -9,6 +10,13 @@ from ringsim.core import (
     RingParams,
     TruncationError,
     UnitarityError,
+    _abs,
+    _cdiv,
+    _check_power,
+    _cmul,
+    _coupler,
+    _square,
+    _survival,
     alpha_from_loss,
     geometric_sum,
     geometric_sum_truncated,
@@ -109,3 +117,66 @@ def test_ring_from_alpha_round_trip():
         RingParams.from_alpha(0.0, theta=0.0)
     with pytest.raises(ValueError):
         RingParams.from_alpha(1.1, theta=0.0)
+
+
+# --- CPython rounding in broadcast kernels ------------------------------------
+
+
+def _same_bits(x, y):
+    """Equal floats with equal signs (so 0.0 and -0.0 differ), or both NaN."""
+    return (x == y and math.copysign(1.0, x) == math.copysign(1.0, y)) or (x != x and y != y)
+
+
+def _wide_operands(rng, n):
+    """n random complex numbers with parts from 1e-300 to 1e300 of both
+    signs, then every pair of signed zeros, subnormals and small integers."""
+    parts = 10.0 ** rng.uniform(-300, 300, size=(2, n)) * rng.choice([-1.0, 1.0], size=(2, n))
+    specials = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-308, 1.0, -3.0]
+    grid = np.array([(re, im) for re in specials for im in specials]).T
+    parts = np.concatenate([parts, grid], axis=1)
+    values = np.empty(parts.shape[1], dtype=complex)
+    values.real, values.imag = parts
+    return values
+
+
+def test_complex_kernels_round_like_cpython():
+    rng = np.random.default_rng(2024)
+    a = np.concatenate([_wide_operands(rng, 100_000), np.repeat(_wide_operands(rng, 0), 64)])
+    b = np.concatenate([_wide_operands(rng, 100_000), np.tile(_wide_operands(rng, 0), 64)])
+    quotients, products = _cdiv(a, b).tolist(), _cmul(a, b).tolist()
+    for x, y, q, p in zip(a.tolist(), b.tolist(), quotients, products):
+        want = x * y
+        assert _same_bits(p.real, want.real) and _same_bits(p.imag, want.imag), (x, y)
+        if y == 0:
+            continue  # CPython raises ZeroDivisionError
+        want = x / y
+        assert _same_bits(q.real, want.real) and _same_bits(q.imag, want.imag), (x, y)
+
+
+def test_elementwise_helpers_round_like_python_scalars():
+    rng = np.random.default_rng(5)
+    x = rng.uniform(0.0, 2.0, 20_000) * 10.0 ** rng.uniform(-150, 150, 20_000)
+    assert _square(x).tolist() == [v**2 for v in x.tolist()]
+    z = x * np.exp(1j * rng.uniform(-4, 4, x.size))
+    assert _abs(z).tolist() == [abs(v) for v in z.tolist()]
+    alpha = np.concatenate([rng.uniform(0.0, 1.0, 20_000), [1.0, 5e-324, 1e-300]])
+    alpha = alpha[alpha > 0]
+    assert _survival(alpha).tolist() == [
+        RingParams.from_alpha(a, theta=0.0).alpha for a in alpha.tolist()
+    ]
+    with pytest.raises(ValueError, match="alpha"):
+        _survival(np.array([0.5, 0.0]))
+
+
+def test_batched_couplers_match_the_scalar_constructor():
+    rng = np.random.default_rng(8)
+    draws = rng.uniform([0.0, -4.0, -4.0], [1.0, 4.0, 4.0], size=(5000, 3))
+    tau, kappa = _coupler(*draws.T)
+    for t, k, (mag, tau_phase, kappa_phase) in zip(tau.tolist(), kappa.tolist(), draws.tolist()):
+        # the constructor formula in Python scalars and cmath
+        assert t == mag * cmath.exp(1j * tau_phase)
+        assert k == math.sqrt(1.0 - mag * mag) * cmath.exp(1j * kappa_phase)
+    with pytest.raises(UnitarityError, match="magnitude"):
+        _coupler(np.array([0.5, 1.2]))
+    with pytest.raises(UnitarityError, match="defect"):
+        _check_power(np.array([0.6, 0.6]), np.array([0.8, 0.9]))
