@@ -4,12 +4,12 @@ two-photon interference.
 Modules
 -------
 core
-    Shared parameter types (couplers, rings) and geometric-series helpers.
+    Shared parameter types (couplers, rings) and CPython-rounding kernels.
 attenuation
     Distributed loss as a beam-splitter cascade; commutator preservation.
 single_bus
     All-pass ring: circulating-phasor and Lorentzian models, rate matching,
-    brute-force commutator sums, multi-resonance reflection.
+    the brute-force circulation double sum.
 add_drop
     Add/drop ring: 2x2 transfer matrix, collective noise operators.
 hom

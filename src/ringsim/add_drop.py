@@ -18,7 +18,6 @@ noise operators attached to the outputs and is produced by
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +35,6 @@ __all__ = [
     "AddDropParams",
     "inverse_conjugate",
     "noise_commutators",
-    "noise_couplings",
     "permanent2",
     "transfer_matrix",
 ]
@@ -71,7 +69,7 @@ def transfer_matrix(params: AddDropParams) -> np.ndarray:
         coupler_drop.tau,
         coupler_drop.kappa,
         ring.alpha,
-        ring.round_trip_phase,
+        ring.theta,
     )
 
 
@@ -96,28 +94,6 @@ def _matrix(tau, kappa, eta, gamma, alpha, theta) -> np.ndarray:
         _cdiv(eta - _cmul(np.conj(tau), z), denom),
     )
     return np.stack(np.broadcast_arrays(*entries), axis=-1).reshape(denom.shape + (2, 2))
-
-
-def noise_couplings(params: AddDropParams) -> np.ndarray:
-    """Coefficients of the half-arc noise aggregates (f_a, f_b) in (F_c, F_d).
-
-    Returns a (2, 2) array, rows (F_c, F_d), columns (f_a, f_b):
-
-        F_c: -i sqrt(Gamma) * (|kappa|^2 conj(eta),  conj(gamma) kappa)
-        F_d: -i sqrt(Gamma) * (conj(kappa) gamma,    |gamma|^2 conj(tau))
-
-    For a lossless ring (Gamma = 0) every coefficient is zero; when the
-    first coupler is closed (kappa = 0) the c output collects no noise.
-    """
-    tau, kappa = params.coupler_in.tau, params.coupler_in.kappa
-    eta, gamma = params.coupler_drop.tau, params.coupler_drop.kappa
-    pref = -1j * math.sqrt(params.ring.loss_rate)
-    return pref * np.array(
-        [
-            [abs(kappa) ** 2 * eta.conjugate(), gamma.conjugate() * kappa],
-            [kappa.conjugate() * gamma, abs(gamma) ** 2 * tau.conjugate()],
-        ]
-    )
 
 
 def noise_commutators(matrix: np.ndarray) -> np.ndarray:

@@ -25,17 +25,18 @@ from .core import _elementwise
 __all__ = [
     "BeamSplitterChain",
     "LossSegment",
-    "chain_transmission",
     "continuum_commutator",
-    "noise_norm",
     "piecewise_commutator",
-    "splitter_transmission",
 ]
 
 #: Target absolute accuracy for the Simpson quadrature in the commutator
 #: check; the returned coefficient must sit within 1e-10 of 1, so the panel
 #: count is sized for two extra digits.
 QUADRATURE_TOL = 1e-12
+#: Most Simpson panels `continuum_commutator` takes (8 MB of nodes).  The
+#: audit's Gamma*L <= 5 needs about 2,000; the cap is reached near
+#: Gamma*L = 710, where the transmitted weight exp(-Gamma*L) underflows.
+_MAX_PANELS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,15 @@ class BeamSplitterChain:
 
     @property
     def step_transmission(self) -> complex:
-        return splitter_transmission(self.gamma, self.length, self.beta, self.n_splitters)
+        """Single-step amplitude T = sqrt(1 - Gamma*L/N) * exp(i*beta*L/N)."""
+        reflectivity = self.gamma * self.length / self.n_splitters
+        if not 0.0 <= reflectivity <= 1.0:  # NaN too
+            raise ValueError(
+                f"per-splitter power reflectivity must be in [0, 1], got {reflectivity:.3g}"
+            )
+        return math.sqrt(1.0 - reflectivity) * cmath.exp(
+            1j * self.beta * self.length / self.n_splitters
+        )
 
     @property
     def amplitude(self) -> complex:
@@ -78,37 +87,19 @@ class BeamSplitterChain:
     def power(self) -> float:
         return abs(self.amplitude) ** 2
 
-    @property
-    def continuum_power(self) -> float:
-        """Limit value exp(-Gamma*L) the chain power converges to."""
-        return math.exp(-self.gamma * self.length)
-
-
-def splitter_transmission(
-    gamma: float, length: float, beta: float = 0.0, n_splitters: int = 1000
-) -> complex:
-    """Single-step amplitude T = sqrt(1 - Gamma*L/N) * exp(i*beta*L/N)."""
-    reflectivity = gamma * length / n_splitters
-    if not 0.0 <= reflectivity <= 1.0:
-        raise ValueError(
-            f"per-splitter power reflectivity must be in [0, 1], got {reflectivity:.3g}"
-        )
-    return math.sqrt(1.0 - reflectivity) * cmath.exp(1j * beta * length / n_splitters)
-
-
-def chain_transmission(
-    gamma: float, length: float, beta: float = 0.0, n_splitters: int = 1000
-) -> complex:
-    """Amplitude through the full N-splitter chain, T**N."""
-    return BeamSplitterChain(gamma, length, beta, n_splitters).amplitude
-
 
 def _simpson_panels(gamma_l: float) -> int:
     # Simpson error ~ (b-a) h^4 max|f''''|/180 with f = Gamma e^{-Gamma z};
     # in units x = Gamma z this is (G)(G/n)^4/180 <= QUADRATURE_TOL.
     if gamma_l <= 0.0:
         return 4
-    n = math.ceil((gamma_l**5 / (180.0 * QUADRATURE_TOL)) ** 0.25)
+    # n exceeds gamma_l, so a larger gamma_l (or NaN) is over the cap; the
+    # formula is skipped there because its fifth power may overflow
+    n = math.inf
+    if gamma_l <= _MAX_PANELS:
+        n = math.ceil((gamma_l**5 / (180.0 * QUADRATURE_TOL)) ** 0.25)
+    if n > _MAX_PANELS:
+        raise ValueError(f"Gamma*L = {gamma_l:g} needs more than {_MAX_PANELS} Simpson panels")
     n = max(n, 4)
     return n + (n % 2)  # Simpson needs an even panel count
 
@@ -120,9 +111,9 @@ def continuum_commutator(gamma: float, length: float) -> float:
     integral done by Simpson quadrature on an error-bound-sized grid.
     Equals 1 for any Gamma, L when the noise bookkeeping is consistent.
     """
-    if gamma < 0:
+    if not gamma >= 0:  # NaN too
         raise ValueError(f"loss rate must be >= 0, got {gamma}")
-    if length <= 0:
+    if not length > 0:
         raise ValueError(f"length must be > 0, got {length}")
     gl = gamma * length
     n = _simpson_panels(gl)
@@ -140,14 +131,10 @@ class LossSegment:
     length: float
 
     def __post_init__(self) -> None:
-        if self.gamma < 0:
+        if not self.gamma >= 0:  # NaN too
             raise ValueError(f"loss rate must be >= 0, got {self.gamma}")
-        if self.length <= 0:
+        if not self.length > 0:
             raise ValueError(f"length must be > 0, got {self.length}")
-
-    @property
-    def power(self) -> float:
-        return math.exp(-self.gamma * self.length)
 
 
 def piecewise_commutator(segments: list[LossSegment] | tuple[LossSegment, ...]) -> float:
@@ -168,8 +155,8 @@ def piecewise_commutator(segments: list[LossSegment] | tuple[LossSegment, ...]) 
 
 def _piecewise(gamma, length):
     """`piecewise_commutator` with the segments along the leading axis of
-    broadcast ``gamma`` and ``length`` arrays.  Each segment power is the C
-    library's ``exp``, as in `LossSegment.power`."""
+    broadcast ``gamma`` and ``length`` arrays.  Each segment power
+    exp(-Gamma_i L_i) is the C library's ``exp``."""
     power = _elementwise(math.exp, -gamma * length)
     total = 1.0
     for p in power:
@@ -179,12 +166,3 @@ def _piecewise(gamma, length):
         total = total + tail * (1.0 - p)
         tail = tail * p
     return total
-
-
-def noise_norm(gamma: float, length: float) -> float:
-    """Norm sqrt(1 - exp(-Gamma*L)) of the accumulated noise operator."""
-    if gamma < 0:
-        raise ValueError(f"loss rate must be >= 0, got {gamma}")
-    if length <= 0:
-        raise ValueError(f"length must be > 0, got {length}")
-    return math.sqrt(1.0 - math.exp(-gamma * length))

@@ -67,6 +67,11 @@ _MAX_SAMPLES = 1_000_000
 #: against dense eta, tau and theta axes); the floor keeps a margin.
 _MIN_ENTROPY_ALPHA = 1e-100
 
+#: Most worker threads (``RINGSIM_THREADS``).  A grid sweep hands every
+#: chunk to the pool at once, and the pool starts a thread per pending chunk
+#: up to this count: a 10^8-point grid has about 3000 chunks.
+_MAX_THREADS = 64
+
 #: Largest detuning or matched rate (rad/s) of a langevin-compare sweep,
 #: and the inverse of the smallest detuning: the Lorentzian squares both,
 #: and the squares must neither overflow nor vanish.
@@ -294,8 +299,7 @@ def load_config(
 ) -> SweepConfig:
     """Resolve defaults, config file, and --set overrides into a SweepConfig."""
     params = dict(_DEFAULTS[mode])
-    file_out: str | None = None
-    file_fmt: str | None = None
+    sink: dict[str, str | None] = {"out": None, "format": None}
     if config_path is not None:
         try:
             with open(config_path, encoding="utf-8") as fh:
@@ -312,10 +316,10 @@ def load_config(
                     raise ConfigError(
                         f"mode: config file says {value!r}, command line says {mode!r}"
                     )
-            elif key == "out":
-                file_out = str(value)
-            elif key == "format":
-                file_fmt = str(value)
+            elif key in sink:
+                if not isinstance(value, str):
+                    raise ConfigError(f"{key}: expected a string, got {json.dumps(value)}")
+                sink[key] = value
             elif key in params:
                 params[key] = _coerce(mode, key, value)
             else:
@@ -338,10 +342,10 @@ def load_config(
             value = raw
         params[key] = _coerce(mode, key, value)
     _validate(mode, params)
-    resolved_fmt = fmt or file_fmt or "csv"
+    resolved_fmt = fmt or sink["format"] or "csv"
     if resolved_fmt not in ("csv", "json"):
         raise ConfigError(f"format: must be csv or json, got {resolved_fmt!r}")
-    return SweepConfig(mode=mode, params=params, out=out or file_out, fmt=resolved_fmt)
+    return SweepConfig(mode=mode, params=params, out=out or sink["out"], fmt=resolved_fmt)
 
 
 def _worker_count() -> int:
@@ -352,8 +356,10 @@ def _worker_count() -> int:
         count = int(raw)
     except ValueError:
         count = 0
-    if count < 1:
-        raise ConfigError(f"RINGSIM_THREADS: must be a positive integer, got {raw!r}")
+    if not 1 <= count <= _MAX_THREADS:
+        raise ConfigError(
+            f"RINGSIM_THREADS: must be an integer in [1, {_MAX_THREADS}], got {raw!r}"
+        )
     return count
 
 

@@ -1,4 +1,4 @@
-"""Shared parameter types and series utilities for ring-resonator models.
+"""Shared parameter types and CPython-rounding kernels for ring-resonator models.
 
 All quantities are evaluated at a single optical frequency; frequency-domain
 delta functions are normalized to 1, so every transfer amplitude and
@@ -9,7 +9,6 @@ number.
 from __future__ import annotations
 
 import math
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,15 +20,7 @@ __all__ = [
     "TruncationError",
     "UnitarityError",
     "alpha_from_loss",
-    "geometric_sum",
-    "geometric_sum_truncated",
-    "truncation_order",
 ]
-
-#: Absolute tolerance for exact analytic identities.
-IDENTITY_TOL = 1e-10
-#: Absolute tolerance for truncated-series oracles.
-SERIES_TOL = 1e-8
 
 
 class UnitarityError(ValueError):
@@ -46,11 +37,8 @@ class ResonantDivergenceError(ZeroDivisionError):
 
 
 class TruncationError(RuntimeError):
-    """A series truncation order exceeded the hard cap before converging."""
-
-
-#: Hard cap on automatically chosen truncation orders.
-TRUNCATION_CAP = 100_000
+    """The brute-force circulation double sum was asked for more terms than
+    its entry guard allows (`single_bus.commutator_sum_series`)."""
 
 
 def alpha_from_loss(gamma: float, length: float) -> float:
@@ -70,60 +58,6 @@ def alpha_from_loss(gamma: float, length: float) -> float:
     return math.exp(-0.5 * gamma * length)
 
 
-def geometric_sum(x: complex) -> complex:
-    """Closed form of sum_{n>=0} x**n = 1/(1-x) for |x| < 1."""
-    if abs(x) >= 1.0:
-        raise ResonantDivergenceError(
-            f"circulation sum diverges for loop gain |x| >= 1 (|x| = {abs(x)})"
-        )
-    return 1.0 / (1.0 - x)
-
-
-def geometric_sum_truncated(x: complex, n_max: int) -> complex:
-    """Partial sum sum_{n=0}^{n_max} x**n.
-
-    Uses the closed partial-sum form (1 - x^{n+1})/(1 - x) away from x = 1
-    and falls back to direct accumulation when x is too close to 1 for the
-    quotient to be accurate.
-    """
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
-    if abs(1.0 - x) > 1e-6:
-        return (1.0 - x ** (n_max + 1)) / (1.0 - x)
-    total = 0j
-    term = 1.0 + 0j
-    for _ in range(n_max + 1):
-        total += term
-        term *= x
-    return total
-
-
-def truncation_order(x: complex, tol: float = IDENTITY_TOL) -> int:
-    """Smallest n with geometric tail bound |x|^{n+1}/(1-|x|) < tol.
-
-    Raises
-    ------
-    TruncationError
-        If more than ``TRUNCATION_CAP`` terms would be needed.
-    ResonantDivergenceError
-        If |x| >= 1 (no truncation converges).
-    """
-    mag = abs(x)
-    if mag >= 1.0:
-        raise ResonantDivergenceError(f"series does not converge for |x| = {mag}")
-    if mag == 0.0:
-        return 0
-    # |x|^(n+1) < tol*(1-|x|)  =>  n > log(tol*(1-|x|))/log|x| - 1
-    n = math.ceil(math.log(tol * (1.0 - mag)) / math.log(mag) - 1.0)
-    n = max(n, 0)
-    if n > TRUNCATION_CAP:
-        raise TruncationError(
-            f"{n} terms needed for tail bound {tol:g} at |x| = {mag}; "
-            f"cap is {TRUNCATION_CAP}"
-        )
-    return n
-
-
 @dataclass(frozen=True)
 class CouplerParams:
     """One bus-ring junction: through amplitude tau, cross amplitude kappa.
@@ -140,19 +74,10 @@ class CouplerParams:
         _check_power(self.tau, self.kappa)
 
     @classmethod
-    def from_through(cls, tau: complex) -> "CouplerParams":
-        """Build from the through amplitude alone; kappa real >= 0."""
-        mag2 = abs(tau) ** 2
-        if mag2 > 1.0 + 1e-15:
-            raise UnitarityError(f"|tau| must be <= 1, got {abs(tau)}")
-        return cls(tau=complex(tau), kappa=math.sqrt(max(1.0 - mag2, 0.0)))
-
-    @classmethod
-    def from_magnitude(
-        cls, magnitude: float, tau_phase: float = 0.0, kappa_phase: float = 0.0
-    ) -> "CouplerParams":
-        """Build from real through magnitude in [0, 1] plus optional phases."""
-        tau, kappa = _coupler(magnitude, tau_phase, kappa_phase)
+    def from_magnitude(cls, magnitude: float, tau_phase: float = 0.0) -> "CouplerParams":
+        """Build from real through magnitude in [0, 1], an optional through
+        phase and the real cross amplitude kappa = sqrt(1 - magnitude^2)."""
+        tau, kappa = _coupler(magnitude, tau_phase)
         return cls(tau=complex(tau), kappa=complex(kappa))
 
 
@@ -160,57 +85,39 @@ class CouplerParams:
 class RingParams:
     """Ring geometry and propagation: circumference, loss rate, phase.
 
-    Exactly one of ``theta`` (total round-trip phase, rad) or ``beta``
-    (propagation constant, rad/m, giving theta = beta*L) must be provided.
-
     Attributes
     ----------
     circumference : float
         Ring circumference L, m.
     loss_rate : float
         Distributed power loss Gamma, 1/m; alpha = exp(-Gamma*L/2).
-    theta, beta : float or None
-        Round-trip phase, directly or via the propagation constant.
+    theta : float
+        Total round-trip phase, rad.
     """
 
     circumference: float
     loss_rate: float
-    theta: float | None = None
-    beta: float | None = None
+    theta: float
 
     def __post_init__(self) -> None:
         if self.circumference <= 0:
             raise ValueError(f"circumference must be > 0, got {self.circumference}")
         if self.loss_rate < 0:
             raise ValueError(f"loss rate must be >= 0, got {self.loss_rate}")
-        if (self.theta is None) == (self.beta is None):
-            raise ValueError("provide exactly one of theta or beta")
-        if not math.isfinite(self.round_trip_phase):
+        if not math.isfinite(self.theta):
             raise ValueError("round-trip phase must be finite")
 
     @classmethod
-    def from_alpha(
-        cls, alpha: float, theta: float, circumference: float = 1.0
-    ) -> "RingParams":
-        """Build from the survival factor alpha in (0, 1] directly."""
+    def from_alpha(cls, alpha: float, theta: float) -> "RingParams":
+        """Build a unit-circumference ring from the survival factor alpha in (0, 1]."""
         if not 0.0 < alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        gamma = -2.0 * math.log(alpha) / circumference
-        return cls(circumference=circumference, loss_rate=gamma, theta=theta)
+        return cls(circumference=1.0, loss_rate=-2.0 * math.log(alpha), theta=theta)
 
     @property
     def alpha(self) -> float:
         """Round-trip amplitude survival factor in (0, 1]."""
         return alpha_from_loss(self.loss_rate, self.circumference) if self.loss_rate else 1.0
-
-    @property
-    def round_trip_phase(self) -> float:
-        return self.theta if self.theta is not None else self.beta * self.circumference
-
-    @property
-    def loop_factor(self) -> complex:
-        """One full circulation: alpha * exp(i*theta)."""
-        return self.alpha * cmath.exp(1j * self.round_trip_phase)
 
 
 def _check_power(tau, kappa) -> None:
@@ -223,7 +130,7 @@ def _check_power(tau, kappa) -> None:
         )
 
 
-def _coupler(magnitude, tau_phase=0.0, kappa_phase=0.0):
+def _coupler(magnitude, tau_phase=0.0):
     """(tau, kappa) of `CouplerParams.from_magnitude`, broadcast over arrays.
 
     Raises `UnitarityError` like the scalar constructor: for a magnitude
@@ -236,7 +143,7 @@ def _coupler(magnitude, tau_phase=0.0, kappa_phase=0.0):
             f"through magnitude must be in [0, 1], got {mag[~inside].flat[0]}"
         )
     tau = mag * np.exp(1j * np.asarray(tau_phase, dtype=float))
-    kappa = np.sqrt(1.0 - mag * mag) * np.exp(1j * np.asarray(kappa_phase, dtype=float))
+    kappa = np.sqrt(1.0 - mag * mag) + 0j
     _check_power(tau, kappa)
     return tau, kappa
 

@@ -40,7 +40,6 @@ __all__ = [
     "entropy_grid",
     "entropy_one_photon",
     "hom_region",
-    "joint_coincidence",
     "output_state",
     "reduce_density",
     "sector_normalizer",
@@ -289,12 +288,6 @@ def _coincidence_probability(amps):
     return np.abs(amps[..., 1]) ** 2 / norm
 
 
-def joint_coincidence(state: TwoPhotonOutputState, comms: np.ndarray) -> float:
-    """Unconditional coincidence probability p2 * coincidence_probability."""
-    density = reduce_density(state, comms)
-    return density.p2 * coincidence_probability(state)
-
-
 def coincidence_ratio_grid(
     tau: np.ndarray, eta: np.ndarray, theta: np.ndarray, alpha: float
 ) -> np.ndarray:
@@ -350,18 +343,15 @@ def hom_region(
     tau_count: int = 101,
     eta_count: int = 101,
     theta_count: int = 201,
-    tau_range: tuple[float, float] = (0.0, 1.0),
-    eta_range: tuple[float, float] = (0.0, 1.0),
-    theta_range: tuple[float, float] = (-math.pi, math.pi),
 ) -> HomRegion:
     """Census of where the two-photon dip survives at survival factor alpha.
 
-    Scans a regular (tau, eta, theta) grid of real couplers and collects
-    the points with `coincidence_ratio` <= threshold.  Shrinking fractions
-    with decreasing alpha quantify how loss erodes the interference
-    manifold.
+    Scans the regular grid of real couplers tau, eta in [0, 1] and phases
+    theta in [-pi, pi] (the ``homm-grid`` axes) and collects the points
+    with `coincidence_ratio` <= threshold.  Shrinking fractions with
+    decreasing alpha quantify how loss erodes the interference manifold.
     """
-    if threshold <= 0:
+    if not threshold > 0:  # NaN too
         raise ValueError(f"threshold must be > 0, got {threshold}")
     for name, count in (
         ("tau_count", tau_count),
@@ -370,21 +360,10 @@ def hom_region(
     ):
         if count < 1:
             raise ValueError(f"{name} must be >= 1, got {count}")
-    for name, (lo, hi) in (
-        ("tau_range", tau_range),
-        ("eta_range", eta_range),
-        ("theta_range", theta_range),
-    ):
-        if not lo <= hi:
-            raise ValueError(f"{name} is empty: {lo} > {hi}")
-    if not (0.0 <= tau_range[0] and tau_range[1] <= 1.0):
-        raise ValueError(f"tau_range must lie in [0, 1], got {tau_range}")
-    if not (0.0 <= eta_range[0] and eta_range[1] <= 1.0):
-        raise ValueError(f"eta_range must lie in [0, 1], got {eta_range}")
 
-    taus = np.linspace(*tau_range, tau_count)
-    etas = np.linspace(*eta_range, eta_count)
-    thetas = np.linspace(*theta_range, theta_count)
+    taus = np.linspace(0.0, 1.0, tau_count)
+    etas = np.linspace(0.0, 1.0, eta_count)
+    thetas = np.linspace(-math.pi, math.pi, theta_count)
     ratio = coincidence_ratio_grid(
         taus[:, None, None], etas[None, :, None], thetas[None, None, :], alpha
     )
@@ -466,6 +445,8 @@ def entropy_grid(
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    if not p1_threshold >= 0:  # NaN too
+        raise ValueError(f"p1_threshold must be >= 0, got {p1_threshold}")
     t = np.asarray(tau, dtype=float)
     e = np.asarray(eta, dtype=float)
     th = np.asarray(theta, dtype=float)

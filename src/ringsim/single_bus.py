@@ -24,7 +24,6 @@ tabulates both on a detuning grid.
 
 from __future__ import annotations
 
-import math
 import cmath
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -35,40 +34,27 @@ from .core import (
     CouplerParams,
     RingParams,
     ResonantDivergenceError,
-    SERIES_TOL,
     TruncationError,
     _abs,
     _cdiv,
     _cmul,
     _square,
-    geometric_sum_truncated,
-    truncation_order,
 )
 
 __all__ = [
     "CommutatorIdentity",
     "LangevinRates",
-    "ResonanceSpec",
     "SingleBusResponse",
-    "background_reflection",
     "commutator_sum_identity",
     "commutator_sum_series",
-    "commutator_sum_term",
-    "intracavity_fields",
     "langevin_transfer",
     "match_rates",
     "power_comparison",
-    "reflection_coefficient",
     "transfer_amplitude",
-    "transfer_series",
 ]
 
 #: Entry-count guard for the brute-force double commutator sum.
 _MAX_SUM_ENTRIES = 20_000_000
-
-
-def _conj(x: complex) -> complex:
-    return complex(x).conjugate()
 
 
 class SingleBusResponse(NamedTuple):
@@ -94,7 +80,7 @@ def transfer_amplitude(coupler: CouplerParams, ring: RingParams) -> SingleBusRes
         If conj(tau)*alpha*e^{i theta} == 1 (lossless, fully reflective,
         on resonance), where the circulation sum diverges.
     """
-    amp, power, _ = _transfer(coupler.tau, ring.alpha, ring.round_trip_phase)
+    amp, power, _ = _transfer(coupler.tau, ring.alpha, ring.theta)
     return SingleBusResponse(transfer=complex(amp), noise_power=1.0 - float(power))
 
 
@@ -119,52 +105,6 @@ def _transfer(tau, alpha, theta):
 def _closed_noise(kappa, alpha, denom):
     """Closed noise power |kappa|^2 (1 - alpha^2) / |D|^2, broadcast over arrays."""
     return _square(_abs(kappa)) * (1.0 - _square(alpha)) / _square(_abs(denom))
-
-
-def transfer_series(
-    coupler: CouplerParams,
-    ring: RingParams,
-    n_max: int | None = None,
-    tol: float = SERIES_TOL,
-) -> complex:
-    """Bus transfer as an explicit sum over circulation number,
-
-        A = tau - |kappa|^2 alpha e^{i theta}
-                  sum_{n=0}^{n_max} (conj(tau) alpha e^{i theta})^n.
-
-    When ``n_max`` is omitted it is chosen so the geometric tail bound
-    |x|^{n+1}/(1-|x|) stays below ``tol``.
-    """
-    z = ring.loop_factor
-    x = _conj(coupler.tau) * z
-    if n_max is None:
-        n_max = truncation_order(x, tol)
-    partial = geometric_sum_truncated(x, n_max)
-    return coupler.tau - abs(coupler.kappa) ** 2 * z * partial
-
-
-def intracavity_fields(
-    coupler: CouplerParams, ring: RingParams
-) -> tuple[complex, complex]:
-    """Steady circulating amplitudes just after and just before the coupler.
-
-    Returns ``(launched, returned)`` with
-
-        launched = -conj(kappa) / (1 - conj(tau) alpha e^{i theta}),
-        returned = launched * alpha e^{i theta},
-
-    so that ``tau + kappa * returned`` reproduces `transfer_amplitude`.
-    On resonance with no loss the circulating power |launched|^2 equals the
-    buildup factor (1 + tau)/(1 - tau) for real tau.
-    """
-    z = ring.loop_factor
-    denom = 1.0 - _conj(coupler.tau) * z
-    if denom == 0:
-        raise ResonantDivergenceError(
-            "unit loop gain: conj(tau)*alpha*exp(i*theta) == 1"
-        )
-    launched = -_conj(coupler.kappa) / denom
-    return launched, launched * z
 
 
 @dataclass(frozen=True)
@@ -302,63 +242,41 @@ def commutator_sum_identity(
     |kappa|^2 (1 - alpha^2) / |1 - conj(tau) alpha e^{i theta}|^2.
     The two agree to rounding for every parameter set.
     """
-    _, power, denom = _transfer(coupler.tau, ring.alpha, ring.round_trip_phase)
+    _, power, denom = _transfer(coupler.tau, ring.alpha, ring.theta)
     closed = _closed_noise(coupler.kappa, ring.alpha, denom)
     return CommutatorIdentity(analytic=1.0 - float(power), closed=float(closed))
 
 
-def commutator_sum_term(
-    n: int, m: int, coupler: CouplerParams, ring: RingParams
-) -> complex:
-    """One (n, m) element of the double sum over circulation numbers.
-
-    I_{n,m} = |kappa|^4 u^n conj(u)^m (alpha^|n-m| - alpha^{n+m+2})
-    with u = conj(tau) e^{i theta}; the alpha exponents come from the
-    overlap of noise injected on circulations n and m.  Diagonal terms
-    reduce to |kappa|^4 |tau|^{2n} (1 - alpha^{2(n+1)}).
-    """
-    if n < 0 or m < 0:
-        raise ValueError("circulation numbers must be >= 0")
-    u = _conj(coupler.tau) * cmath.exp(1j * ring.round_trip_phase)
-    a = ring.alpha
-    return (
-        abs(coupler.kappa) ** 4
-        * u**n
-        * _conj(u) ** m
-        * (a ** abs(n - m) - a ** (n + m + 2))
-    )
-
-
 def commutator_sum_series(
-    coupler: CouplerParams,
-    ring: RingParams,
-    n_max: int | None = None,
-    m_max: int | None = None,
-    tol: float = SERIES_TOL,
+    coupler: CouplerParams, ring: RingParams, n_max: int, m_max: int
 ) -> float:
-    """Brute-force noise power: double sum of `commutator_sum_term`.
+    """Brute-force noise power: the double sum over circulation numbers
+    n <= n_max and m <= m_max of
 
-    For a square region the sum is assembled as the real diagonal plus
-    twice the real part of the strict lower triangle (the matrix is
-    Hermitian in (n, m)); rectangular regions fall back to summing every
-    element.  Converges to the `commutator_sum_identity` value as the
-    orders grow.
+        I_{n,m} = |kappa|^4 u^n conj(u)^m (alpha^|n-m| - alpha^{n+m+2}),
+
+    u = conj(tau) e^{i theta}; the alpha exponents come from the overlap of
+    noise injected on circulations n and m.  For a square region the sum
+    is assembled as the real diagonal plus twice the real part of the
+    strict lower triangle (the matrix is Hermitian in (n, m)); rectangular
+    regions fall back to summing every element.  Converges to the
+    `commutator_sum_identity` value as the orders grow.
+
+    Raises
+    ------
+    TruncationError
+        If the (n_max + 1) x (m_max + 1) terms exceed `_MAX_SUM_ENTRIES`.
     """
-    x = _conj(coupler.tau) * ring.loop_factor
-    if n_max is None:
-        n_max = truncation_order(x, tol)
-    if m_max is None:
-        m_max = n_max
     if n_max < 0 or m_max < 0:
         raise ValueError("truncation orders must be >= 0")
     if (n_max + 1) * (m_max + 1) > _MAX_SUM_ENTRIES:
         raise TruncationError(
             f"({n_max + 1}) x ({m_max + 1}) terms exceeds the "
-            f"{_MAX_SUM_ENTRIES}-entry guard; pass smaller explicit orders"
+            f"{_MAX_SUM_ENTRIES}-entry guard; pass smaller orders"
         )
     ni = np.arange(n_max + 1)
     mi = np.arange(m_max + 1)
-    u = _conj(coupler.tau) * cmath.exp(1j * ring.round_trip_phase)
+    u = complex(coupler.tau).conjugate() * cmath.exp(1j * ring.theta)
     a = ring.alpha
     un = u**ni
     phase = np.outer(un, np.conj(u**mi))
@@ -371,93 +289,3 @@ def commutator_sum_series(
         lower = complex(np.sum(terms[np.tril_indices(n_max + 1, k=-1)]))
         return diag + 2.0 * lower.real
     return float(np.sum(terms).real)
-
-
-@dataclass(frozen=True)
-class ResonanceSpec:
-    """One resonance of the multi-line reflection model.
-
-    Rates are angular (1/s); ``center`` is the resonance frequency the
-    detuning is measured from.
-    """
-
-    coupling: float
-    intrinsic: float = 0.0
-    center: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.coupling <= 0:
-            raise ValueError(f"coupling rate must be > 0, got {self.coupling}")
-        if self.intrinsic < 0:
-            raise ValueError(f"intrinsic rate must be >= 0, got {self.intrinsic}")
-
-    def lorentzian(self, omega: complex | np.ndarray) -> complex | np.ndarray:
-        """L(omega) = gamma_c / ((gamma_c + gamma_int)/2 - i(omega - center))."""
-        half_width = 0.5 * (self.coupling + self.intrinsic)
-        return self.coupling / (half_width - 1j * (np.asarray(omega) - self.center))
-
-
-def reflection_coefficient(
-    resonances: list[ResonanceSpec] | tuple[ResonanceSpec, ...],
-    omega: float | np.ndarray,
-    background: complex = -1.0,
-) -> complex | np.ndarray:
-    """Reflection r(omega) = background + sum_j L_j(omega).
-
-    With a single lossless resonance and background -1 this reduces to the
-    `langevin_transfer` amplitude (gamma_minus + i delta)/(gamma_plus - i delta).
-    """
-    if not resonances:
-        raise ValueError("need at least one resonance")
-    total = np.asarray(omega, dtype=float) * 0j + background
-    for res in resonances:
-        total = total + res.lorentzian(omega)
-    if np.ndim(omega) == 0:
-        return complex(total)
-    return total
-
-
-def background_reflection(
-    resonances: list[ResonanceSpec] | tuple[ResonanceSpec, ...],
-    omega: float,
-) -> float:
-    """Real background amplitude making the lossless reflection unimodular.
-
-    Requires every resonance to be lossless (intrinsic == 0); then
-    |c + sum_j L_j| = 1 gives the real quadratic
-
-        c^2 + S c + (S + X - 1) = 0,
-        S = sum_j |L_j|^2,   X = 2 sum_{j<k} Re(L_j conj(L_k)),
-
-    and the physical root is the one closer to -1.  For a single resonance
-    the roots are exactly -1 and S - 1 at every frequency.
-
-    Raises
-    ------
-    ValueError
-        If any resonance has internal loss, or if the discriminant is
-        negative (overlapping lines with no unimodular real background).
-    """
-    if not resonances:
-        raise ValueError("need at least one resonance")
-    lossy = [r for r in resonances if r.intrinsic != 0.0]
-    if lossy:
-        raise ValueError(
-            f"background solve applies to lossless resonances only; "
-            f"{len(lossy)} have intrinsic loss"
-        )
-    amps = [complex(r.lorentzian(omega)) for r in resonances]
-    s = sum(abs(l) ** 2 for l in amps)
-    cross = 0.0
-    for j in range(len(amps)):
-        for k in range(j + 1, len(amps)):
-            cross += 2.0 * (amps[j] * amps[k].conjugate()).real
-    # c^2 + s*c + (s + cross - 1) = 0
-    disc = s * s - 4.0 * (s + cross - 1.0)
-    if disc < 0:
-        raise ValueError(
-            f"no real unimodular background exists here (discriminant {disc:.3e})"
-        )
-    root = math.sqrt(disc)
-    lo, hi = (-s - root) / 2.0, (-s + root) / 2.0
-    return lo if abs(lo + 1.0) <= abs(hi + 1.0) else hi

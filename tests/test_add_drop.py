@@ -9,7 +9,6 @@ from ringsim.core import (
     ResonantDivergenceError,
     RingParams,
     UnitarityError,
-    _coupler,
     _survival,
 )
 from ringsim.add_drop import (
@@ -17,7 +16,6 @@ from ringsim.add_drop import (
     _matrix,
     inverse_conjugate,
     noise_commutators,
-    noise_couplings,
     permanent2,
     transfer_matrix,
 )
@@ -99,23 +97,6 @@ def test_cross_term_reciprocity():
         assert abs(m[0, 1]) == pytest.approx(abs(m[1, 0]), abs=1e-14)
 
 
-def test_noise_couplings_structure():
-    p = _params(0.8, 0.6, math.exp(-0.25), 0.4)  # Gamma*L = 0.5 on unit ring
-    f = noise_couplings(p)
-    pref = -1j * math.sqrt(p.ring.loss_rate)
-    assert f[0, 0] == pytest.approx(pref * (1 - 0.8**2) * 0.6)
-    assert f[0, 1] == pytest.approx(pref * 0.8 * 0.6)  # gamma* kappa
-    assert f[1, 0] == pytest.approx(pref * 0.6 * 0.8)  # kappa* gamma
-    assert f[1, 1] == pytest.approx(pref * (1 - 0.6**2) * 0.8)
-
-
-def test_noise_couplings_vanish_lossless_and_decoupled():
-    lossless = _params(0.8, 0.6, 1.0, 0.4)
-    np.testing.assert_array_equal(noise_couplings(lossless), np.zeros((2, 2)))
-    closed = _params(1.0, 0.6, 0.9, 0.4)
-    np.testing.assert_allclose(noise_couplings(closed)[0], 0.0)
-
-
 def test_noise_commutators_equal_unitarity_deficit():
     rng = np.random.default_rng(23)
     stack = np.array([transfer_matrix(_random_params(rng)) for _ in range(100)])
@@ -177,19 +158,27 @@ def test_permanent_small_cases():
     assert abs(permanent2(bs)) < 1e-15  # balanced-splitter coincidence null
 
 
+def _complex_coupler(magnitude, tau_phase, kappa_phase):
+    """(tau, kappa) arrays with a phase on each amplitude."""
+    return (
+        magnitude * np.exp(1j * tau_phase),
+        np.sqrt(1.0 - magnitude**2) * np.exp(1j * kappa_phase),
+    )
+
+
 def test_broadcast_kernels_round_like_python_scalars():
     # complex couplers: every product is a full complex product
     rng = np.random.default_rng(31)
     draws = rng.uniform([0, -4, -4, 0, -4, -4, 0.05, -4], [1, 4, 4, 1, 4, 4, 1, 4], (2000, 8))
-    tau, kappa = _coupler(*draws[:, 0:3].T)
-    eta, gamma = _coupler(*draws[:, 3:6].T)
+    tau, kappa = _complex_coupler(*draws[:, 0:3].T)
+    eta, gamma = _complex_coupler(*draws[:, 3:6].T)
     alpha, theta = _survival(draws[:, 6]), draws[:, 7]
     stack = _matrix(tau, kappa, eta, gamma, alpha, theta)
     amp, power, _ = _transfer(tau, alpha, theta)
     for k in range(len(draws)):
         t, c, e, g = (complex(x[k]) for x in (tau, kappa, eta, gamma))
         ring = RingParams.from_alpha(draws[k, 6], theta=theta[k])
-        z = ring.loop_factor
+        z = ring.alpha * cmath.exp(1j * ring.theta)
         a = (t - z) / (1.0 - t.conjugate() * z)
         assert (amp[k], power[k]) == (a, abs(a) ** 2)
         s = cmath.sqrt(ring.alpha) * cmath.exp(0.5j * theta[k])

@@ -6,16 +6,14 @@ import pytest
 from ringsim.attenuation import (
     BeamSplitterChain,
     LossSegment,
-    chain_transmission,
+    _simpson_panels,
     continuum_commutator,
-    noise_norm,
     piecewise_commutator,
-    splitter_transmission,
 )
 
 
 def test_single_splitter_amplitude():
-    t = splitter_transmission(0.5, 2.0, beta=0.3, n_splitters=10)
+    t = BeamSplitterChain(0.5, 2.0, beta=0.3, n_splitters=10).step_transmission
     assert abs(t) == pytest.approx(math.sqrt(1 - 0.1))
     assert np.angle(t) == pytest.approx(0.06)
 
@@ -33,7 +31,7 @@ def test_chain_converges_to_continuum_at_one_over_n():
 
 
 def test_chain_phase_accumulates_beta_l():
-    amp = chain_transmission(0.1, 3.0, beta=0.7, n_splitters=500)
+    amp = BeamSplitterChain(0.1, 3.0, beta=0.7, n_splitters=500).amplitude
     assert np.angle(amp) == pytest.approx(0.7 * 3.0)
 
 
@@ -76,7 +74,21 @@ def test_piecewise_matches_uniform_split():
         piecewise_commutator([])
 
 
-def test_noise_norm_completes_power():
-    for gl in (0.0 + 1e-12, 0.3, 1.0, 4.0):
-        n = noise_norm(gl, 1.0)
-        assert n * n + math.exp(-gl) == pytest.approx(1.0)
+_BAD_CALLS = {
+    "segment-nan-loss": (lambda: LossSegment(math.nan, 1.0), "loss rate"),
+    "segment-nan-length": (lambda: LossSegment(1.0, math.nan), "length"),
+    "continuum-nan-loss": (lambda: continuum_commutator(math.nan, 1.0), "loss rate"),
+    "continuum-nan-length": (lambda: continuum_commutator(1.0, math.nan), "length"),
+    "chain-nan-loss": (lambda: BeamSplitterChain(math.nan, 1.0).power, "reflectivity"),
+    # a Simpson grid over the panel cap would take gigabytes
+    "continuum-huge-loss": (lambda: continuum_commutator(1e6, 1.0), "Simpson panels"),
+    "continuum-inf-loss": (lambda: continuum_commutator(math.inf, 1.0), "Simpson panels"),
+    "panels-huge": (lambda: _simpson_panels(1e300), "Simpson panels"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_CALLS))
+def test_nan_and_unbounded_inputs_are_rejected(case):
+    call, message = _BAD_CALLS[case]
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -1,6 +1,8 @@
+import ast
 import cmath
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import math
@@ -21,6 +23,7 @@ from ringsim.single_bus import transfer_amplitude
 
 CONFIG_PREFIX = "# config: "
 SUMMARY_PREFIX = "# summary: "
+_ROOT = Path(__file__).resolve().parents[1]
 
 
 def _run(*args, env_extra=None):
@@ -177,7 +180,7 @@ def test_invalid_values_are_config_errors(capsys):
         assert err.count("\n") == 1, args
 
 
-def test_config_file_problems_are_config_errors(tmp_path):
+def test_config_file_problems_are_config_errors(tmp_path, monkeypatch, capsys):
     proc = _run("single-bus", "--config", str(tmp_path / "missing.json"))
     assert proc.returncode == 1
     assert "cannot read" in proc.stderr
@@ -193,6 +196,16 @@ def test_config_file_problems_are_config_errors(tmp_path):
     proc = _run("single-bus", "--config", str(mismatched))
     assert proc.returncode == 1
     assert "mode" in proc.stderr
+
+    # a non-string sink must not become a file named after its value
+    monkeypatch.chdir(tmp_path)
+    for key, value, shown in (("out", None, "null"), ("out", 5, "5"), ("format", None, "null")):
+        config = tmp_path / "sink.json"
+        config.write_text(json.dumps({key: value}))
+        code, err = _main(capsys, "single-bus", "--config", str(config))
+        assert code == 1, (key, value)
+        assert err == f"ringsim: config error: {key}: expected a string, got {shown}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "other.json", "sink.json"]
 
 
 def test_unwritable_output_is_an_io_error(tmp_path):
@@ -265,12 +278,31 @@ def test_entropy_grid_at_the_alpha_floor_is_clean():
     assert all(row[0] == 1.0 and row[1] == 1.0 for row in undefined)
 
 
-def test_invalid_thread_env_is_a_config_error():
+def test_invalid_thread_env_is_a_config_error(monkeypatch, capsys):
     proc = _run("single-bus", env_extra={"RINGSIM_THREADS": "abc"})
     assert proc.returncode == 1
     assert "RINGSIM_THREADS" in proc.stderr
     proc = _run("single-bus", env_extra={"RINGSIM_THREADS": "0"})
     assert proc.returncode == 1
+
+    monkeypatch.setenv("RINGSIM_THREADS", str(cli._MAX_THREADS))
+    assert cli._worker_count() == cli._MAX_THREADS
+    for raw in (str(cli._MAX_THREADS + 1), "100000"):
+        monkeypatch.setenv("RINGSIM_THREADS", raw)
+        with pytest.raises(cli.ConfigError, match="RINGSIM_THREADS"):
+            cli._worker_count()
+
+    # rejected before a pool could start a thread per chunk (32 chunks here)
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was built")
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
+    code, err = _main(capsys, "homm-grid")
+    assert code == 1
+    assert err == (
+        "ringsim: config error: RINGSIM_THREADS: must be an integer in "
+        f"[1, {cli._MAX_THREADS}], got '100000'\n"
+    )
 
 
 def test_audit_passes_and_writes_report(tmp_path):
@@ -652,7 +684,7 @@ def _python_rows(mode, p):
     rows = []
     for theta in thetas:
         ring = RingParams.from_alpha(p["alpha"], theta=theta)
-        z = ring.loop_factor
+        z = ring.alpha * cmath.exp(1j * ring.theta)
         if mode == "single-bus":
             amp = (tau - z) / (1.0 - tau.conjugate() * z)
             rows.append([theta, amp.real, amp.imag, abs(amp) ** 2, 1.0 - abs(amp) ** 2])
@@ -699,9 +731,7 @@ def test_per_theta_kernels_match_python_scalars(monkeypatch, mode):
 # reference above recomputes through the library and so follows any drift
 # in the kernels; the digests do not.
 
-_GOLDEN = json.loads(
-    (Path(__file__).resolve().parents[1] / "bench" / "golden.json").read_text()
-)
+_GOLDEN = json.loads((_ROOT / "bench" / "golden.json").read_text())
 
 
 @pytest.mark.parametrize("key", sorted(_GOLDEN))
@@ -710,3 +740,33 @@ def test_sweep_output_matches_golden_digest(monkeypatch, tmp_path, key):
     out = tmp_path / "sweep.out"
     assert cli.main([*key.split(), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == _GOLDEN[key]
+
+
+# --- exported and traced names --------------------------------------------------
+
+
+def _traced_names():
+    """``TRACED`` of ``bench/tracing.py``, read from its source: the tracer
+    only records a missing name, so a rename would silently zero a metric."""
+    tree = ast.parse((_ROOT / "bench" / "tracing.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TRACED"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/tracing.py defines no TRACED")
+
+
+_MODULES = ("add_drop", "attenuation", "cli", "core", "hom", "single_bus")
+
+
+@pytest.mark.parametrize("name", ["ringsim", *(f"ringsim.{m}" for m in _MODULES)])
+def test_exported_names_resolve(name):
+    module = importlib.import_module(name)
+    missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
+    assert not missing
+
+
+def test_traced_names_resolve():
+    traced = _traced_names()
+    assert traced
+    for name, attr, _ in traced:
+        assert callable(getattr(importlib.import_module(f"ringsim.{name}"), attr, None)), attr

@@ -6,9 +6,7 @@ import pytest
 
 from ringsim.core import (
     CouplerParams,
-    ResonantDivergenceError,
     RingParams,
-    TruncationError,
     UnitarityError,
     _abs,
     _cdiv,
@@ -18,9 +16,6 @@ from ringsim.core import (
     _square,
     _survival,
     alpha_from_loss,
-    geometric_sum,
-    geometric_sum_truncated,
-    truncation_order,
 )
 
 
@@ -36,47 +31,6 @@ def test_alpha_from_loss_rejects_bad_inputs():
         alpha_from_loss(0.1, 0.0)
 
 
-def test_geometric_sum_closed_form():
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        x = rng.uniform(0, 0.95) * np.exp(1j * rng.uniform(-np.pi, np.pi))
-        # tail bound |x|^800 / (1 - |x|) < 1e-16 for |x| <= 0.95
-        brute = sum(x**n for n in range(800))
-        assert abs(geometric_sum(x) - brute) < 1e-12
-
-
-def test_geometric_sum_diverges_on_unit_circle():
-    with pytest.raises(ResonantDivergenceError):
-        geometric_sum(1.0)
-    with pytest.raises(ResonantDivergenceError):
-        geometric_sum(np.exp(0.3j))
-
-
-def test_truncated_sum_matches_loop_near_one():
-    # quotient form is avoided close to x = 1; both paths must agree
-    for x in (0.999999999 + 0j, 0.5 + 0.1j):
-        direct = sum(x**n for n in range(11))
-        assert abs(geometric_sum_truncated(x, 10) - direct) < 1e-12
-
-
-def test_truncation_order_tail_bound():
-    for x in (0.3, 0.9, 0.99, 0.5j, -0.85):
-        n = truncation_order(x, tol=1e-10)
-        mag = abs(x)
-        tail = mag ** (n + 1) / (1 - mag)
-        assert tail < 1e-10
-        if n > 0:
-            assert mag**n / (1 - mag) >= 1e-10  # minimal order
-
-
-def test_truncation_order_caps_and_divergence():
-    assert truncation_order(0.0) == 0
-    with pytest.raises(TruncationError):
-        truncation_order(1 - 1e-9)
-    with pytest.raises(ResonantDivergenceError):
-        truncation_order(1.0)
-
-
 def test_coupler_power_conservation_enforced():
     CouplerParams(tau=0.6, kappa=0.8)
     with pytest.raises(UnitarityError):
@@ -84,25 +38,24 @@ def test_coupler_power_conservation_enforced():
 
 
 def test_coupler_constructors():
-    c = CouplerParams.from_through(0.3 + 0.4j)
-    assert abs(abs(c.tau) ** 2 + abs(c.kappa) ** 2 - 1) < 1e-15
-    c = CouplerParams.from_magnitude(0.8, tau_phase=0.5, kappa_phase=-1.0)
+    c = CouplerParams.from_magnitude(0.8, tau_phase=0.5)
     assert abs(c.tau) == pytest.approx(0.8)
     assert np.angle(c.tau) == pytest.approx(0.5)
-    assert np.angle(c.kappa) == pytest.approx(-1.0)
+    assert c.kappa == pytest.approx(0.6)
     with pytest.raises(UnitarityError):
         CouplerParams.from_magnitude(1.2)
 
 
-def test_ring_params_phase_sources():
-    by_theta = RingParams(circumference=2.0, loss_rate=0.5, theta=1.3)
-    by_beta = RingParams(circumference=2.0, loss_rate=0.5, beta=0.65)
-    assert by_theta.round_trip_phase == pytest.approx(by_beta.round_trip_phase)
-    assert by_theta.alpha == pytest.approx(math.exp(-0.5))
-    with pytest.raises(ValueError):
-        RingParams(circumference=1.0, loss_rate=0.0)  # neither theta nor beta
-    with pytest.raises(ValueError):
-        RingParams(circumference=1.0, loss_rate=0.0, theta=0.0, beta=0.0)
+def test_ring_params_validation():
+    assert RingParams(circumference=2.0, loss_rate=0.5, theta=1.3).alpha == pytest.approx(
+        math.exp(-0.5)
+    )
+    with pytest.raises(ValueError, match="circumference"):
+        RingParams(circumference=0.0, loss_rate=0.0, theta=0.0)
+    with pytest.raises(ValueError, match="loss rate"):
+        RingParams(circumference=1.0, loss_rate=-0.1, theta=0.0)
+    with pytest.raises(ValueError, match="phase"):
+        RingParams(circumference=1.0, loss_rate=0.0, theta=math.inf)
 
 
 def test_ring_lossless_alpha_is_exactly_one():
@@ -110,9 +63,9 @@ def test_ring_lossless_alpha_is_exactly_one():
 
 
 def test_ring_from_alpha_round_trip():
-    ring = RingParams.from_alpha(0.87, theta=2.2, circumference=5.0)
+    ring = RingParams.from_alpha(0.87, theta=2.2)
+    assert ring.circumference == 1.0 and ring.theta == 2.2
     assert ring.alpha == pytest.approx(0.87, abs=1e-15)
-    assert ring.loop_factor == pytest.approx(0.87 * np.exp(2.2j))
     with pytest.raises(ValueError):
         RingParams.from_alpha(0.0, theta=0.0)
     with pytest.raises(ValueError):
@@ -170,12 +123,12 @@ def test_elementwise_helpers_round_like_python_scalars():
 
 def test_batched_couplers_match_the_scalar_constructor():
     rng = np.random.default_rng(8)
-    draws = rng.uniform([0.0, -4.0, -4.0], [1.0, 4.0, 4.0], size=(5000, 3))
+    draws = rng.uniform([0.0, -4.0], [1.0, 4.0], size=(5000, 2))
     tau, kappa = _coupler(*draws.T)
-    for t, k, (mag, tau_phase, kappa_phase) in zip(tau.tolist(), kappa.tolist(), draws.tolist()):
+    for t, k, (mag, tau_phase) in zip(tau.tolist(), kappa.tolist(), draws.tolist()):
         # the constructor formula in Python scalars and cmath
         assert t == mag * cmath.exp(1j * tau_phase)
-        assert k == math.sqrt(1.0 - mag * mag) * cmath.exp(1j * kappa_phase)
+        assert k == complex(math.sqrt(1.0 - mag * mag))
     with pytest.raises(UnitarityError, match="magnitude"):
         _coupler(np.array([0.5, 1.2]))
     with pytest.raises(UnitarityError, match="defect"):

@@ -21,7 +21,6 @@ from ringsim.hom import (
     entropy_grid,
     entropy_one_photon,
     hom_region,
-    joint_coincidence,
     output_state,
     reduce_density,
     sector_normalizer,
@@ -255,20 +254,6 @@ def test_coincidence_probability_rejects_empty_sector():
         coincidence_probability(empty)
 
 
-def test_joint_coincidence_weights_by_survival():
-    m = _matrix(0.7, 0.8, 0.85, 1.1)
-    state, comms = _state_and_comms(m)
-    density = reduce_density(state, comms)
-    expected = density.p2 * coincidence_probability(state)
-    assert joint_coincidence(state, comms) == pytest.approx(expected, rel=1e-12)
-    # without loss the two-photon sector carries all the weight
-    m1 = _matrix(0.7, 0.8, 1.0, 1.1)
-    state1, comms1 = _state_and_comms(m1)
-    assert joint_coincidence(state1, comms1) == pytest.approx(
-        coincidence_probability(state1), abs=1e-12
-    )
-
-
 def test_phase_rescaled_matrix_gives_same_figures():
     m = _matrix(0.6, 0.7, 0.8, -0.9)
     phased = np.exp(0.37j) * m
@@ -348,14 +333,11 @@ def test_hom_region_symmetric_in_phase():
 
 
 def test_hom_region_validates_inputs():
-    with pytest.raises(ValueError, match="threshold"):
-        hom_region(alpha=0.9, threshold=0.0)
+    for threshold in (0.0, math.nan):
+        with pytest.raises(ValueError, match="threshold"):
+            hom_region(alpha=0.9, threshold=threshold)
     with pytest.raises(ValueError, match="tau_count"):
         hom_region(alpha=0.9, tau_count=0)
-    with pytest.raises(ValueError, match="tau_range"):
-        hom_region(alpha=0.9, tau_range=(0.0, 1.2))
-    with pytest.raises(ValueError, match="empty"):
-        hom_region(alpha=0.9, theta_range=(1.0, -1.0))
 
 
 # --- one-photon entropy -----------------------------------------------------------
@@ -482,6 +464,8 @@ def test_entropy_grid_validates_inputs():
         entropy_grid(np.float64(0.5), np.float64(0.5), np.float64(0.0), 1.5)
     with pytest.raises(ValueError, match="amplitudes"):
         entropy_grid(np.float64(-0.1), np.float64(0.5), np.float64(0.0), 0.9)
+    with pytest.raises(ValueError, match="p1_threshold"):
+        entropy_grid(np.float64(0.5), np.float64(0.5), np.float64(0.0), 0.9, math.nan)
 
 
 def test_xlogx_rounds_like_libm():
