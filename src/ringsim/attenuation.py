@@ -53,9 +53,9 @@ class BeamSplitterChain:
     n_splitters: int = 1000
 
     def __post_init__(self) -> None:
-        if self.gamma < 0:
+        if not self.gamma >= 0:  # NaN too
             raise ValueError(f"loss rate must be >= 0, got {self.gamma}")
-        if self.length <= 0:
+        if not self.length > 0:
             raise ValueError(f"length must be > 0, got {self.length}")
         if self.n_splitters < 1:
             raise ValueError(f"need at least one splitter, got {self.n_splitters}")
@@ -133,8 +133,8 @@ class LossSegment:
     def __post_init__(self) -> None:
         if not self.gamma >= 0:  # NaN too
             raise ValueError(f"loss rate must be >= 0, got {self.gamma}")
-        if not self.length > 0:
-            raise ValueError(f"length must be > 0, got {self.length}")
+        if not 0 < self.length < math.inf:  # NaN too
+            raise ValueError(f"length must be finite and > 0, got {self.length}")
 
 
 def piecewise_commutator(segments: list[LossSegment] | tuple[LossSegment, ...]) -> float:

@@ -2,17 +2,19 @@
 
 Every sweep writes a deterministic table (CSV or JSON): the same config
 produces byte-identical output regardless of how many worker threads
-evaluate the grid.  ``RINGSIM_THREADS`` caps the worker count.
+evaluate the grid.  ``RINGSIM_THREADS`` caps the worker count.  A sweep's
+output is written chunk by chunk as the chunks are evaluated.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
+import stat
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,10 +45,6 @@ EXIT_CONFIG = 1
 EXIT_AUDIT = 2
 EXIT_IO = 3
 
-#: Grid points handled per worker task; fixed so output never depends on
-#: the worker count.
-_CHUNK = 65536
-
 #: Most points a sweep may have: the product of its counts (critical-dip
 #: also counts its curves).  Six times a 201x201x401 census grid.
 _MAX_POINTS = 100_000_000
@@ -67,9 +65,11 @@ _MAX_SAMPLES = 1_000_000
 #: against dense eta, tau and theta axes); the floor keeps a margin.
 _MIN_ENTROPY_ALPHA = 1e-100
 
-#: Most worker threads (``RINGSIM_THREADS``).  A grid sweep hands every
-#: chunk to the pool at once, and the pool starts a thread per pending chunk
-#: up to this count: a 10^8-point grid has about 3000 chunks.
+#: Most worker threads (``RINGSIM_THREADS``).  Each worker evaluates one
+#: chunk at a time, and an entropy-grid chunk's kernel arrays take about
+#: 20 MB, so the cap bounds a sweep's memory (the walk keeps
+#: `hom._WINDOW` chunks per worker in flight); two workers already give all
+#: the speedup measured on the grid sweeps.
 _MAX_THREADS = 64
 
 #: Largest detuning or matched rate (rad/s) of a langevin-compare sweep,
@@ -363,28 +363,19 @@ def _worker_count() -> int:
     return count
 
 
-class Table:
-    """A sweep's rows, held column-wise in chunks of formatted cells.
+class Rows:
+    """Cell text of consecutive rows of a sweep, held column-wise.
 
-    Each chunk is a list of equal-length columns of cell text: the ``repr``
-    of each float (so non-finite cells read ``nan``, ``inf`` or ``-inf``)
-    and the ``str`` of each int.  Chunks keep the canonical row order;
-    ``len(table)`` is the row count.  A table is rendered once: `drain`
-    lets go of each chunk as it is taken, so the cells of the whole grid
-    and its rendered text are never held together.
+    Each column is a list of cells: the ``repr`` of each float (so
+    non-finite cells read ``nan``, ``inf`` or ``-inf``) and the ``str`` of
+    each int.  ``len(rows)`` is the row count.
     """
 
-    def __init__(self, chunks: list[list[list[str]]]) -> None:
-        self._chunks = [chunk for chunk in chunks if chunk[0]]
-        self._rows = sum(len(chunk[0]) for chunk in self._chunks)
+    def __init__(self, *columns: list[str]) -> None:
+        self.columns = columns
 
     def __len__(self) -> int:
-        return self._rows
-
-    def drain(self):
-        """Yield the chunks in row order, releasing each one."""
-        while self._chunks:
-            yield self._chunks.pop(0)
+        return len(self.columns[0])
 
 
 def _cells(values) -> list[str]:
@@ -392,9 +383,9 @@ def _cells(values) -> list[str]:
     return list(map(repr, np.asarray(values).tolist()))
 
 
-def _table(*columns) -> Table:
-    """A one-chunk table from whole value columns."""
-    return Table([[_cells(column) for column in columns]])
+def _rows(*columns) -> list[Rows]:
+    """The one chunk of a sweep given whole value columns."""
+    return [Rows(*map(_cells, columns))]
 
 
 # --- sweep implementations -------------------------------------------------
@@ -404,9 +395,9 @@ def _sweep_single_bus(p: dict, workers: int):
     tau, _ = _coupler(p["tau"])
     thetas = np.linspace(p["theta_min"], p["theta_max"], p["theta_count"])
     amp, power, _ = single_bus._transfer(tau, _survival(p["alpha"]), thetas)
-    table = _table(thetas, amp.real, amp.imag, power, 1.0 - power)
+    rows = _rows(thetas, amp.real, amp.imag, power, 1.0 - power)
     columns = ["theta_rad", "transfer_re", "transfer_im", "power", "noise_power"]
-    return columns, table, None
+    return columns, rows, None
 
 
 def _sweep_langevin_compare(p: dict, workers: int):
@@ -422,7 +413,7 @@ def _sweep_langevin_compare(p: dict, workers: int):
     with np.errstate(divide="ignore", invalid="ignore"):
         rel = np.where(lor_pow != 0.0, np.abs(ring_pow - lor_pow) / lor_pow, math.inf)
     columns = ["delta_tr", "power_phasor", "power_lorentzian", "rel_diff"]
-    return columns, _table(xval, ring_pow, lor_pow, rel), None
+    return columns, _rows(xval, ring_pow, lor_pow, rel), None
 
 
 def _sweep_attenuation_chain(p: dict, workers: int):
@@ -432,11 +423,11 @@ def _sweep_attenuation_chain(p: dict, workers: int):
     powers = [
         attenuation.BeamSplitterChain(gamma, length, beta, n).power for n in counts
     ]
-    table = _table(
+    rows = _rows(
         counts, powers, [limit] * len(counts), [abs(pw - limit) for pw in powers]
     )
     columns = ["n_splitters", "chain_power", "continuum_power", "abs_error"]
-    return columns, table, None
+    return columns, rows, None
 
 
 def _add_drop_matrices(tau, eta, alpha, theta):
@@ -448,7 +439,7 @@ def _sweep_add_drop(p: dict, workers: int):
     thetas = np.linspace(p["theta_min"], p["theta_max"], p["theta_count"])
     m = _add_drop_matrices(p["tau"], p["eta"], _survival(p["alpha"]), thetas)
     comm = add_drop.noise_commutators(m)
-    table = _table(
+    rows = _rows(
         thetas,
         m[:, 0, 0].real, m[:, 0, 0].imag,
         m[:, 0, 1].real, m[:, 0, 1].imag,
@@ -463,51 +454,30 @@ def _sweep_add_drop(p: dict, workers: int):
         "m_da_re", "m_da_im", "m_db_re", "m_db_im",
         "comm_cc", "comm_dd", "comm_cd_re", "comm_cd_im",
     ]
-    return columns, table, None
+    return columns, rows, None
 
 
-def _grid_axes(p: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    taus = np.linspace(0.0, 1.0, p["tau_count"])
-    etas = np.linspace(0.0, 1.0, p["eta_count"])
-    thetas = np.linspace(-_PI, _PI, p["theta_count"])
-    return taus, etas, thetas
+def _grid_rows(p: dict, workers: int, evaluate):
+    """The rows of a (tau, eta, theta) grid sweep, chunk by chunk, in grid order.
 
-
-def _grid_table(p: dict, workers: int, evaluate) -> Table:
-    """Tabulate a (tau, eta, theta) grid, chunk by chunk, in canonical order.
-
-    A chunk is a block of (tau, eta) pairs against the whole theta axis, so
-    ``evaluate(tau, eta, theta)`` receives broadcastable (pairs, 1),
-    (pairs, 1) and (1, theta_count) arrays.  It returns the values on that
-    block and a mask of the points that become rows.  Each chunk is
-    reduced to the cells of its rows where it is evaluated, so the kernel's
-    arrays live only as long as their chunk; each axis value is formatted
-    once.
+    ``evaluate`` is the chunk kernel of `hom._walk_grid`.  Each chunk is
+    reduced to the cells of its rows in its own task, so only the chunks in
+    flight exist at once; each axis value is formatted once.
     """
-    axes = _grid_axes(p)
-    taus, etas, thetas = axes
+    axes = hom._grid_axes(p["tau_count"], p["eta_count"], p["theta_count"])
     tau_cells, eta_cells, theta_cells = (
         np.array(_cells(axis), dtype=object) for axis in axes
     )
-    pairs = len(taus) * len(etas)
-    step = max(1, _CHUNK // len(thetas))
 
-    def chunk(lo: int) -> list[list[str]]:
-        it, ie = np.divmod(np.arange(lo, min(lo + step, pairs)), len(etas))
-        values, keep = evaluate(taus[it][:, None], etas[ie][:, None], thetas[None, :])
-        pair, ith = np.nonzero(keep)
-        return [
-            tau_cells[it[pair]].tolist(),
-            eta_cells[ie[pair]].tolist(),
-            theta_cells[ith].tolist(),
-            _cells(values[pair, ith]),
-        ]
+    def reduce(ti, ei, hi, values) -> Rows:
+        return Rows(
+            tau_cells[ti].tolist(),
+            eta_cells[ei].tolist(),
+            theta_cells[hi].tolist(),
+            _cells(values),
+        )
 
-    starts = range(0, pairs, step)
-    if workers <= 1 or len(starts) == 1:
-        return Table([chunk(lo) for lo in starts])
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return Table(list(pool.map(chunk, starts)))
+    return hom._walk_grid(axes, evaluate, reduce, workers)
 
 
 def _sweep_homm_grid(p: dict, workers: int):
@@ -515,15 +485,17 @@ def _sweep_homm_grid(p: dict, workers: int):
         ratio = hom.coincidence_ratio_grid(tau, eta, theta, p["alpha"])
         return ratio, ratio <= p["threshold"]  # NaN (undefined ratio) never passes
 
-    table = _grid_table(p, workers, evaluate)
     shape = (p["tau_count"], p["eta_count"], p["theta_count"])
-    summary = {
-        "count": len(table),
-        "fraction": len(table) / math.prod(shape),
-        "grid": "x".join(str(n) for n in shape),
-    }
+
+    def summary(count: int) -> dict:
+        return {
+            "count": count,
+            "fraction": count / math.prod(shape),
+            "grid": "x".join(str(n) for n in shape),
+        }
+
     columns = ["tau", "eta", "theta_rad", "coincidence_ratio"]
-    return columns, table, summary
+    return columns, _grid_rows(p, workers, evaluate), summary
 
 
 def _sweep_critical_dip(p: dict, workers: int):
@@ -533,7 +505,7 @@ def _sweep_critical_dip(p: dict, workers: int):
         hom.coincidence_ratio_grid(tau, tau, thetas, a) for a in p["alphas"]
     ]
     columns = ["theta_rad"] + [f"coincidence_alpha_{a!r}" for a in p["alphas"]]
-    return columns, _table(thetas, *curves), None
+    return columns, _rows(thetas, *curves), None
 
 
 def _sweep_entropy_grid(p: dict, workers: int):
@@ -542,7 +514,7 @@ def _sweep_entropy_grid(p: dict, workers: int):
         return bits, np.ones(bits.shape, dtype=bool)
 
     columns = ["tau", "eta", "theta_rad", "entropy_bits"]
-    return columns, _grid_table(p, workers, evaluate), None
+    return columns, _grid_rows(p, workers, evaluate), None
 
 
 _SWEEPS = {
@@ -560,6 +532,8 @@ _NON_FINITE = frozenset(("nan", "inf", "-inf"))
 # Stands in for the rows while json.dumps lays out the rest of the payload.
 _ROWS_SLOT = "\0rows"
 
+_NO_ROWS = Rows([])
+
 
 def _json_cells(cells: list[str]) -> list[str]:
     if _NON_FINITE.isdisjoint(cells):
@@ -567,21 +541,22 @@ def _json_cells(cells: list[str]) -> list[str]:
     return ["null" if cell in _NON_FINITE else cell for cell in cells]
 
 
-def render_csv(config: SweepConfig, columns, table: Table, summary) -> str:
-    lines = [f"# config: {config.canonical()}", ",".join(columns)]
-    lines += ("\n".join(map(",".join, zip(*chunk))) for chunk in table.drain())
-    if summary is not None:
+def _frame(config: SweepConfig, columns, summary, count: int) -> tuple[str, str]:
+    """The output text before and after ``count`` rows; ``summary`` is the
+    census summary or ``None``.
+
+    The JSON text is that of ``json.dumps(payload, indent=2)``, split where
+    the row list goes.  The rows come before the summary, so the head never
+    depends on it.
+    """
+    if config.fmt == "csv":
+        head = f"# config: {config.canonical()}\n{','.join(columns)}\n"
+        if summary is None:
+            return head, ""
         pairs = " ".join(
             f"{k}={v if isinstance(v, str) else repr(v)}" for k, v in summary.items()
         )
-        lines.append(f"# summary: {pairs}")
-    lines.append("")
-    return "\n".join(lines)
-
-
-def render_json(config: SweepConfig, columns, table: Table, summary) -> str:
-    """The bytes of ``json.dumps(payload, indent=2)``, with the rows laid
-    out from their cell text (undefined cells become ``null``)."""
+        return head, f"# summary: {pairs}\n"
     payload = {
         "mode": config.mode,
         "config": dict(sorted(config.params.items())),
@@ -592,27 +567,50 @@ def render_json(config: SweepConfig, columns, table: Table, summary) -> str:
         payload["summary"] = summary
     text = json.dumps(payload, indent=2, allow_nan=False)
     head, _, tail = text.partition(json.dumps(_ROWS_SLOT))
-    row_sep = "\n    ],\n    [\n      "
-    texts = [
-        row_sep.join(map(",\n      ".join, zip(*map(_json_cells, chunk))))
-        for chunk in table.drain()
-    ]
-    parts = [head, "[\n    [\n      " if texts else "[]"]
-    for text in texts:
-        parts += [text, row_sep]
-    if texts:
-        parts[-1] = "\n    ]\n  ]"
-    parts += [tail, "\n"]
-    return "".join(parts)
+    return head + "[", ("\n  ]" if count else "]") + tail + "\n"
 
 
-def run_sweep(config: SweepConfig) -> str:
-    """Evaluate one sweep and return the rendered output text."""
+def render_csv(config: SweepConfig, columns, rows: Rows, before: int) -> str:
+    """CSV lines of one chunk of rows that ``before`` rows precede.  The
+    first chunk opens with the config echo and the header line."""
+    text = "\n".join([*map(",".join, zip(*rows.columns)), ""])
+    return text if before else _frame(config, columns, None, 0)[0] + text
+
+
+def render_json(config: SweepConfig, columns, rows: Rows, before: int) -> str:
+    """The ``"rows"`` entries of one chunk of rows that ``before`` rows
+    precede, laid out as ``json.dumps(indent=2)`` lays them out, with
+    undefined cells as ``null``.  The first chunk opens with the payload up
+    to the row list."""
+    text = ",".join(
+        map(
+            "\n    [\n      {}\n    ]".format,
+            map(",\n      ".join, zip(*map(_json_cells, rows.columns))),
+        )
+    )
+    return "," + text if before else _frame(config, columns, None, 0)[0] + text
+
+
+def run_sweep(config: SweepConfig, sink) -> None:
+    """Evaluate one sweep and write its output text to ``sink``.
+
+    Each chunk of rows is rendered and written as soon as it is evaluated.
+    A census summary, which counts the rows, comes after them.
+    """
     if config.mode not in _SWEEPS:
         raise ConfigError(f"mode: unknown sweep mode {config.mode!r}")
-    columns, table, summary = _SWEEPS[config.mode](config.params, _worker_count())
-    renderer = render_csv if config.fmt == "csv" else render_json
-    return renderer(config, columns, table, summary)
+    columns, chunks, summary = _SWEEPS[config.mode](config.params, _worker_count())
+    render = render_csv if config.fmt == "csv" else render_json
+    chunks = filter(len, chunks)
+    # the first chunk with rows opens the output, or no rows do if none has any
+    first = next(chunks, _NO_ROWS)
+    _write_output(render(config, columns, first, 0), sink)
+    count = len(first)
+    for rows in chunks:
+        _write_output(render(config, columns, rows, count), sink)
+        count += len(rows)
+    _, tail = _frame(config, columns, summary(count) if summary else None, count)
+    _write_output(tail, sink)
 
 
 # --- identity audit ---------------------------------------------------------
@@ -914,12 +912,48 @@ def render_audit_json(report: AuditReport, samples: int) -> str:
 # --- entry point ------------------------------------------------------------
 
 
-def _write_output(text: str, out: str | None) -> None:
+def _write_output(text: str, sink) -> None:
+    """Write one piece of output text to an open sink.  Every output write
+    goes through here, so ``bench/tracing.py`` can time them."""
+    sink.write(text)
+
+
+@contextlib.contextmanager
+def _open_sink(out: str | None):
+    """The text stream that output goes to: stdout for ``None`` or ``-``,
+    else the file ``out``.
+
+    A new or regular file is written to a temporary file beside it, which
+    replaces it only when the block ends without an error: a failed run
+    leaves an existing file as it was and no partial file.  The temporary
+    file gets the permissions that ``open(out, "w")`` would leave: those of
+    the file it replaces, else the default under the umask.  A file that
+    exists and is not regular, such as ``/dev/null``, is written in place.
+    """
     if out is None or out == "-":
-        sys.stdout.write(text)
+        yield sys.stdout
         return
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    path = os.path.realpath(out)
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        return
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.{os.urandom(6).hex()}.tmp")
+    fh = open(tmp, "x", encoding="utf-8", newline="")
+    try:
+        with fh:
+            if mode is not None:
+                os.chmod(fh.fileno(), stat.S_IMODE(mode))
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 class _Parser(argparse.ArgumentParser):
@@ -970,19 +1004,15 @@ def main(argv: list[str] | None = None) -> int:
             report = run_audit(args.seed, args.samples)
             sys.stdout.write(render_audit_text(report, args.samples))
             if args.out:
-                try:
-                    _write_output(render_audit_json(report, args.samples), args.out)
-                except OSError as exc:
-                    sys.stderr.write(f"ringsim: i/o error: {exc}\n")
-                    return EXIT_IO
+                with _open_sink(args.out) as sink:
+                    _write_output(render_audit_json(report, args.samples), sink)
             return EXIT_OK if report.ok else EXIT_AUDIT
         config = load_config(args.mode, args.config, args.overrides, args.out, args.fmt)
-        text = run_sweep(config)
+        with _open_sink(config.out) as sink:
+            run_sweep(config, sink)
     except (ConfigError, ResonantDivergenceError) as exc:  # theta axis hits a pole
         sys.stderr.write(f"ringsim: config error: {exc}\n")
         return EXIT_CONFIG
-    try:
-        _write_output(text, config.out)
     except OSError as exc:
         sys.stderr.write(f"ringsim: i/o error: {exc}\n")
         return EXIT_IO

@@ -51,9 +51,9 @@ def alpha_from_loss(gamma: float, length: float) -> float:
     length : float
         Propagation length (one circulation), m.  Must be > 0.
     """
-    if gamma < 0:
+    if not gamma >= 0:  # NaN too
         raise ValueError(f"loss rate must be >= 0, got {gamma}")
-    if length <= 0:
+    if not length > 0:
         raise ValueError(f"length must be > 0, got {length}")
     return math.exp(-0.5 * gamma * length)
 
@@ -100,9 +100,9 @@ class RingParams:
     theta: float
 
     def __post_init__(self) -> None:
-        if self.circumference <= 0:
+        if not self.circumference > 0:  # NaN too
             raise ValueError(f"circumference must be > 0, got {self.circumference}")
-        if self.loss_rate < 0:
+        if not self.loss_rate >= 0:
             raise ValueError(f"loss rate must be >= 0, got {self.loss_rate}")
         if not math.isfinite(self.theta):
             raise ValueError("round-trip phase must be finite")

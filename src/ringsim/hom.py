@@ -23,6 +23,8 @@ where the generalized two-photon dip survives loss (`hom_region`).
 from __future__ import annotations
 
 import math
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +52,16 @@ __all__ = [
 P1_THRESHOLD = 1e-12
 #: Eigenvalues of a reduced density matrix may undershoot 0 by at most this.
 _EIG_SLACK = 1e-10
+#: Grid points per chunk of a (tau, eta, theta) walk.  Fixed, so the chunks
+#: never depend on the worker count.  It also pins output bytes: numpy's
+#: loops do not round alike at every array length, and at 16384 points
+#: 67,376 of the 450,241 cells of a 61x61x121 entropy grid change in the
+#: last digit.
+_CHUNK = 65536
+#: Chunks a threaded grid walk keeps in flight, per worker.  Enough to keep
+#: every worker busy while the caller consumes a chunk; each one in flight
+#: holds its kernel arrays or its result.
+_WINDOW = 2
 
 
 @dataclass(frozen=True)
@@ -118,8 +130,17 @@ def _sectors(perm, pair_c, pair_d, c):
     norms before normalization and the entries of
     rho1 = sum_ij conj(C_ij) B_i B_j† over the branches B_c, B_d.
     Broadcasts over array entries; never raises, so NaN passes through.
+    Each sector is summed in its own helper, so its terms are released
+    before the next sector's are built.
     """
-    (c00, c01), (c10, c11) = c
+    r00, r11, r01 = _one_photon_matrix(perm, pair_c, pair_d, c)
+    p2 = 2.0 * np.abs(pair_c) ** 2 + np.abs(perm) ** 2 + 2.0 * np.abs(pair_d) ** 2
+    p0 = _zero_photon_norm(perm, pair_c, pair_d, c)
+    return p2, r00.real + r11.real, p0, r00, r11, r01
+
+
+def _one_photon_matrix(perm, pair_c, pair_d, c):
+    """``(r00, r11, r01)`` of rho1 = sum_ij conj(C_ij) B_i B_j†."""
     branches = ((-2.0 * pair_c, -perm), (-perm, -2.0 * pair_d))
     r00 = r11 = r01 = 0j
     for i in range(2):
@@ -128,18 +149,22 @@ def _sectors(perm, pair_c, pair_d, c):
             r00 = r00 + w * branches[i][0] * np.conj(branches[j][0])
             r11 = r11 + w * branches[i][1] * np.conj(branches[j][1])
             r01 = r01 + w * branches[i][0] * np.conj(branches[j][1])
-    p2 = 2.0 * np.abs(pair_c) ** 2 + np.abs(perm) ** 2 + 2.0 * np.abs(pair_d) ** 2
-    # Wick pairing over E = [[pair_c, perm/2], [perm/2, pair_d]]: p0 = 2 Re sum
-    # conj(E) * X, X = C E C^T; X is symmetric, so X01 and X10 join under perm.
+    return r00, r11, r01
+
+
+def _zero_photon_norm(perm, pair_c, pair_d, c):
+    """The both-photons-lost norm p0, by Wick pairing over the pair table
+    E = [[pair_c, perm/2], [perm/2, pair_d]]: p0 = 2 Re sum conj(E) * X with
+    X = C E C^T.  X is symmetric, so X01 and X10 join under perm."""
+    (c00, c01), (c10, c11) = c
     half = perm / 2.0
     ce00, ce01 = c00 * pair_c + c01 * half, c00 * half + c01 * pair_d
     ce10, ce11 = c10 * pair_c + c11 * half, c10 * half + c11 * pair_d
-    p0 = 2.0 * (
+    return 2.0 * (
         np.conj(pair_c) * (ce00 * c00 + ce01 * c01)
         + np.conj(perm) * (ce00 * c10 + ce01 * c11)
         + np.conj(pair_d) * (ce10 * c10 + ce11 * c11)
     ).real
-    return p2, r00.real + r11.real, p0, r00, r11, r01
 
 
 @dataclass(frozen=True)
@@ -347,9 +372,9 @@ def hom_region(
     """Census of where the two-photon dip survives at survival factor alpha.
 
     Scans the regular grid of real couplers tau, eta in [0, 1] and phases
-    theta in [-pi, pi] (the ``homm-grid`` axes) and collects the points
-    with `coincidence_ratio` <= threshold.  Shrinking fractions with
-    decreasing alpha quantify how loss erodes the interference manifold.
+    theta in [-pi, pi] (the ``homm-grid`` axes) chunk by chunk and collects
+    the points with `coincidence_ratio` <= threshold.  Shrinking fractions
+    with decreasing alpha quantify how loss erodes the interference manifold.
     """
     if not threshold > 0:  # NaN too
         raise ValueError(f"threshold must be > 0, got {threshold}")
@@ -361,24 +386,81 @@ def hom_region(
         if count < 1:
             raise ValueError(f"{name} must be >= 1, got {count}")
 
-    taus = np.linspace(0.0, 1.0, tau_count)
-    etas = np.linspace(0.0, 1.0, eta_count)
-    thetas = np.linspace(-math.pi, math.pi, theta_count)
-    ratio = coincidence_ratio_grid(
-        taus[:, None, None], etas[None, :, None], thetas[None, None, :], alpha
-    )
-    mask = ratio <= threshold  # NaN compares False: undefined points excluded
-    idx = np.argwhere(mask)
-    points = np.column_stack([taus[idx[:, 0]], etas[idx[:, 1]], thetas[idx[:, 2]]])
+    axes = _grid_axes(tau_count, eta_count, theta_count)
+    taus, etas, thetas = axes
+
+    def evaluate(tau, eta, theta):
+        ratio = coincidence_ratio_grid(tau, eta, theta, alpha)
+        return ratio, ratio <= threshold  # NaN compares False: undefined points excluded
+
+    def reduce(ti, ei, hi, values):
+        return np.column_stack([taus[ti], etas[ei], thetas[hi]]), values
+
+    chunks = _walk_grid(axes, evaluate, reduce)
+    points, values = (np.concatenate(part) for part in zip(*chunks))
     return HomRegion(
         points=points,
-        values=ratio[mask],
-        count=int(mask.sum()),
-        fraction=float(mask.sum() / ratio.size),
+        values=values,
+        count=values.size,
+        fraction=values.size / (tau_count * eta_count * theta_count),
         grid_shape=(tau_count, eta_count, theta_count),
         threshold=threshold,
         alpha=alpha,
     )
+
+
+def _grid_axes(
+    tau_count: int, eta_count: int, theta_count: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The census axes: tau and eta over [0, 1], theta over [-pi, pi]."""
+    return (
+        np.linspace(0.0, 1.0, tau_count),
+        np.linspace(0.0, 1.0, eta_count),
+        np.linspace(-math.pi, math.pi, theta_count),
+    )
+
+
+def _walk_grid(axes, evaluate, reduce, workers: int = 1):
+    """Yield ``reduce`` of each chunk of a (tau, eta, theta) grid, in grid order.
+
+    A chunk is a block of (tau, eta) pairs against the whole theta axis, at
+    most `_CHUNK` points.  ``evaluate(tau, eta, theta)`` receives
+    broadcastable (pairs, 1), (pairs, 1) and (1, theta_count) arrays and
+    returns the values on that block and a mask of the points to keep;
+    ``reduce(ti, ei, hi, values)`` receives the axis indices and the values
+    of the kept points.  Both run in the chunk's task, so its kernel arrays
+    die with it.
+
+    With more than one worker the chunks run on a thread pool, at most
+    ``_WINDOW * workers`` at a time: the results are taken in order, and the
+    next chunk is submitted as each one is taken.  Closing the generator
+    early cancels the chunks not yet started.
+    """
+    taus, etas, thetas = axes
+    pairs = len(taus) * len(etas)
+    step = max(1, _CHUNK // len(thetas))
+
+    def chunk(lo):
+        it, ie = np.divmod(np.arange(lo, min(lo + step, pairs)), len(etas))
+        values, keep = evaluate(taus[it][:, None], etas[ie][:, None], thetas[None, :])
+        pair, ith = np.nonzero(keep)
+        return reduce(it[pair], ie[pair], ith, values[pair, ith])
+
+    starts = range(0, pairs, step)
+    if workers <= 1 or len(starts) == 1:
+        yield from map(chunk, starts)
+        return
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        window = deque()
+        for lo in starts:
+            if len(window) == _WINDOW * workers:
+                yield window.popleft().result()
+            window.append(pool.submit(chunk, lo))
+        while window:
+            yield window.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def entropy_one_photon(density: SectorDensity) -> float:
@@ -452,26 +534,9 @@ def entropy_grid(
     th = np.asarray(theta, dtype=float)
     if np.any(t < 0) or np.any(t > 1) or np.any(e < 0) or np.any(e > 1):
         raise ValueError("real coupler amplitudes must lie in [0, 1]")
-    z = alpha * np.exp(1j * th)
-    s = math.sqrt(alpha) * np.exp(0.5j * th)
-    kap = np.sqrt(1.0 - t * t)
-    gam = np.sqrt(1.0 - e * e)
-    denom = 1.0 - t * e * z
-
     with np.errstate(divide="ignore", invalid="ignore"):
-        m11 = (t - e * z) / denom
-        m12 = m21 = -gam * kap * s / denom
-        m22 = (e - t * z) / denom
-        # noise commutators I - M M†, entry by entry
-        c11 = 1.0 - np.abs(m11) ** 2 - np.abs(m12) ** 2
-        c22 = 1.0 - np.abs(m21) ** 2 - np.abs(m22) ** 2
-        c12 = -(m11 * np.conj(m21) + m12 * np.conj(m22))
-        g = add_drop._inverse_conjugate(m11, m12, m21, m22)
-        p2_raw, p1_raw, p0_raw, r00, r11, r01 = _sectors(
-            *_pairs(*g), ((c11, c12), (np.conj(c12), c22))
-        )
-        p1 = p1_raw / (p2_raw + p1_raw + p0_raw)
-        bits, low = _entropy_bits(r00.real / p1_raw, r11.real / p1_raw, r01 / p1_raw)
+        p1, a, d, off = _one_photon_sector(t, e, th, alpha)
+        bits, low = _entropy_bits(a, d, off)
     defined = p1 > p1_threshold
     bad = defined & (low < -_EIG_SLACK)  # NaN compares False
     if np.any(bad):
@@ -479,3 +544,37 @@ def entropy_grid(
             f"negative one-photon eigenvalue at {int(bad.sum())} grid points"
         )
     return np.where(defined, bits, math.nan)
+
+
+def _one_photon_sector(t, e, th, alpha):
+    """``(p1, a, d, off)`` on a broadcast grid of real couplers: the
+    normalized one-photon weight and the entries of the normalized one-photon
+    matrix [[a, off], [conj(off), d]].
+
+    `entropy_grid` builds its state through this helper and `_grid_state`,
+    so each intermediate array is released at the return of the helper that
+    uses it last: M and G before the sector sums, the other sector norms
+    before the entropy.
+    """
+    p2_raw, p1_raw, p0_raw, r00, r11, r01 = _sectors(*_grid_state(t, e, th, alpha))
+    p1 = p1_raw / (p2_raw + p1_raw + p0_raw)
+    return p1, r00.real / p1_raw, r11.real / p1_raw, r01 / p1_raw
+
+
+def _grid_state(t, e, th, alpha):
+    """The arguments of `_sectors` on a broadcast grid of real couplers: the
+    pair products of G = conj(M^{-1}) and the noise commutators I - M M†,
+    entry by entry."""
+    z = alpha * np.exp(1j * th)
+    s = math.sqrt(alpha) * np.exp(0.5j * th)
+    kap = np.sqrt(1.0 - t * t)
+    gam = np.sqrt(1.0 - e * e)
+    denom = 1.0 - t * e * z
+    m11 = (t - e * z) / denom
+    m12 = m21 = -gam * kap * s / denom
+    m22 = (e - t * z) / denom
+    c11 = 1.0 - np.abs(m11) ** 2 - np.abs(m12) ** 2
+    c22 = 1.0 - np.abs(m21) ** 2 - np.abs(m22) ** 2
+    c12 = -(m11 * np.conj(m21) + m12 * np.conj(m22))
+    pairs = _pairs(*add_drop._inverse_conjugate(m11, m12, m21, m22))
+    return (*pairs, ((c11, c12), (np.conj(c12), c22)))

@@ -79,7 +79,7 @@ _BAD_CALLS = {
     "segment-nan-length": (lambda: LossSegment(1.0, math.nan), "length"),
     "continuum-nan-loss": (lambda: continuum_commutator(math.nan, 1.0), "loss rate"),
     "continuum-nan-length": (lambda: continuum_commutator(1.0, math.nan), "length"),
-    "chain-nan-loss": (lambda: BeamSplitterChain(math.nan, 1.0).power, "reflectivity"),
+    "chain-nan-loss": (lambda: BeamSplitterChain(math.nan, 1.0).power, "loss rate"),
     # a Simpson grid over the panel cap would take gigabytes
     "continuum-huge-loss": (lambda: continuum_commutator(1e6, 1.0), "Simpson panels"),
     "continuum-inf-loss": (lambda: continuum_commutator(math.inf, 1.0), "Simpson panels"),

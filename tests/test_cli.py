@@ -4,10 +4,12 @@ import contextlib
 import hashlib
 import importlib
 import io
+import itertools
 import json
 import math
 import os
 import shutil
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -296,7 +298,7 @@ def test_invalid_thread_env_is_a_config_error(monkeypatch, capsys):
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was built")
 
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(hom, "ThreadPoolExecutor", no_pool)
     code, err = _main(capsys, "homm-grid")
     assert code == 1
     assert err == (
@@ -468,6 +470,107 @@ def test_dash_out_means_stdout(tmp_path):
     assert to_stdout.stdout == (tmp_path / "t.csv").read_text()
 
 
+# --- streamed output -----------------------------------------------------------
+
+# 4 x 5 pairs of 7 points: ten chunks of two pairs at a chunk size of 16
+_STREAMED = (
+    "entropy-grid", "--set", "tau_count=4", "--set", "eta_count=5", "--set", "theta_count=7"
+)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_rows_reach_the_sink_before_the_last_kernel_call(monkeypatch, threads):
+    monkeypatch.setenv("RINGSIM_THREADS", str(threads))
+    monkeypatch.setattr(hom, "_CHUNK", 16)
+    kernel, calls = hom.entropy_grid, []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(hom, "entropy_grid", counted)
+
+    class Sink(io.StringIO):
+        first_row_after = None  # kernel calls made before the first row arrived
+
+        def write(self, text):
+            rows = any(line[:1].isdigit() for line in text.splitlines())
+            if rows and self.first_row_after is None:
+                self.first_row_after = len(calls)
+            return super().write(text)
+
+    config = cli.load_config(_STREAMED[0], None, list(_STREAMED[2::2]), None, "csv")
+    sink = Sink()
+    cli.run_sweep(config, sink)
+    assert len(calls) == 10
+    assert sink.first_row_after is not None and sink.first_row_after < len(calls)
+    assert len(_parse_csv(sink.getvalue())[2]) == 4 * 5 * 7
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_failed_sweep_leaves_the_old_output(monkeypatch, tmp_path, capsys, threads):
+    monkeypatch.setenv("RINGSIM_THREADS", str(threads))
+    monkeypatch.setattr(hom, "_CHUNK", 16)
+    kernel = hom.entropy_grid
+    out = tmp_path / "table.csv"
+    out.write_bytes(b"old output\n")
+    for error in (RuntimeError("kernel failed"), OSError("disk failed")):
+        calls = itertools.count(1)
+
+        def failing(*args, **kwargs):
+            if next(calls) == 2:  # after the first chunk's rows were written
+                raise error
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(hom, "entropy_grid", failing)
+        if isinstance(error, OSError):
+            # an i/o error while streaming is still exit 3
+            code, err = _main(capsys, *_STREAMED, "--out", str(out))
+            assert code == 3 and err == "ringsim: i/o error: disk failed\n"
+        else:
+            with pytest.raises(RuntimeError, match="kernel failed"):
+                cli.main([*_STREAMED, "--out", str(out)])
+        assert out.read_bytes() == b"old output\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
+
+
+def test_output_file_mode_is_what_open_gives(tmp_path):
+    private = tmp_path / "private.csv"
+    private.write_text("old\n")
+    private.chmod(0o600)
+    args = ("single-bus", "--set", "theta_count=3")
+    saved = os.umask(0o027)
+    try:
+        (tmp_path / "by-open.csv").open("w").close()
+        assert cli.main([*args, "--out", str(tmp_path / "new.csv")]) == 0
+        assert cli.main([*args, "--out", str(private)]) == 0
+    finally:
+        os.umask(saved)
+    mode = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    # a new file gets the umask's default, a replaced one keeps its mode
+    assert mode == {"by-open.csv": 0o640, "new.csv": 0o640, "private.csv": 0o600}
+    assert private.read_text().startswith(CONFIG_PREFIX)
+
+
+def test_out_through_a_symlink_writes_its_target(tmp_path):
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_text("old\n")
+    link.symlink_to(target)
+    assert cli.main(["single-bus", "--set", "theta_count=3", "--out", str(link)]) == 0
+    assert link.is_symlink() and target.read_text().startswith(CONFIG_PREFIX)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "target.csv"]
+
+
+def test_out_dev_null_is_written_in_place(monkeypatch, capsys):
+    def no_replace(*args):
+        raise AssertionError("a device file would be replaced")
+
+    monkeypatch.setattr(os, "replace", no_replace)
+    code, err = _main(capsys, "single-bus", "--set", "theta_count=3", "--out", os.devnull)
+    assert code == 0 and err == ""
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
 @pytest.mark.skipif(shutil.which("ringsim") is None, reason="entry point not on PATH")
 def test_console_script_runs():
     proc = subprocess.run(
@@ -598,11 +701,17 @@ def _reference_json(config, columns, rows, summary):
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
+def _sweep_text(config):
+    sink = io.StringIO()
+    cli.run_sweep(config, sink)
+    return sink.getvalue()
+
+
 def _sweep_and_reference(monkeypatch, mode, sets, fmt, threads):
     monkeypatch.setenv("RINGSIM_THREADS", str(threads))
     config = cli.load_config(mode, None, list(sets), None, fmt)
     render = _reference_csv if fmt == "csv" else _reference_json
-    return cli.run_sweep(config), render(config, *_reference_table(mode, config.params))
+    return _sweep_text(config), render(config, *_reference_table(mode, config.params))
 
 
 _SMALL = {
@@ -639,7 +748,7 @@ def test_every_mode_matches_the_row_by_row_reference(monkeypatch, mode, fmt):
     ],
 )
 def test_grid_chunking_never_changes_output_bytes(monkeypatch, mode, sets, fmt):
-    monkeypatch.setattr(cli, "_CHUNK", 16)
+    monkeypatch.setattr(hom, "_CHUNK", 16)
     for threads in (1, 3):
         text, want = _sweep_and_reference(monkeypatch, mode, sets, fmt, threads)
         assert text == want

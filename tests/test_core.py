@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from ringsim.attenuation import BeamSplitterChain, LossSegment, piecewise_commutator
 from ringsim.core import (
     CouplerParams,
     RingParams,
@@ -56,6 +57,44 @@ def test_ring_params_validation():
         RingParams(circumference=1.0, loss_rate=-0.1, theta=0.0)
     with pytest.raises(ValueError, match="phase"):
         RingParams(circumference=1.0, loss_rate=0.0, theta=math.inf)
+
+
+_NAN = math.nan
+
+# (call, message) of constructors and helpers whose checks NaN must fail,
+# naming the field: a NaN loss rate used to give alpha = NaN, and a NaN
+# chain length was reported as a per-splitter reflectivity
+_BAD_FIELDS = {
+    "ring-nan-loss": (
+        lambda: RingParams(circumference=1.0, loss_rate=_NAN, theta=0.3),
+        "loss rate must be >= 0, got nan",
+    ),
+    "ring-nan-circumference": (
+        lambda: RingParams(circumference=_NAN, loss_rate=0.1, theta=0.3),
+        "circumference must be > 0, got nan",
+    ),
+    "alpha-nan-loss": (lambda: alpha_from_loss(_NAN, 1.0), "loss rate must be >= 0, got nan"),
+    "alpha-nan-length": (lambda: alpha_from_loss(1.0, _NAN), "length must be > 0, got nan"),
+    "chain-nan-loss": (
+        lambda: BeamSplitterChain(_NAN, 1.0, 0.0, 10), "loss rate must be >= 0, got nan"
+    ),
+    "chain-nan-length": (
+        lambda: BeamSplitterChain(0.1, _NAN, 0.0, 10), "length must be > 0, got nan"
+    ),
+    # 0 * inf in the segment power made piecewise_commutator NaN with a warning
+    "segment-inf-length": (
+        lambda: piecewise_commutator([LossSegment(0.0, math.inf)]),
+        "length must be finite and > 0, got inf",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_FIELDS))
+def test_nan_and_infinite_fields_are_rejected_by_name(case):
+    call, message = _BAD_FIELDS[case]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_ring_lossless_alpha_is_exactly_one():
