@@ -37,6 +37,10 @@ QUADRATURE_TOL = 1e-12
 #: audit's Gamma*L <= 5 needs about 2,000; the cap is reached near
 #: Gamma*L = 710, where the transmitted weight exp(-Gamma*L) underflows.
 _MAX_PANELS = 1_000_000
+#: Most quadrature nodes `_continuum` evaluates at once.  Bounds the pass's
+#: temporaries to a few hundred kB whatever the number of draws; one pass
+#: over a whole 1024-draw audit block raised the audit's peak memory by 30%.
+_PASS_NODES = 8192
 
 
 @dataclass(frozen=True)
@@ -111,16 +115,68 @@ def continuum_commutator(gamma: float, length: float) -> float:
     integral done by Simpson quadrature on an error-bound-sized grid.
     Equals 1 for any Gamma, L when the noise bookkeeping is consistent.
     """
-    if not gamma >= 0:  # NaN too
-        raise ValueError(f"loss rate must be >= 0, got {gamma}")
-    if not length > 0:
-        raise ValueError(f"length must be > 0, got {length}")
+    return float(_continuum(gamma, length))
+
+
+def _continuum(gamma, length):
+    """`continuum_commutator`, broadcast over arrays of loss rates and lengths.
+
+    Each draw keeps its own `_simpson_panels` grid of n + 1 nodes
+    z_j = j * (L/n), with z_n = L, as ``np.linspace`` spaces them.  The
+    draws' grids are laid end to end in one array, one pass of at most
+    `_PASS_NODES` nodes at a time (a larger single grid takes a pass of its
+    own), and ``exp`` is evaluated once per pass; `_simpson` reduces each
+    draw to the value of the draw-by-draw Simpson rule, bit for bit.
+    """
+    gamma, length = np.broadcast_arrays(
+        np.asarray(gamma, dtype=float), np.asarray(length, dtype=float)
+    )
+    bad = ~(gamma >= 0)  # NaN too
+    if np.any(bad):
+        raise ValueError(f"loss rate must be >= 0, got {gamma[bad].flat[0]}")
+    bad = ~(length > 0)
+    if np.any(bad):
+        raise ValueError(f"length must be > 0, got {length[bad].flat[0]}")
     gl = gamma * length
-    n = _simpson_panels(gl)
-    f = gamma * np.exp(-gamma * np.linspace(0.0, length, n + 1))
-    # composite Simpson: h/3 times the weights 1, 4, 2, 4, ..., 2, 4, 1
-    weighted = f[0] + 4.0 * f[1::2].sum() + 2.0 * f[2:-1:2].sum() + f[-1]
-    return math.exp(-gl) + float(length / n / 3.0 * weighted)
+    g, ell = gamma.ravel(), length.ravel()
+    panels = np.array(list(map(_simpson_panels, gl.ravel().tolist())), dtype=np.int64)
+    size = panels + 2  # a draw's entries in `_simpson`
+    ends = np.cumsum(size)
+    integral = np.empty(g.size)
+    start = 0
+    while start < g.size:
+        # the draws whose entries end within _PASS_NODES of this draw's start
+        stop = int(np.searchsorted(ends, ends[start] - size[start] + _PASS_NODES, "right"))
+        part = slice(start, max(stop, start + 1))
+        integral[part] = _simpson(g[part], ell[part], panels[part])
+        start = part.stop
+    return _elementwise(math.exp, -gl) + integral.reshape(gl.shape)
+
+
+def _simpson(gamma, length, panels):
+    """Composite Simpson integral of Gamma e^{-Gamma z} over [0, L] for each
+    draw: h/3 (f_0 + 4 sum(odd f_j) + 2 sum(interior even f_j) + f_n).
+
+    A draw's n + 2 entries are [0, f_0, f_1, ..., f_n], with f_0 zeroed
+    once read.  n is even, so every draw starts at an even offset: the
+    even entries are [0, f_1, f_3, ..., f_{n-1}] draw after draw, the odd
+    ones [0, f_2, ..., f_{n-2}, f_n].  ``np.add.reduceat`` sums a segment
+    that opens with 0 as ``ndarray.sum`` sums the rest of it, so each draw
+    rounds as the same rule on its own ``np.linspace`` grid.
+    """
+    size = panels + 2
+    first = np.cumsum(size) - size
+    last = first + size - 1
+    z = (np.arange(size.sum()) - np.repeat(first + 1, size)) * np.repeat(length / panels, size)
+    z[last] = length
+    rate = np.repeat(gamma, size)
+    f = rate * np.exp(-rate * z)
+    f_0, f_n = f[first + 1], f[last]
+    f[first] = 0.0
+    f[first + 1] = 0.0
+    odd = np.add.reduceat(f[0::2], first // 2)
+    even = np.add.reduceat(f[1::2], np.stack([first // 2, last // 2], axis=1).ravel())[0::2]
+    return length / panels / 3.0 * (f_0 + 4.0 * odd + 2.0 * even + f_n)
 
 
 @dataclass(frozen=True)

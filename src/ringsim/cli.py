@@ -55,8 +55,8 @@ _MAX_POINTS = 100_000_000
 _MAX_SPLITTERS = 1_000_000
 
 #: Most audit draws per identity.  Memory stays bounded by the draw block
-#: (`_AUDIT_BLOCK`), so this bounds the run time: the per-draw Simpson
-#: quadrature of the uniform-line identity grows with the draw count.
+#: (`_AUDIT_BLOCK`), so this bounds the run time, which grows linearly with
+#: the draw count.
 _MAX_SAMPLES = 1_000_000
 
 #: Smallest entropy-grid alpha.  On the tau = 0 and eta = 0 edges the
@@ -672,7 +672,8 @@ def _single_bus_noise(tau, tau_phase, alpha, theta):
 
 
 def _double_sum(tau, alpha, theta):
-    # the truncated double sum is evaluated one draw at a time
+    # the double sum is one public call per draw; each call sums its
+    # triangle of terms at once, on index tables shared by every call
     series = [
         single_bus.commutator_sum_series(
             CouplerParams.from_magnitude(t), RingParams.from_alpha(a, theta=th), 200, 200
@@ -687,12 +688,7 @@ def _double_sum(tau, alpha, theta):
 
 
 def _uniform_line(gamma, length):
-    # Simpson grids differ in size from draw to draw
-    residuals = [
-        abs(attenuation.continuum_commutator(g, ell) - 1.0)
-        for g, ell in zip(gamma.tolist(), length.tolist())
-    ]
-    return np.array(residuals), gamma.size
+    return np.abs(attenuation._continuum(gamma, length) - 1.0), gamma.size
 
 
 def _piecewise_line(*variates):
@@ -929,9 +925,18 @@ def _open_sink(out: str | None):
     file gets the permissions that ``open(out, "w")`` would leave: those of
     the file it replaces, else the default under the umask.  A file that
     exists and is not regular, such as ``/dev/null``, is written in place.
+
+    A reader that closes stdout early, as ``| head`` does, ends the output
+    quietly: the block stops, the run goes on past it, and what is left to
+    flush goes to the null device, so the interpreter reports no error
+    when it flushes stdout at exit.
     """
     if out is None or out == "-":
-        yield sys.stdout
+        try:
+            yield sys.stdout
+            sys.stdout.flush()
+        except BrokenPipeError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return
     path = os.path.realpath(out)
     try:
@@ -1002,7 +1007,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.mode == "audit":
             _validate("audit", {"seed": args.seed, "samples": args.samples})
             report = run_audit(args.seed, args.samples)
-            sys.stdout.write(render_audit_text(report, args.samples))
+            with _open_sink(None) as stdout:
+                stdout.write(render_audit_text(report, args.samples))
             if args.out:
                 with _open_sink(args.out) as sink:
                     _write_output(render_audit_json(report, args.samples), sink)

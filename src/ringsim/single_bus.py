@@ -25,6 +25,8 @@ tabulates both on a detuning grid.
 from __future__ import annotations
 
 import cmath
+import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -121,10 +123,10 @@ class LangevinRates:
     intrinsic: float
 
     def __post_init__(self) -> None:
-        if self.coupling < 0:
-            raise ValueError(f"coupling rate must be >= 0, got {self.coupling}")
-        if self.intrinsic < 0:
-            raise ValueError(f"intrinsic rate must be >= 0, got {self.intrinsic}")
+        if not 0 <= self.coupling < math.inf:  # NaN too
+            raise ValueError(f"coupling rate must be finite and >= 0, got {self.coupling}")
+        if not 0 <= self.intrinsic < math.inf:
+            raise ValueError(f"intrinsic rate must be finite and >= 0, got {self.intrinsic}")
 
     @property
     def gamma_plus(self) -> float:
@@ -179,8 +181,9 @@ def _match_rates(t, a, round_trip_time):
     """``(coupling, intrinsic)`` of `match_rates` for |tau| = t and alpha = a,
     broadcast over arrays."""
     t_r = np.asarray(round_trip_time)
-    if np.any(t_r <= 0):
-        raise ValueError(f"round-trip time must be > 0, got {t_r[t_r <= 0].flat[0]}")
+    bad = ~(t_r > 0)  # NaN too
+    if np.any(bad):
+        raise ValueError(f"round-trip time must be > 0, got {t_r[bad].flat[0]}")
     zero = (t == 0.0) | (a == 0.0)
     if np.any(zero):
         t0, a0 = (np.broadcast_to(x, np.shape(zero))[zero].flat[0] for x in (t, a))
@@ -208,7 +211,7 @@ def power_comparison(
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    if round_trip_time <= 0:
+    if not round_trip_time > 0:  # NaN too
         raise ValueError(f"round-trip time must be > 0, got {round_trip_time}")
     deltas = np.asarray(deltas, dtype=float)
     t = abs(coupler.tau)
@@ -258,9 +261,10 @@ def commutator_sum_series(
     u = conj(tau) e^{i theta}; the alpha exponents come from the overlap of
     noise injected on circulations n and m.  For a square region the sum
     is assembled as the real diagonal plus twice the real part of the
-    strict lower triangle (the matrix is Hermitian in (n, m)); rectangular
-    regions fall back to summing every element.  Converges to the
-    `commutator_sum_identity` value as the orders grow.
+    strict lower triangle (the matrix is Hermitian in (n, m)), each term
+    taken from one table of u^n and one of alpha^k, k <= n_max + m_max + 2;
+    rectangular regions fall back to summing every element of full tables.
+    Converges to the `commutator_sum_identity` value as the orders grow.
 
     Raises
     ------
@@ -274,18 +278,32 @@ def commutator_sum_series(
             f"({n_max + 1}) x ({m_max + 1}) terms exceeds the "
             f"{_MAX_SUM_ENTRIES}-entry guard; pass smaller orders"
         )
-    ni = np.arange(n_max + 1)
-    mi = np.arange(m_max + 1)
     u = complex(coupler.tau).conjugate() * cmath.exp(1j * ring.theta)
     a = ring.alpha
-    un = u**ni
-    phase = np.outer(un, np.conj(u**mi))
+    k4 = abs(coupler.kappa) ** 4
+    if n_max == m_max:
+        rows, cols, gap, span = _lower_triangle(n_max)
+        un = u ** np.arange(n_max + 1)
+        powers = a ** np.arange(2 * n_max + 3)
+        diag = k4 * (un * np.conj(un)) * (powers[0] - powers[2::2])
+        lower = k4 * (un[rows] * np.conj(un)[cols]) * (powers[gap] - powers[span])
+        return float(np.sum(np.real(diag))) + 2.0 * complex(np.sum(lower)).real
+    ni = np.arange(n_max + 1)
+    mi = np.arange(m_max + 1)
+    phase = np.outer(u**ni, np.conj(u**mi))
     decay = a ** np.abs(np.subtract.outer(ni, mi)) - a ** (
         np.add.outer(ni, mi) + 2.0
     )
-    terms = abs(coupler.kappa) ** 4 * phase * decay
-    if n_max == m_max:
-        diag = float(np.sum(np.real(np.diagonal(terms))))
-        lower = complex(np.sum(terms[np.tril_indices(n_max + 1, k=-1)]))
-        return diag + 2.0 * lower.real
-    return float(np.sum(terms).real)
+    return float(np.sum(k4 * phase * decay).real)
+
+
+@functools.lru_cache(maxsize=1)
+def _lower_triangle(order):
+    """Row n, column m, n - m and n + m + 2 of each strict-lower-triangle
+    entry of the (order + 1) x (order + 1) circulation table, row by row as
+    ``np.tril_indices`` lists them."""
+    rows, cols = np.tril_indices(order + 1, k=-1)
+    indices = rows, cols, rows - cols, rows + cols + 2
+    for index in indices:
+        index.flags.writeable = False
+    return indices

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from ringsim import attenuation
 from ringsim.attenuation import (
     BeamSplitterChain,
     LossSegment,
+    _continuum,
     _simpson_panels,
     continuum_commutator,
     piecewise_commutator,
@@ -53,6 +55,31 @@ def test_continuum_commutator_is_one():
 def test_continuum_commutator_strong_loss():
     # Gamma L = 50: transmitted weight ~2e-22, noise carries everything
     assert abs(continuum_commutator(25.0, 2.0) - 1.0) < 1e-10
+
+
+def _simpson_rule(gamma, length):
+    """The commutator coefficient with the Simpson rule taken draw by draw,
+    on one ``np.linspace`` grid of `_simpson_panels` panels."""
+    gl = gamma * length
+    n = _simpson_panels(gl)
+    f = gamma * np.exp(-gamma * np.linspace(0.0, length, n + 1))
+    weighted = f[0] + 4.0 * f[1::2].sum() + 2.0 * f[2:-1:2].sum() + f[-1]
+    return math.exp(-gl) + float(length / n / 3.0 * weighted)
+
+
+@pytest.mark.parametrize("pass_nodes", [None, 64])
+def test_batched_quadrature_matches_the_per_draw_rule(monkeypatch, pass_nodes):
+    if pass_nodes:  # most grids outgrow a pass, the smallest share one
+        monkeypatch.setattr(attenuation, "_PASS_NODES", pass_nodes)
+    rng = np.random.default_rng(33)
+    gamma, length = rng.uniform(0.01, 2.5, 5000), rng.uniform(0.1, 2.0, 5000)
+    # loss-free and strong-loss lines; the latter grid outgrows a whole pass
+    gamma[[10, 777]], length[[10, 777]] = [0.0, 25.0], [1.0, 2.0]
+    assert _simpson_panels(50.0) + 1 > attenuation._PASS_NODES
+    reference = [_simpson_rule(g, ell) for g, ell in zip(gamma.tolist(), length.tolist())]
+    # the same operations in the same order: equal, not only within 1e-15
+    assert _continuum(gamma, length).tolist() == reference
+    assert continuum_commutator(25.0, 2.0) == _simpson_rule(25.0, 2.0)
 
 
 def test_piecewise_commutator_is_one():

@@ -6,6 +6,7 @@ audit must draw the same variates and reach the same identity names,
 residual counts and verdicts, with worst residuals equal up to rounding.
 """
 
+import hashlib
 import json
 import math
 
@@ -235,7 +236,30 @@ def test_batched_guards_raise_on_one_bad_draw():
         hom._weights(good, np.array([0.5, -1.0, 0.5]), good)
     with pytest.raises(UnitarityError, match="p1 = .* is negative"):
         hom._weights(good, np.array([0.5, -0.1, 0.5]), good)
+    with pytest.raises(ValueError, match="loss rate"):
+        attenuation._continuum(np.array([0.5, math.nan, 0.5]), good)
+    with pytest.raises(ValueError, match="length"):
+        attenuation._continuum(good, np.array([0.5, 0.0, 0.5]))
+    with pytest.raises(ValueError, match="Simpson panels"):
+        attenuation._continuum(np.array([0.5, 1e6, 0.5]), good)
     amps = np.ones((3, 3), dtype=complex)
     amps[1] = 0.0
     with pytest.raises(ValueError, match="empty"):
         hom._coincidence_probability(amps)
+
+
+# SHA-256 of the text report and of the ``--out`` JSON report of
+# ``ringsim audit --seed 7 --samples 500``.  The JSON report writes each
+# worst residual with ``repr``, so a residual that moves by one ulp fails.
+_AUDIT_DIGESTS = (
+    "4b1a0f077f8c93c22e4d29345b1875415f1652b6b0a2cd64ec17210bc80c0ce3",
+    "d96b7265a18efcc52338111d670ac1d4a3f59e37dbf0600e4cf15da14e63cb07",
+)
+
+
+def test_audit_report_bytes_are_pinned(tmp_path, capsys):
+    out = tmp_path / "audit.json"
+    assert cli.main(["audit", "--seed", "7", "--samples", "500", "--out", str(out)]) == 0
+    text = capsys.readouterr().out.encode()
+    digests = tuple(hashlib.sha256(data).hexdigest() for data in (text, out.read_bytes()))
+    assert digests == _AUDIT_DIGESTS

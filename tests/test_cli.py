@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 import os
+import select
 import shutil
 import stat
 import subprocess
@@ -468,6 +469,44 @@ def test_dash_out_means_stdout(tmp_path):
     )
     assert to_stdout.returncode == 0 and to_file.returncode == 0
     assert to_stdout.stdout == (tmp_path / "t.csv").read_text()
+
+
+def test_a_reader_that_closes_stdout_ends_the_run_quietly(tmp_path):
+    # 450,241 rows: the sweep is still writing when the reader goes away
+    args = (
+        "entropy-grid", "--set", "tau_count=61", "--set", "eta_count=61",
+        "--set", "theta_count=121",
+    )
+    env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ringsim", *args],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    head = [proc.stdout.readline(), proc.stdout.readline()]
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0
+    assert err == b""
+    assert head[0].startswith(CONFIG_PREFIX.encode())
+    assert head[1] == b"tau,eta,theta_rad,entropy_bits\n"
+
+    # the same closed pipe as an --out file is an i/o error.  The read end
+    # is open before the run starts, so neither side blocks in open()
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ringsim", *args, "--out", str(fifo)],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env,
+        )
+        assert select.select([reader], [], [], 120)[0]
+        assert os.read(reader, 4096)
+    finally:
+        os.close(reader)
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 3
+    assert err == b"ringsim: i/o error: [Errno 32] Broken pipe\n"
 
 
 # --- streamed output -----------------------------------------------------------

@@ -48,6 +48,20 @@ def _sum_term(n, m, coupler, ring):
     return abs(coupler.kappa) ** 4 * u**n * u.conjugate() ** m * decay
 
 
+def _outer_sum(coupler, ring, order):
+    """The order x order circulation double sum from full ``np.outer`` tables
+    of phases and decays: the real diagonal plus twice the real part of the
+    strict lower triangle."""
+    ni = np.arange(order + 1)
+    u = coupler.tau.conjugate() * cmath.exp(1j * ring.theta)
+    a = ring.alpha
+    phase = np.outer(u**ni, np.conj(u**ni))
+    decay = a ** np.abs(np.subtract.outer(ni, ni)) - a ** (np.add.outer(ni, ni) + 2.0)
+    terms = abs(coupler.kappa) ** 4 * phase * decay
+    lower = complex(np.sum(terms[np.tril_indices(order + 1, k=-1)]))
+    return float(np.sum(np.real(np.diagonal(terms)))) + 2.0 * lower.real
+
+
 def test_transfer_closed_form_value():
     coupler = CouplerParams.from_magnitude(0.8)
     ring = RingParams.from_alpha(0.9, theta=0.4)
@@ -199,6 +213,13 @@ def test_commutator_series_converges_to_closed_form():
         assert abs(commutator_sum_series(coupler, ring, 200, 200) - closed) < 1e-8
 
 
+def test_commutator_series_equals_the_full_table_sum():
+    rng = np.random.default_rng(18)
+    for _ in range(30):
+        coupler, ring = _random_pair(rng, max_tau=0.9, max_alpha=0.95)
+        assert commutator_sum_series(coupler, ring, 200, 200) == _outer_sum(coupler, ring, 200)
+
+
 def test_commutator_series_triangle_decomposition_matches_rectangle():
     coupler = CouplerParams.from_magnitude(0.8, tau_phase=-0.4)
     ring = RingParams.from_alpha(0.9, theta=1.7)
@@ -206,6 +227,31 @@ def test_commutator_series_triangle_decomposition_matches_rectangle():
     brute = sum(_sum_term(n, m, coupler, ring) for n in range(41) for m in range(41))
     assert square == pytest.approx(brute.real, abs=1e-13)
     assert abs(brute.imag) < 1e-13
+
+
+_BAD_RATES = {
+    "coupling-nan": (lambda: LangevinRates(math.nan, 1.0), "coupling rate"),
+    "coupling-inf": (lambda: LangevinRates(math.inf, 1.0), "coupling rate"),
+    "intrinsic-nan": (lambda: LangevinRates(1.0, math.nan), "intrinsic rate"),
+    "intrinsic-inf": (lambda: LangevinRates(1.0, math.inf), "intrinsic rate"),
+    "match-nan-time": (
+        lambda: match_rates(
+            CouplerParams.from_magnitude(0.5), RingParams.from_alpha(0.9, theta=0.0), math.nan
+        ),
+        "round-trip time",
+    ),
+    "compare-nan-time": (
+        lambda: power_comparison(CouplerParams.from_magnitude(0.5), 0.9, math.nan, np.zeros(3)),
+        "round-trip time",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_RATES))
+def test_nan_and_infinite_rates_are_rejected(case):
+    call, field = _BAD_RATES[case]
+    with pytest.raises(ValueError, match=field):
+        call()
 
 
 def test_commutator_series_entry_guard():
