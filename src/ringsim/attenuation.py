@@ -47,8 +47,8 @@ _PASS_NODES = 8192
 class BeamSplitterChain:
     """N-splitter discretization of a uniform lossy line.
 
-    Requires ``n_splitters >= gamma * length`` so each splitter's power
-    reflectivity ``Gamma*L/N`` stays in [0, 1].
+    Requires an integer ``n_splitters >= gamma * length`` so each splitter's
+    power reflectivity ``Gamma*L/N`` stays in [0, 1].
     """
 
     gamma: float
@@ -61,8 +61,12 @@ class BeamSplitterChain:
             raise ValueError(f"loss rate must be >= 0, got {self.gamma}")
         if not self.length > 0:
             raise ValueError(f"length must be > 0, got {self.length}")
-        if self.n_splitters < 1:
-            raise ValueError(f"need at least one splitter, got {self.n_splitters}")
+        if not self.length < math.inf:
+            raise ValueError(f"length must be finite, got {self.length}")
+        if not math.isfinite(self.beta * self.length):  # NaN or infinite beta too
+            raise ValueError(f"beta * length must be finite, got beta = {self.beta}")
+        if not (isinstance(self.n_splitters, (int, np.integer)) and self.n_splitters >= 1):
+            raise ValueError(f"n_splitters must be an integer >= 1, got {self.n_splitters}")
         if self.gamma * self.length > self.n_splitters:
             raise ValueError(
                 "per-splitter reflectivity Gamma*L/N = "
@@ -74,10 +78,6 @@ class BeamSplitterChain:
     def step_transmission(self) -> complex:
         """Single-step amplitude T = sqrt(1 - Gamma*L/N) * exp(i*beta*L/N)."""
         reflectivity = self.gamma * self.length / self.n_splitters
-        if not 0.0 <= reflectivity <= 1.0:  # NaN too
-            raise ValueError(
-                f"per-splitter power reflectivity must be in [0, 1], got {reflectivity:.3g}"
-            )
         return math.sqrt(1.0 - reflectivity) * cmath.exp(
             1j * self.beta * self.length / self.n_splitters
         )
@@ -95,8 +95,6 @@ class BeamSplitterChain:
 def _simpson_panels(gamma_l: float) -> int:
     # Simpson error ~ (b-a) h^4 max|f''''|/180 with f = Gamma e^{-Gamma z};
     # in units x = Gamma z this is (G)(G/n)^4/180 <= QUADRATURE_TOL.
-    if gamma_l <= 0.0:
-        return 4
     # n exceeds gamma_l, so a larger gamma_l (or NaN) is over the cap; the
     # formula is skipped there because its fifth power may overflow
     n = math.inf
@@ -134,9 +132,9 @@ def _continuum(gamma, length):
     bad = ~(gamma >= 0)  # NaN too
     if np.any(bad):
         raise ValueError(f"loss rate must be >= 0, got {gamma[bad].flat[0]}")
-    bad = ~(length > 0)
+    bad = ~((0 < length) & (length < math.inf))
     if np.any(bad):
-        raise ValueError(f"length must be > 0, got {length[bad].flat[0]}")
+        raise ValueError(f"length must be finite and > 0, got {length[bad].flat[0]}")
     gl = gamma * length
     g, ell = gamma.ravel(), length.ravel()
     panels = np.array(list(map(_simpson_panels, gl.ravel().tolist())), dtype=np.int64)

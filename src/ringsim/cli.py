@@ -300,13 +300,22 @@ def load_config(
     """Resolve defaults, config file, and --set overrides into a SweepConfig."""
     params = dict(_DEFAULTS[mode])
     sink: dict[str, str | None] = {"out": None, "format": None}
+
+    def assign(key: str, value: object) -> None:
+        if key not in params:
+            raise ConfigError(
+                f"{key}: unknown key for mode {mode}; valid keys: "
+                + ", ".join(sorted(params))
+            )
+        params[key] = _coerce(mode, key, value)
+
     if config_path is not None:
         try:
             with open(config_path, encoding="utf-8") as fh:
                 doc = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # or nested too deeply
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError("config file must hold a flat JSON object")
@@ -320,27 +329,17 @@ def load_config(
                 if not isinstance(value, str):
                     raise ConfigError(f"{key}: expected a string, got {json.dumps(value)}")
                 sink[key] = value
-            elif key in params:
-                params[key] = _coerce(mode, key, value)
             else:
-                raise ConfigError(
-                    f"{key}: unknown key for mode {mode}; valid keys: "
-                    + ", ".join(sorted(params))
-                )
+                assign(key, value)
     for item in overrides or []:
         key, sep, raw = item.partition("=")
         if not sep:
             raise ConfigError(f"--set needs key=value, got {item!r}")
-        if key not in params:
-            raise ConfigError(
-                f"{key}: unknown key for mode {mode}; valid keys: "
-                + ", ".join(sorted(params))
-            )
         try:
             value = json.loads(raw)
-        except ValueError:  # not JSON, or an int too long to parse
+        except (ValueError, RecursionError):  # not JSON, too deep, or an int too long
             value = raw
-        params[key] = _coerce(mode, key, value)
+        assign(key, value)
     _validate(mode, params)
     resolved_fmt = fmt or sink["format"] or "csv"
     if resolved_fmt not in ("csv", "json"):
@@ -536,8 +535,6 @@ _NO_ROWS = Rows([])
 
 
 def _json_cells(cells: list[str]) -> list[str]:
-    if _NON_FINITE.isdisjoint(cells):
-        return cells
     return ["null" if cell in _NON_FINITE else cell for cell in cells]
 
 

@@ -83,41 +83,36 @@ class CouplerParams:
 
 @dataclass(frozen=True)
 class RingParams:
-    """Ring geometry and propagation: circumference, loss rate, phase.
+    """Ring of unit circumference: loss rate and round-trip phase.
 
     Attributes
     ----------
-    circumference : float
-        Ring circumference L, m.
     loss_rate : float
-        Distributed power loss Gamma, 1/m; alpha = exp(-Gamma*L/2).
+        Distributed power loss Gamma per circumference; alpha = exp(-Gamma/2).
     theta : float
         Total round-trip phase, rad.
     """
 
-    circumference: float
     loss_rate: float
     theta: float
 
     def __post_init__(self) -> None:
-        if not self.circumference > 0:  # NaN too
-            raise ValueError(f"circumference must be > 0, got {self.circumference}")
-        if not self.loss_rate >= 0:
+        if not self.loss_rate >= 0:  # NaN too
             raise ValueError(f"loss rate must be >= 0, got {self.loss_rate}")
         if not math.isfinite(self.theta):
             raise ValueError("round-trip phase must be finite")
 
     @classmethod
     def from_alpha(cls, alpha: float, theta: float) -> "RingParams":
-        """Build a unit-circumference ring from the survival factor alpha in (0, 1]."""
+        """Build a ring from the survival factor alpha in (0, 1]."""
         if not 0.0 < alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        return cls(circumference=1.0, loss_rate=-2.0 * math.log(alpha), theta=theta)
+        return cls(loss_rate=-2.0 * math.log(alpha), theta=theta)
 
     @property
     def alpha(self) -> float:
         """Round-trip amplitude survival factor in (0, 1]."""
-        return alpha_from_loss(self.loss_rate, self.circumference) if self.loss_rate else 1.0
+        return alpha_from_loss(self.loss_rate, 1.0)
 
 
 def _check_power(tau, kappa) -> None:

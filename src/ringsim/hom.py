@@ -383,8 +383,8 @@ def hom_region(
         ("eta_count", eta_count),
         ("theta_count", theta_count),
     ):
-        if count < 1:
-            raise ValueError(f"{name} must be >= 1, got {count}")
+        if not (isinstance(count, (int, np.integer)) and count >= 1):
+            raise ValueError(f"{name} must be an integer >= 1, got {count}")
 
     axes = _grid_axes(tau_count, eta_count, theta_count)
     taus, etas, thetas = axes

@@ -150,6 +150,7 @@ def langevin_transfer(rates: LangevinRates, delta: float) -> SingleBusResponse:
 
 def _lorentzian(coupling, intrinsic, delta):
     """``(A, noise)`` of `langevin_transfer` from its rates, broadcast over arrays."""
+    _check_detunings(delta)
     gp, gm = 0.5 * (coupling + intrinsic), 0.5 * (coupling - intrinsic)
     if np.any((gp == 0.0) & (delta == 0.0)):
         raise ResonantDivergenceError(
@@ -157,6 +158,13 @@ def _lorentzian(coupling, intrinsic, delta):
         )
     amp = _cdiv(gm + 1j * delta, gp - 1j * delta)
     return amp, coupling * intrinsic / (gp * gp + delta * delta)
+
+
+def _check_detunings(delta) -> None:
+    """Raise unless every detuning is finite."""
+    bad = ~np.isfinite(delta)
+    if np.any(bad):
+        raise ValueError(f"detuning must be finite, got {np.asarray(delta)[bad].flat[0]}")
 
 
 def match_rates(
@@ -214,6 +222,7 @@ def power_comparison(
     if not round_trip_time > 0:  # NaN too
         raise ValueError(f"round-trip time must be > 0, got {round_trip_time}")
     deltas = np.asarray(deltas, dtype=float)
+    _check_detunings(deltas)
     t = abs(coupler.tau)
     x = deltas * round_trip_time
     # ring route, phase-rotated: A = (t - a e^{ix})/(1 - t a e^{ix})
@@ -254,47 +263,43 @@ def commutator_sum_series(
     coupler: CouplerParams, ring: RingParams, n_max: int, m_max: int
 ) -> float:
     """Brute-force noise power: the double sum over circulation numbers
-    n <= n_max and m <= m_max of
+    n, m <= n_max of
 
         I_{n,m} = |kappa|^4 u^n conj(u)^m (alpha^|n-m| - alpha^{n+m+2}),
 
     u = conj(tau) e^{i theta}; the alpha exponents come from the overlap of
-    noise injected on circulations n and m.  For a square region the sum
-    is assembled as the real diagonal plus twice the real part of the
-    strict lower triangle (the matrix is Hermitian in (n, m)), each term
-    taken from one table of u^n and one of alpha^k, k <= n_max + m_max + 2;
-    rectangular regions fall back to summing every element of full tables.
-    Converges to the `commutator_sum_identity` value as the orders grow.
+    noise injected on circulations n and m.  The region is square: ``m_max``
+    must equal ``n_max``.  The sum is assembled as the real diagonal plus
+    twice the real part of the strict lower triangle (the matrix is
+    Hermitian in (n, m)), each term taken from one table of u^n and one of
+    alpha^k, k <= 2 n_max + 2.  Converges to the `commutator_sum_identity`
+    value as the order grows.
 
     Raises
     ------
+    ValueError
+        If the orders are not one integer >= 0.
     TruncationError
-        If the (n_max + 1) x (m_max + 1) terms exceed `_MAX_SUM_ENTRIES`.
+        If the (n_max + 1)^2 terms exceed `_MAX_SUM_ENTRIES`.
     """
-    if n_max < 0 or m_max < 0:
-        raise ValueError("truncation orders must be >= 0")
-    if (n_max + 1) * (m_max + 1) > _MAX_SUM_ENTRIES:
+    if not (isinstance(n_max, (int, np.integer)) and n_max == m_max >= 0):
+        raise ValueError(
+            f"truncation orders must be one integer >= 0, got n_max={n_max!r}, m_max={m_max!r}"
+        )
+    if (n_max + 1) ** 2 > _MAX_SUM_ENTRIES:
         raise TruncationError(
-            f"({n_max + 1}) x ({m_max + 1}) terms exceeds the "
-            f"{_MAX_SUM_ENTRIES}-entry guard; pass smaller orders"
+            f"{(n_max + 1) ** 2} terms exceeds the {_MAX_SUM_ENTRIES}-entry guard; "
+            "pass a smaller order"
         )
     u = complex(coupler.tau).conjugate() * cmath.exp(1j * ring.theta)
     a = ring.alpha
     k4 = abs(coupler.kappa) ** 4
-    if n_max == m_max:
-        rows, cols, gap, span = _lower_triangle(n_max)
-        un = u ** np.arange(n_max + 1)
-        powers = a ** np.arange(2 * n_max + 3)
-        diag = k4 * (un * np.conj(un)) * (powers[0] - powers[2::2])
-        lower = k4 * (un[rows] * np.conj(un)[cols]) * (powers[gap] - powers[span])
-        return float(np.sum(np.real(diag))) + 2.0 * complex(np.sum(lower)).real
-    ni = np.arange(n_max + 1)
-    mi = np.arange(m_max + 1)
-    phase = np.outer(u**ni, np.conj(u**mi))
-    decay = a ** np.abs(np.subtract.outer(ni, mi)) - a ** (
-        np.add.outer(ni, mi) + 2.0
-    )
-    return float(np.sum(k4 * phase * decay).real)
+    rows, cols, gap, span = _lower_triangle(n_max)
+    un = u ** np.arange(n_max + 1)
+    powers = a ** np.arange(2 * n_max + 3)
+    diag = k4 * (un * np.conj(un)) * (powers[0] - powers[2::2])
+    lower = k4 * (un[rows] * np.conj(un)[cols]) * (powers[gap] - powers[span])
+    return float(np.sum(np.real(diag))) + 2.0 * complex(np.sum(lower)).real
 
 
 @functools.lru_cache(maxsize=1)

@@ -111,7 +111,30 @@ _BAD_CALLS = {
     "continuum-huge-loss": (lambda: continuum_commutator(1e6, 1.0), "Simpson panels"),
     "continuum-inf-loss": (lambda: continuum_commutator(math.inf, 1.0), "Simpson panels"),
     "panels-huge": (lambda: _simpson_panels(1e300), "Simpson panels"),
+    # each used to give a NaN or meaningless power, or fail without naming its field
+    "chain-nan-beta": (lambda: BeamSplitterChain(0.1, 1.0, beta=math.nan), r"beta \* length"),
+    "chain-inf-beta": (lambda: BeamSplitterChain(0.1, 1.0, beta=math.inf), r"beta \* length"),
+    "chain-huge-phase": (lambda: BeamSplitterChain(0.1, 10.0, beta=1e308), r"beta \* length"),
+    "chain-inf-length": (lambda: BeamSplitterChain(0.0, math.inf), "length must be finite"),
+    "chain-fractional-splitters": (
+        lambda: BeamSplitterChain(0.1, 1.0, n_splitters=2.5),
+        "n_splitters must be an integer >= 1",
+    ),
+    "chain-no-splitters": (
+        lambda: BeamSplitterChain(0.1, 1.0, n_splitters=0),
+        "n_splitters must be an integer >= 1",
+    ),
+    "continuum-inf-length": (
+        lambda: continuum_commutator(0.0, math.inf),
+        "length must be finite and > 0",
+    ),
 }
+
+
+def test_lossless_line_takes_the_minimum_panel_count():
+    # the formula gives 0 panels at either zero; the floor of 4 applies
+    assert _simpson_panels(0.0) == 4
+    assert _simpson_panels(-0.0) == 4
 
 
 @pytest.mark.parametrize("case", sorted(_BAD_CALLS))

@@ -160,6 +160,9 @@ _BAD_INPUTS = [
     # and NaN cells
     (("entropy-grid", "--set", "alpha=5e-324"), "alpha: must be >= 1e-100 for entropy-grid"),
     (("entropy-grid", "--set", "alpha=2.6e-139"), "alpha: must be >= 1e-100"),
+    # JSON nested past the recursion limit raised RecursionError
+    (("single-bus", "--set", "bogus=" + "[" * 100_000), "bogus: unknown key"),
+    (("single-bus", "--set", "tau=" + "[" * 100_000), "tau: expected a number"),
 ]
 
 
@@ -193,6 +196,9 @@ def test_config_file_problems_are_config_errors(tmp_path, monkeypatch, capsys):
     proc = _run("single-bus", "--config", str(bad))
     assert proc.returncode == 1
     assert "not valid JSON" in proc.stderr
+    bad.write_text('{"tau": ' + "[" * 100_000)
+    code, err = _main(capsys, "single-bus", "--config", str(bad))
+    assert code == 1 and err.startswith("ringsim: config error: config file is not valid JSON")
 
     mismatched = tmp_path / "other.json"
     mismatched.write_text(json.dumps({"mode": "add-drop"}))
@@ -918,3 +924,16 @@ def test_traced_names_resolve():
     assert traced
     for name, attr, _ in traced:
         assert callable(getattr(importlib.import_module(f"ringsim.{name}"), attr, None)), attr
+
+
+def test_benchmark_selftest_passes():
+    # every workload runs timed and traced at tiny size, with no failure
+    proc = subprocess.run(
+        [sys.executable, str(_ROOT / "bench" / "selftest.py")],
+        capture_output=True,
+        text=True,
+        cwd=_ROOT,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "selftest: PASS"

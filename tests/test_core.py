@@ -48,15 +48,11 @@ def test_coupler_constructors():
 
 
 def test_ring_params_validation():
-    assert RingParams(circumference=2.0, loss_rate=0.5, theta=1.3).alpha == pytest.approx(
-        math.exp(-0.5)
-    )
-    with pytest.raises(ValueError, match="circumference"):
-        RingParams(circumference=0.0, loss_rate=0.0, theta=0.0)
+    assert RingParams(loss_rate=1.0, theta=1.3).alpha == pytest.approx(math.exp(-0.5))
     with pytest.raises(ValueError, match="loss rate"):
-        RingParams(circumference=1.0, loss_rate=-0.1, theta=0.0)
+        RingParams(loss_rate=-0.1, theta=0.0)
     with pytest.raises(ValueError, match="phase"):
-        RingParams(circumference=1.0, loss_rate=0.0, theta=math.inf)
+        RingParams(loss_rate=0.0, theta=math.inf)
 
 
 _NAN = math.nan
@@ -66,12 +62,8 @@ _NAN = math.nan
 # chain length was reported as a per-splitter reflectivity
 _BAD_FIELDS = {
     "ring-nan-loss": (
-        lambda: RingParams(circumference=1.0, loss_rate=_NAN, theta=0.3),
+        lambda: RingParams(loss_rate=_NAN, theta=0.3),
         "loss rate must be >= 0, got nan",
-    ),
-    "ring-nan-circumference": (
-        lambda: RingParams(circumference=_NAN, loss_rate=0.1, theta=0.3),
-        "circumference must be > 0, got nan",
     ),
     "alpha-nan-loss": (lambda: alpha_from_loss(_NAN, 1.0), "loss rate must be >= 0, got nan"),
     "alpha-nan-length": (lambda: alpha_from_loss(1.0, _NAN), "length must be > 0, got nan"),
@@ -98,12 +90,15 @@ def test_nan_and_infinite_fields_are_rejected_by_name(case):
 
 
 def test_ring_lossless_alpha_is_exactly_one():
-    assert RingParams(circumference=3.0, loss_rate=0.0, theta=0.1).alpha == 1.0
+    # both zero losses take the general exp route: from_alpha(1.0) stores -0.0
+    assert RingParams(loss_rate=0.0, theta=0.1).alpha == 1.0
+    assert RingParams(loss_rate=-0.0, theta=0.1).alpha == 1.0
+    assert RingParams.from_alpha(1.0, theta=0.1).alpha == 1.0
 
 
 def test_ring_from_alpha_round_trip():
     ring = RingParams.from_alpha(0.87, theta=2.2)
-    assert ring.circumference == 1.0 and ring.theta == 2.2
+    assert ring.theta == 2.2
     assert ring.alpha == pytest.approx(0.87, abs=1e-15)
     with pytest.raises(ValueError):
         RingParams.from_alpha(0.0, theta=0.0)

@@ -338,6 +338,10 @@ def test_hom_region_validates_inputs():
             hom_region(alpha=0.9, threshold=threshold)
     with pytest.raises(ValueError, match="tau_count"):
         hom_region(alpha=0.9, tau_count=0)
+    # a fractional count used to die in np.linspace with a TypeError
+    for name in ("tau_count", "eta_count", "theta_count"):
+        with pytest.raises(ValueError, match=name):
+            hom_region(alpha=0.9, **{name: 2.5})
 
 
 # --- one-photon entropy -----------------------------------------------------------

@@ -244,6 +244,17 @@ _BAD_RATES = {
         lambda: power_comparison(CouplerParams.from_magnitude(0.5), 0.9, math.nan, np.zeros(3)),
         "round-trip time",
     ),
+    # a non-finite detuning gave a NaN amplitude, or a numpy RuntimeWarning
+    "langevin-nan-detuning": (lambda: langevin_transfer(LangevinRates(1.0, 1.0), math.nan), "detuning"),
+    "langevin-inf-detuning": (lambda: langevin_transfer(LangevinRates(1.0, 1.0), math.inf), "detuning"),
+    "compare-nan-detuning": (
+        lambda: power_comparison(CouplerParams.from_magnitude(0.5), 0.9, 1e-12, [0.0, math.nan]),
+        "detuning",
+    ),
+    "compare-inf-detuning": (
+        lambda: power_comparison(CouplerParams.from_magnitude(0.5), 0.9, 1e-12, [math.inf]),
+        "detuning",
+    ),
 }
 
 
@@ -259,3 +270,13 @@ def test_commutator_series_entry_guard():
     ring = RingParams.from_alpha(0.9, theta=0.0)
     with pytest.raises(TruncationError):
         commutator_sum_series(coupler, ring, n_max=10_000, m_max=10_000)
+
+
+@pytest.mark.parametrize("orders", [(200, 199), (2.5, 2.5), (200.0, 200.0), (-1, -1)])
+def test_commutator_series_takes_one_integer_order(orders):
+    coupler = CouplerParams.from_magnitude(0.9)
+    ring = RingParams.from_alpha(0.9, theta=0.0)
+    n_max, m_max = orders
+    with pytest.raises(ValueError) as info:
+        commutator_sum_series(coupler, ring, n_max=n_max, m_max=m_max)
+    assert f"n_max={n_max!r}, m_max={m_max!r}" in str(info.value)
