@@ -27,6 +27,7 @@ from .core import (
     ResonantDivergenceError,
     RingParams,
     UnitarityError,
+    _as_2x2,
     _cdiv,
     _cmul,
 )
@@ -163,7 +164,5 @@ def inverse_conjugate(matrix: np.ndarray) -> np.ndarray:
 
 def permanent2(matrix: np.ndarray) -> complex:
     """Permanent of a 2x2 matrix: m00*m11 + m01*m10."""
-    m = np.asarray(matrix, dtype=complex)
-    if m.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
+    m = _as_2x2(matrix)
     return complex(m[0, 0] * m[1, 1] + m[0, 1] * m[1, 0])

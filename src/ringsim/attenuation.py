@@ -41,6 +41,10 @@ _MAX_PANELS = 1_000_000
 #: temporaries to a few hundred kB whatever the number of draws; one pass
 #: over a whole 1024-draw audit block raised the audit's peak memory by 30%.
 _PASS_NODES = 8192
+#: Most beam splitters in a chain.  Beyond it the step transmission
+#: 1 - gamma*L/N rounds before its N-th power is taken, so the chain error
+#: no longer measures the O(1/N) discretisation.
+_MAX_SPLITTERS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -48,7 +52,8 @@ class BeamSplitterChain:
     """N-splitter discretization of a uniform lossy line.
 
     Requires an integer ``n_splitters >= gamma * length`` so each splitter's
-    power reflectivity ``Gamma*L/N`` stays in [0, 1].
+    power reflectivity ``Gamma*L/N`` stays in [0, 1], and at most
+    `_MAX_SPLITTERS` of them.
     """
 
     gamma: float
@@ -67,6 +72,8 @@ class BeamSplitterChain:
             raise ValueError(f"beta * length must be finite, got beta = {self.beta}")
         if not (isinstance(self.n_splitters, (int, np.integer)) and self.n_splitters >= 1):
             raise ValueError(f"n_splitters must be an integer >= 1, got {self.n_splitters}")
+        if self.n_splitters > _MAX_SPLITTERS:
+            raise ValueError(f"n_splitters must be <= {_MAX_SPLITTERS}, got {self.n_splitters}")
         if self.gamma * self.length > self.n_splitters:
             raise ValueError(
                 "per-splitter reflectivity Gamma*L/N = "

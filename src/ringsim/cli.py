@@ -49,11 +49,6 @@ EXIT_IO = 3
 #: also counts its curves).  Six times a 201x201x401 census grid.
 _MAX_POINTS = 100_000_000
 
-#: Most beam splitters in an attenuation chain.  Beyond it the step
-#: transmission 1 - gamma*L/N rounds before its N-th power is taken, so the
-#: chain error no longer measures the O(1/N) discretisation.
-_MAX_SPLITTERS = 1_000_000
-
 #: Most audit draws per identity.  Memory stays bounded by the draw block
 #: (`_AUDIT_BLOCK`), so this bounds the run time, which grows linearly with
 #: the draw count.
@@ -256,9 +251,9 @@ def _validate(mode: str, params: dict) -> None:
             "every entry must be >= 1",
         )
         check(
-            max(params["splitter_counts"]) <= _MAX_SPLITTERS,
+            max(params["splitter_counts"]) <= attenuation._MAX_SPLITTERS,
             "splitter_counts",
-            f"every entry must be <= {_MAX_SPLITTERS}",
+            f"every entry must be <= {attenuation._MAX_SPLITTERS}",
         )
         # a beam splitter cannot drop more than all of its power
         check(
@@ -480,10 +475,6 @@ def _grid_rows(p: dict, workers: int, evaluate):
 
 
 def _sweep_homm_grid(p: dict, workers: int):
-    def evaluate(tau, eta, theta):
-        ratio = hom.coincidence_ratio_grid(tau, eta, theta, p["alpha"])
-        return ratio, ratio <= p["threshold"]  # NaN (undefined ratio) never passes
-
     shape = (p["tau_count"], p["eta_count"], p["theta_count"])
 
     def summary(count: int) -> dict:
@@ -494,7 +485,7 @@ def _sweep_homm_grid(p: dict, workers: int):
         }
 
     columns = ["tau", "eta", "theta_rad", "coincidence_ratio"]
-    return columns, _grid_rows(p, workers, evaluate), summary
+    return columns, _grid_rows(p, workers, hom._census(p["alpha"], p["threshold"])), summary
 
 
 def _sweep_critical_dip(p: dict, workers: int):
@@ -531,8 +522,6 @@ _NON_FINITE = frozenset(("nan", "inf", "-inf"))
 # Stands in for the rows while json.dumps lays out the rest of the payload.
 _ROWS_SLOT = "\0rows"
 
-_NO_ROWS = Rows([])
-
 
 def _json_cells(cells: list[str]) -> list[str]:
     return ["null" if cell in _NON_FINITE else cell for cell in cells]
@@ -568,42 +557,35 @@ def _frame(config: SweepConfig, columns, summary, count: int) -> tuple[str, str]
 
 
 def render_csv(config: SweepConfig, columns, rows: Rows, before: int) -> str:
-    """CSV lines of one chunk of rows that ``before`` rows precede.  The
-    first chunk opens with the config echo and the header line."""
-    text = "\n".join([*map(",".join, zip(*rows.columns)), ""])
-    return text if before else _frame(config, columns, None, 0)[0] + text
+    """CSV lines of one chunk of rows, and only those: `run_sweep` writes
+    the config echo and the header line.  Takes every renderer's arguments."""
+    return "\n".join([*map(",".join, zip(*rows.columns)), ""])
 
 
 def render_json(config: SweepConfig, columns, rows: Rows, before: int) -> str:
     """The ``"rows"`` entries of one chunk of rows that ``before`` rows
     precede, laid out as ``json.dumps(indent=2)`` lays them out, with
-    undefined cells as ``null``.  The first chunk opens with the payload up
-    to the row list."""
-    text = ",".join(
-        map(
-            "\n    [\n      {}\n    ]".format,
-            map(",\n      ".join, zip(*map(_json_cells, rows.columns))),
-        )
-    )
-    return "," + text if before else _frame(config, columns, None, 0)[0] + text
+    undefined cells as ``null`` and a leading ``,`` unless ``before`` is 0.
+    `run_sweep` writes the payload around them."""
+    entries = map(",\n      ".join, zip(*map(_json_cells, rows.columns)))
+    return ("," if before else "") + ",".join(map("\n    [\n      {}\n    ]".format, entries))
 
 
 def run_sweep(config: SweepConfig, sink) -> None:
     """Evaluate one sweep and write its output text to ``sink``.
 
-    Each chunk of rows is rendered and written as soon as it is evaluated.
-    A census summary, which counts the rows, comes after them.
+    Writes the head of `_frame`, then each chunk that has rows as soon as
+    it is evaluated, holding no other chunk, then the tail, which holds a
+    census summary (it counts the rows).
     """
     if config.mode not in _SWEEPS:
         raise ConfigError(f"mode: unknown sweep mode {config.mode!r}")
     columns, chunks, summary = _SWEEPS[config.mode](config.params, _worker_count())
     render = render_csv if config.fmt == "csv" else render_json
-    chunks = filter(len, chunks)
-    # the first chunk with rows opens the output, or no rows do if none has any
-    first = next(chunks, _NO_ROWS)
-    _write_output(render(config, columns, first, 0), sink)
-    count = len(first)
-    for rows in chunks:
+    head, _ = _frame(config, columns, None, 0)
+    _write_output(head, sink)
+    count = 0
+    for rows in filter(len, chunks):
         _write_output(render(config, columns, rows, count), sink)
         count += len(rows)
     _, tail = _frame(config, columns, summary(count) if summary else None, count)
@@ -655,17 +637,10 @@ _LOSSLESS_ADD_DROP = (("tau", 0.05, 0.98), ("eta", 0.05, 0.98), ("theta", *_PHAS
 _ADD_DROP = (*_LOSSLESS_ADD_DROP[:2], ("alpha", 0.3, 0.98), _LOSSLESS_ADD_DROP[2])
 
 
-def _stack_entries(m):
-    """The entries (M00, M01, M10, M11) of a (..., 2, 2) stack."""
-    return m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
-
-
 def _single_bus_noise(tau, tau_phase, alpha, theta):
-    tau, kappa = _coupler(tau, tau_phase)
-    alpha = _survival(alpha)
-    _, power, denom = single_bus._transfer(tau, alpha, theta)
-    closed = single_bus._closed_noise(kappa, alpha, denom)
-    return np.abs((1.0 - power) - closed), tau.size
+    coupler = _coupler(tau, tau_phase)
+    analytic, closed = single_bus._noise_identity(*coupler, _survival(alpha), theta)
+    return np.abs(analytic - closed), tau.size
 
 
 def _double_sum(tau, alpha, theta):
@@ -677,10 +652,7 @@ def _double_sum(tau, alpha, theta):
         )
         for t, a, th in zip(tau.tolist(), alpha.tolist(), theta.tolist())
     ]
-    tau, kappa = _coupler(tau)
-    alpha = _survival(alpha)
-    _, _, denom = single_bus._transfer(tau, alpha, theta)
-    closed = single_bus._closed_noise(kappa, alpha, denom)
+    _, closed = single_bus._noise_identity(*_coupler(tau), _survival(alpha), theta)
     return np.abs(np.array(series) - closed), tau.size
 
 
@@ -711,7 +683,7 @@ def _rate_matching(tau, alpha, round_trip_time):
 def _commutator_entries(tau, eta, alpha, theta):
     m = _add_drop_matrices(tau, eta, _survival(alpha), theta)
     comm = add_drop.noise_commutators(m)
-    m00, m01, m10, m11 = _stack_entries(m)
+    m00, m01, m10, m11 = m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]
     residuals = (
         _abs(comm[:, 0, 0] - (1.0 - _square(_abs(m00)) - _square(_abs(m01)))),
         _abs(comm[:, 1, 1] - (1.0 - _square(_abs(m10)) - _square(_abs(m11)))),
@@ -728,19 +700,14 @@ def _lossless_unitarity(tau, eta, theta):
 
 
 def _sector_state(tau, eta, alpha, theta):
-    """M, its sector norms and normalized weights, as `reduce_density` finds them."""
+    """M and ``(p2, p1, p0, total, rho2, rho1)`` of the route `reduce_density` wraps."""
     m = _add_drop_matrices(tau, eta, _survival(alpha), theta)
-    pairs = hom._pairs(*_stack_entries(add_drop.inverse_conjugate(m)))
-    comm = np.moveaxis(add_drop.noise_commutators(m), 0, -1)
-    sectors = hom._sectors(*pairs, comm)
-    return m, pairs, sectors, hom._weights(*sectors[:3])
+    pairs = hom._stack_pairs(add_drop.inverse_conjugate(m))
+    return m, hom._reduce(*pairs, np.moveaxis(add_drop.noise_commutators(m), 0, -1))
 
 
 def _sector_weights_and_psd(tau, eta, alpha, theta):
-    _, pairs, (p2_raw, p1_raw, _, r00, r11, r01), (p2, p1, p0, _) = _sector_state(
-        tau, eta, alpha, theta
-    )
-    rho2, rho1 = hom._densities(hom._amplitudes(*pairs), p2_raw, r00, r11, r01, p1_raw)
+    _, (p2, p1, p0, _, rho2, rho1) = _sector_state(tau, eta, alpha, theta)
     defined = p1 > hom.P1_THRESHOLD
     rho1_low = np.zeros_like(p1)
     rho1_low[defined] = np.linalg.eigvalsh(rho1[defined]).min(axis=-1)
@@ -753,7 +720,7 @@ def _sector_weights_and_psd(tau, eta, alpha, theta):
 
 
 def _sector_norm(tau, eta, alpha, theta):
-    m, _, _, (_, _, _, total) = _sector_state(tau, eta, alpha, theta)
+    m, (_, _, _, total, _, _) = _sector_state(tau, eta, alpha, theta)
     closed = hom._sector_normalizer(m)
     return np.abs(total - closed) / np.maximum(1.0, np.abs(closed)), tau.size
 
@@ -767,7 +734,7 @@ def _ratio_inversion(tau, eta, alpha, theta):
 
 def _lossless_routes(tau, eta, theta):
     m = _add_drop_matrices(tau, eta, 1.0, theta)
-    amps = hom._amplitudes(*hom._pairs(*_stack_entries(add_drop.inverse_conjugate(m))))
+    amps = hom._amplitudes(*hom._stack_pairs(add_drop.inverse_conjugate(m)))
     return np.abs(hom._coincidence_ratio(m) - hom._coincidence_probability(amps)), tau.size
 
 

@@ -99,14 +99,15 @@ class RingParams:
     def __post_init__(self) -> None:
         if not self.loss_rate >= 0:  # NaN too
             raise ValueError(f"loss rate must be >= 0, got {self.loss_rate}")
+        if not self.loss_rate < math.inf:  # alpha would be 0
+            raise ValueError(f"loss rate must be finite, got {self.loss_rate}")
         if not math.isfinite(self.theta):
             raise ValueError("round-trip phase must be finite")
 
     @classmethod
     def from_alpha(cls, alpha: float, theta: float) -> "RingParams":
         """Build a ring from the survival factor alpha in (0, 1]."""
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+        _check_alpha(alpha)
         return cls(loss_rate=-2.0 * math.log(alpha), theta=theta)
 
     @property
@@ -151,12 +152,36 @@ def _survival(alpha) -> np.ndarray:
     and ``exp`` (numpy's round differently), so a batched route sees the
     scalar route's alpha bit for bit.  Broadcasts over arrays.
     """
+    a = _check_alpha(alpha)
+    gamma = -2.0 * _elementwise(math.log, a)  # `RingParams.from_alpha`
+    return _elementwise(math.exp, -0.5 * gamma)  # `alpha_from_loss`
+
+
+def _check_alpha(alpha) -> np.ndarray:
+    """Survival factors as a float array; raise unless each (NaN too) lies in (0, 1]."""
     a = np.asarray(alpha, dtype=float)
     inside = (0.0 < a) & (a <= 1.0)
     if not np.all(inside):
-        raise ValueError(f"alpha must be in (0, 1], got {a[~inside].flat[0]}")
-    gamma = -2.0 * _elementwise(math.log, a)  # `RingParams.from_alpha`
-    return _elementwise(math.exp, -0.5 * gamma)  # `alpha_from_loss`
+        bad = alpha if a.ndim == 0 else a[~inside].flat[0]
+        raise ValueError(f"alpha must be in (0, 1], got {bad}")
+    return a
+
+
+def _real_couplers(tau, eta) -> tuple[np.ndarray, np.ndarray]:
+    """Real through amplitudes tau and eta as float arrays; raise unless
+    each lies in [0, 1].  NaN passes."""
+    t, e = np.asarray(tau, dtype=float), np.asarray(eta, dtype=float)
+    if np.any(t < 0) or np.any(t > 1) or np.any(e < 0) or np.any(e > 1):
+        raise ValueError("real coupler amplitudes must lie in [0, 1]")
+    return t, e
+
+
+def _as_2x2(matrix, noun: str = "matrix") -> np.ndarray:
+    """``matrix`` as a complex 2x2 array; raise naming its shape otherwise."""
+    m = np.asarray(matrix, dtype=complex)
+    if m.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 {noun}, got shape {m.shape}")
+    return m
 
 
 def _abs(z):

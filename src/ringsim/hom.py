@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import add_drop
-from .core import UnitarityError
+from .core import UnitarityError, _as_2x2, _check_alpha, _real_couplers
 
 __all__ = [
     "HomRegion",
@@ -98,10 +98,7 @@ def output_state(minv: np.ndarray) -> TwoPhotonOutputState:
     Expanding a†b†|0> and collecting terms by noise content gives the
     three sectors.
     """
-    g = np.asarray(minv, dtype=complex)
-    if g.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {g.shape}")
-    perm, pair_c, pair_d = _pairs(*g.ravel())
+    perm, pair_c, pair_d = _stack_pairs(_as_2x2(minv))
     return TwoPhotonOutputState(
         two_photon=_amplitudes(perm, pair_c, pair_d),
         branch_c=np.array([-2.0 * pair_c, -perm]),
@@ -114,6 +111,12 @@ def _pairs(g00, g01, g10, g11):
     """(Perm G, G00 G10, G01 G11): the products of G that weight every term
     of a† b† in (c†, d†, F_c†, F_d†).  Broadcasts over array entries."""
     return g00 * g11 + g01 * g10, g00 * g10, g01 * g11
+
+
+def _stack_pairs(g):
+    """`_pairs` of each G of a (..., 2, 2) stack.  One G's entries stay numpy
+    scalars, whose product rounds unlike numpy's array product."""
+    return _pairs(*np.moveaxis(g.reshape(g.shape[:-2] + (4,)), -1, 0))
 
 
 def _amplitudes(perm, pair_c, pair_d):
@@ -194,29 +197,44 @@ def reduce_density(state: TwoPhotonOutputState, comms: np.ndarray) -> SectorDens
     ``comms`` is the noise-commutator matrix C from
     `add_drop.noise_commutators`; it fixes every overlap of noise
     excitations via <0|F_i F_j†|0> = C[i, j] and, through Wick pairings,
-    the norm of the two-noise sector.
+    the norm of the two-noise sector.  Every sector, ``rho2`` included,
+    comes from the pair table ``env_pair``; `output_state` fills
+    ``two_photon`` from the same products, so for a state it built ``rho2``
+    is what ``two_photon`` would give, bit for bit.
 
     Raises
     ------
     UnitarityError
         If any sector weight comes out below -1e-10 (inconsistent C) .
     """
-    c = np.asarray(comms, dtype=complex)
-    if c.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 commutator matrix, got shape {c.shape}")
+    c = _as_2x2(comms, "commutator matrix")
     # the pair table E = [[pair_c, perm/2], [perm/2, pair_d]] holds all three
     e = state.env_pair
-    p2_raw, p1_raw, p0_raw, r00, r11, r01 = _sectors(2.0 * e[0, 1], e[0, 0], e[1, 1], c)
-    p2, p1, p0, total = (float(w) for w in _weights(p2_raw, p1_raw, p0_raw))
-    rho2, rho1 = _densities(state.two_photon, p2_raw, r00, r11, r01, p1_raw)
-    return SectorDensity(
-        p2=p2,
-        p1=p1,
-        p0=p0,
-        rho2=rho2,
-        rho1=rho1 if p1 > P1_THRESHOLD else None,
-        normalizer=total,
-    )
+    p2, p1, p0, total, rho2, rho1 = _reduce(2.0 * e[0, 1], e[0, 0], e[1, 1], c)
+    rho1 = rho1 if p1 > P1_THRESHOLD else None
+    return SectorDensity(float(p2), float(p1), float(p0), rho2, rho1, float(total))
+
+
+def _reduce(perm, pair_c, pair_d, c):
+    """`reduce_density` over array entries of the `_pairs` products and of C.
+
+    Returns ``(p2, p1, p0, total, rho2, rho1)``: `_weights` of the
+    `_sectors` norms, and (..., 3, 3) and (..., 2, 2) stacks of the two- and
+    one-photon matrices over their raw norms (a zero norm gives inf or NaN
+    entries, no error).
+    """
+    p2_raw, p1_raw, p0_raw, r00, r11, r01 = _sectors(perm, pair_c, pair_d, c)
+    weights = _weights(p2_raw, p1_raw, p0_raw)
+    amps = _amplitudes(perm, pair_c, pair_d)
+    rho1 = np.stack(np.broadcast_arrays(r00, r01, np.conj(r01), r11), axis=-1)
+    rho1 = rho1.reshape(rho1.shape[:-1] + (2, 2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho2 = amps[..., :, None] * np.conj(amps[..., None, :])
+        return (
+            *weights,
+            rho2 / np.asarray(p2_raw)[..., None, None],
+            rho1 / np.asarray(p1_raw)[..., None, None],
+        )
 
 
 def _weights(p2_raw, p1_raw, p0_raw):
@@ -241,30 +259,13 @@ def _weights(p2_raw, p1_raw, p0_raw):
     return (*weights, total)
 
 
-def _densities(amps, p2_raw, r00, r11, r01, p1_raw):
-    """``(rho2, rho1)``: (..., 3, 3) and (..., 2, 2) stacks of the two- and
-    one-photon matrices, each over its raw sector norm.  Broadcasts; a zero
-    norm gives inf or NaN entries, no error."""
-    rho1 = np.stack(np.broadcast_arrays(r00, r01, np.conj(r01), r11), axis=-1)
-    rho1 = rho1.reshape(rho1.shape[:-1] + (2, 2))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rho2 = amps[..., :, None] * np.conj(amps[..., None, :])
-        return (
-            rho2 / np.asarray(p2_raw)[..., None, None],
-            rho1 / np.asarray(p1_raw)[..., None, None],
-        )
-
-
 def sector_normalizer(matrix: np.ndarray) -> float:
     """Closed form of the total sector norm: Perm(2 (M M†)^{-1} - I).
 
     Independent cross-check for ``SectorDensity.normalizer``: it involves
     only the forward transfer matrix M, not the sectored state.
     """
-    m = np.asarray(matrix, dtype=complex)
-    if m.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    return float(_sector_normalizer(m))
+    return float(_sector_normalizer(_as_2x2(matrix)))
 
 
 def _sector_normalizer(m):
@@ -281,10 +282,7 @@ def coincidence_ratio(matrix: np.ndarray) -> float:
     for unitary (lossless) M; under loss it can exceed 1 and only its
     zero set (Perm = 0) retains the dip interpretation.
     """
-    m = np.asarray(matrix, dtype=complex)
-    if m.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    return float(_coincidence_ratio(m))
+    return float(_coincidence_ratio(_as_2x2(matrix)))
 
 
 def _coincidence_ratio(m):
@@ -323,12 +321,8 @@ def coincidence_ratio_grid(
     denominator cancels.  Points where both Perm and det vanish (e.g.
     tau*eta = alpha exactly on resonance) come out NaN.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    t = np.asarray(tau, dtype=float)
-    e = np.asarray(eta, dtype=float)
-    if np.any(t < 0) or np.any(t > 1) or np.any(e < 0) or np.any(e > 1):
-        raise ValueError("real coupler amplitudes must lie in [0, 1]")
+    _check_alpha(alpha)
+    t, e = _real_couplers(tau, eta)
     z = alpha * np.exp(1j * np.asarray(theta, dtype=float))
     te = t * e
     # Perm and det of M share the denominator D^2, so only the numerators
@@ -389,14 +383,10 @@ def hom_region(
     axes = _grid_axes(tau_count, eta_count, theta_count)
     taus, etas, thetas = axes
 
-    def evaluate(tau, eta, theta):
-        ratio = coincidence_ratio_grid(tau, eta, theta, alpha)
-        return ratio, ratio <= threshold  # NaN compares False: undefined points excluded
-
     def reduce(ti, ei, hi, values):
         return np.column_stack([taus[ti], etas[ei], thetas[hi]]), values
 
-    chunks = _walk_grid(axes, evaluate, reduce)
+    chunks = _walk_grid(axes, _census(alpha, threshold), reduce)
     points, values = (np.concatenate(part) for part in zip(*chunks))
     return HomRegion(
         points=points,
@@ -407,6 +397,17 @@ def hom_region(
         threshold=threshold,
         alpha=alpha,
     )
+
+
+def _census(alpha: float, threshold: float):
+    """The `_walk_grid` kernel of a census: the coincidence ratio, keeping
+    ``ratio <= threshold``; NaN (an undefined ratio) never passes."""
+
+    def evaluate(tau, eta, theta):
+        ratio = coincidence_ratio_grid(tau, eta, theta, alpha)
+        return ratio, ratio <= threshold
+
+    return evaluate
 
 
 def _grid_axes(
@@ -525,15 +526,11 @@ def entropy_grid(
     does not exceed ``p1_threshold`` (e.g. the decoupled tau = eta = 1
     line, or alpha = 1 everywhere) are NaN.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    _check_alpha(alpha)
     if not p1_threshold >= 0:  # NaN too
         raise ValueError(f"p1_threshold must be >= 0, got {p1_threshold}")
-    t = np.asarray(tau, dtype=float)
-    e = np.asarray(eta, dtype=float)
+    t, e = _real_couplers(tau, eta)
     th = np.asarray(theta, dtype=float)
-    if np.any(t < 0) or np.any(t > 1) or np.any(e < 0) or np.any(e > 1):
-        raise ValueError("real coupler amplitudes must lie in [0, 1]")
     with np.errstate(divide="ignore", invalid="ignore"):
         p1, a, d, off = _one_photon_sector(t, e, th, alpha)
         bits, low = _entropy_bits(a, d, off)

@@ -39,6 +39,7 @@ from .core import (
     TruncationError,
     _abs,
     _cdiv,
+    _check_alpha,
     _cmul,
     _square,
 )
@@ -102,11 +103,6 @@ def _transfer(tau, alpha, theta):
         )
     amp = _cdiv(tau - z, denom)
     return amp, _square(_abs(amp)), denom
-
-
-def _closed_noise(kappa, alpha, denom):
-    """Closed noise power |kappa|^2 (1 - alpha^2) / |D|^2, broadcast over arrays."""
-    return _square(_abs(kappa)) * (1.0 - _square(alpha)) / _square(_abs(denom))
 
 
 @dataclass(frozen=True)
@@ -217,8 +213,7 @@ def power_comparison(
     detuning.  Returns an (n, 3) array with columns
     ``(delta*T_R, power_ring, power_lorentzian)``.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    _check_alpha(alpha)
     if not round_trip_time > 0:  # NaN too
         raise ValueError(f"round-trip time must be > 0, got {round_trip_time}")
     deltas = np.asarray(deltas, dtype=float)
@@ -254,9 +249,15 @@ def commutator_sum_identity(
     |kappa|^2 (1 - alpha^2) / |1 - conj(tau) alpha e^{i theta}|^2.
     The two agree to rounding for every parameter set.
     """
-    _, power, denom = _transfer(coupler.tau, ring.alpha, ring.theta)
-    closed = _closed_noise(coupler.kappa, ring.alpha, denom)
-    return CommutatorIdentity(analytic=1.0 - float(power), closed=float(closed))
+    analytic, closed = _noise_identity(coupler.tau, coupler.kappa, ring.alpha, ring.theta)
+    return CommutatorIdentity(analytic=float(analytic), closed=float(closed))
+
+
+def _noise_identity(tau, kappa, alpha, theta):
+    """``(1 - |A|^2, |kappa|^2 (1 - alpha^2) / |D|^2)`` of
+    `commutator_sum_identity` (D of `_transfer`), broadcast over arrays."""
+    _, power, denom = _transfer(tau, alpha, theta)
+    return 1.0 - power, _square(_abs(kappa)) * (1.0 - _square(alpha)) / _square(_abs(denom))
 
 
 def commutator_sum_series(

@@ -120,6 +120,15 @@ _BAD_CALLS = {
         lambda: BeamSplitterChain(0.1, 1.0, n_splitters=2.5),
         "n_splitters must be an integer >= 1",
     ),
+    # 1 - Gamma*L/N rounded to 1 (power 1.0), or the count overflowed a float
+    "chain-huge-splitters": (
+        lambda: BeamSplitterChain(0.1, 1.0, n_splitters=10**20).power,
+        "n_splitters must be <= 1000000",
+    ),
+    "chain-overflow-splitters": (
+        lambda: BeamSplitterChain(0.1, 1.0, n_splitters=10**400).power,
+        "n_splitters must be <= 1000000",
+    ),
     "chain-no-splitters": (
         lambda: BeamSplitterChain(0.1, 1.0, n_splitters=0),
         "n_splitters must be an integer >= 1",

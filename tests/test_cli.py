@@ -1,8 +1,10 @@
 import ast
 import cmath
 import contextlib
+import gc
 import hashlib
 import importlib
+import importlib.util
 import io
 import itertools
 import json
@@ -579,6 +581,27 @@ def test_a_failed_sweep_leaves_the_old_output(monkeypatch, tmp_path, capsys, thr
         assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
 
 
+def test_a_sweep_holds_one_chunk_of_rows_at_a_time(monkeypatch):
+    monkeypatch.setenv("RINGSIM_THREADS", "1")
+    monkeypatch.setattr(hom, "_CHUNK", 16)
+
+    class Sink(io.StringIO):
+        def __init__(self):
+            super().__init__()
+            self.live = []  # cli.Rows objects alive at each write
+
+        def write(self, text):
+            self.live.append(sum(type(obj) is cli.Rows for obj in gc.get_objects()))
+            return super().write(text)
+
+    config = cli.load_config(_STREAMED[0], None, list(_STREAMED[2::2]), None, "csv")
+    sink = Sink()
+    gc.collect()  # rows left unreachable by earlier tests
+    cli.run_sweep(config, sink)
+    assert len(_parse_csv(sink.getvalue())[2]) == 4 * 5 * 7
+    assert max(sink.live) <= 1, sink.live
+
+
 def test_output_file_mode_is_what_open_gives(tmp_path):
     private = tmp_path / "private.csv"
     private.write_text("old\n")
@@ -924,6 +947,35 @@ def test_traced_names_resolve():
     assert traced
     for name, attr, _ in traced:
         assert callable(getattr(importlib.import_module(f"ringsim.{name}"), attr, None)), attr
+
+
+def _bench_tracing():
+    """``bench/tracing.py`` as a module of its own, loaded without writing
+    bytecode beside it."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracing", _ROOT / "bench" / "tracing.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_benchmark_tracer_counts_rows_chunks_and_renders(monkeypatch, tmp_path, fmt):
+    # the tracer reads a renderer's row count from its third positional
+    # argument, so a change of the renderers' signature would zero cli.rows
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    tracing = _bench_tracing()
+    monkeypatch.setenv("RINGSIM_THREADS", "1")
+    monkeypatch.setattr(hom, "_CHUNK", 16)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        assert cli.main([*_STREAMED, "--format", fmt, "--out", str(tmp_path / "out")]) == 0
+    assert tracer.missing == []
+    metrics = tracing.summarize(tracer.spans)
+    assert metrics["cli.rows"] == 4 * 5 * 7
+    assert metrics["cli.chunks"] == 10
+    assert metrics[f"cli.render_{fmt}_calls"] == 10
 
 
 def test_benchmark_selftest_passes():

@@ -65,6 +65,11 @@ _BAD_FIELDS = {
         lambda: RingParams(loss_rate=_NAN, theta=0.3),
         "loss rate must be >= 0, got nan",
     ),
+    # alpha came out 0, and rate matching then blamed tau or alpha
+    "ring-inf-loss": (
+        lambda: RingParams(loss_rate=math.inf, theta=0.0),
+        "loss rate must be finite, got inf",
+    ),
     "alpha-nan-loss": (lambda: alpha_from_loss(_NAN, 1.0), "loss rate must be >= 0, got nan"),
     "alpha-nan-length": (lambda: alpha_from_loss(1.0, _NAN), "length must be > 0, got nan"),
     "chain-nan-loss": (
@@ -100,6 +105,8 @@ def test_ring_from_alpha_round_trip():
     ring = RingParams.from_alpha(0.87, theta=2.2)
     assert ring.theta == 2.2
     assert ring.alpha == pytest.approx(0.87, abs=1e-15)
+    # the smallest alpha still has a finite loss rate
+    assert RingParams.from_alpha(5e-324, theta=0.0).loss_rate == pytest.approx(1488.88, abs=0.01)
     with pytest.raises(ValueError):
         RingParams.from_alpha(0.0, theta=0.0)
     with pytest.raises(ValueError):

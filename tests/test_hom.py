@@ -100,6 +100,18 @@ def test_output_state_amplitudes():
     np.testing.assert_allclose(state.env_pair, state.env_pair.T)
 
 
+def test_output_state_products_round_as_python_complex():
+    # one G's products are scalar products: numpy's array product rounds
+    # some of them differently
+    rng = np.random.default_rng(406)
+    for _ in range(200):
+        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        a, b, c, d = map(complex, g.ravel())
+        state = output_state(g)
+        assert state.two_photon[1] == a * d + b * c
+        assert (state.env_pair[0, 0], state.env_pair[1, 1]) == (a * c, b * d)
+
+
 def test_output_state_rejects_wrong_shape():
     with pytest.raises(ValueError, match="2x2"):
         output_state(np.eye(3))
