@@ -28,6 +28,7 @@ from .core import (
     RingParams,
     UnitarityError,
     _as_2x2,
+    _as_2x2_stack,
     _cdiv,
     _cmul,
 )
@@ -116,9 +117,7 @@ def noise_commutators(matrix: np.ndarray) -> np.ndarray:
         If a diagonal entry falls outside [0, 1] beyond rounding, i.e. M
         amplifies some input and cannot come from a passive ring.
     """
-    m = np.asarray(matrix, dtype=complex)
-    if m.shape[-2:] != (2, 2):
-        raise ValueError(f"expected 2x2 matrices, got shape {m.shape}")
+    m = _as_2x2_stack(matrix)
     comm = np.eye(2, dtype=complex) - m @ m.conj().swapaxes(-1, -2)
     diag = comm.diagonal(0, -2, -1).real
     outside = np.flatnonzero(~((-1e-12 <= diag) & (diag <= 1.0 + 1e-12)))  # NaN too
@@ -151,9 +150,7 @@ def inverse_conjugate(matrix: np.ndarray) -> np.ndarray:
     ValueError
         If |det M| < 1e-14 (matrix is singular to working precision).
     """
-    m = np.asarray(matrix, dtype=complex)
-    if m.shape[-2:] != (2, 2):
-        raise ValueError(f"expected 2x2 matrices, got shape {m.shape}")
+    m = _as_2x2_stack(matrix)
     entries = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
     det = np.asarray(np.abs(entries[0] * entries[3] - entries[1] * entries[2]))
     if np.any(det < 1e-14):

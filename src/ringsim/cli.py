@@ -173,88 +173,80 @@ def _coerce(mode: str, key: str, value: object) -> object:
         kind = type(default[0])
         noun = "integers" if kind is int else "numbers"
         return [_number(key, item, kind, noun) for item in value]
-    if isinstance(default, int):
-        return _number(key, value, int, "an integer")
-    if isinstance(default, float):
-        return _number(key, value, float, "a number")
-    raise ConfigError(f"{key}: unsupported type")
+    kind = type(default)
+    return _number(key, value, kind, "an integer" if kind is int else "a number")
+
+
+# The shared ranges of one value: (predicate, message).
+_UNIT = (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")
+_SURVIVAL = (lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]")
+_PHASE_RANGE = (lambda v: -_PI - 1e-12 <= v <= _PI + 1e-12, "must lie in [-pi, pi]")
+_COUNT = (lambda v: v >= 1, "must be >= 1")
+_POSITIVE = (lambda v: v > 0.0, "must be > 0")
+_NON_NEGATIVE = (lambda v: v >= 0.0, "must be >= 0")
+
+
+def _at_most(cap: int):
+    return (lambda v: v <= cap, f"must be <= {cap}")
+
+
+#: Every config key's own range tests, in the order they are checked.  A
+#: list key's tests hold for every entry.  The keys with no tests are bound
+#: only by their relations to other keys, which `_validate` checks after.
+_RANGES = {
+    "tau": (_UNIT,),
+    "eta": (_UNIT,),
+    "alpha": (_SURVIVAL,),
+    "alphas": (_SURVIVAL,),
+    "theta_min": (_PHASE_RANGE,),
+    "theta_max": (_PHASE_RANGE,),
+    **dict.fromkeys(_COUNT_KEYS, (_COUNT,)),
+    "samples": (_COUNT, _at_most(_MAX_SAMPLES)),
+    "threshold": (_POSITIVE,),
+    "p1_threshold": (_NON_NEGATIVE,),
+    "round_trip_time_s": (_POSITIVE,),
+    "delta_tr_min": (_POSITIVE,),
+    "delta_tr_max": (),
+    "gamma_per_m": (_NON_NEGATIVE,),
+    "length_m": (_POSITIVE,),
+    "splitter_counts": (_COUNT, _at_most(attenuation._MAX_SPLITTERS)),
+    "beta_per_m": (),
+    "seed": (_NON_NEGATIVE,),
+}
 
 
 def _validate(mode: str, params: dict) -> None:
+    """Raise `ConfigError` for the first value outside its own range, in
+    `_RANGES` order, else for the first broken relation between values."""
+
     def check(cond: bool, key: str, message: str) -> None:
         if not cond:
             raise ConfigError(f"{key}: {message} (got {params[key]!r})")
 
-    for key in ("tau", "eta"):
+    for key, tests in _RANGES.items():
         if key in params:
-            check(0.0 <= params[key] <= 1.0, key, "must lie in [0, 1]")
-    if "alpha" in params:
-        check(0.0 < params["alpha"] <= 1.0, "alpha", "must lie in (0, 1]")
+            value = params[key]
+            values, prefix = (value, "every entry ") if isinstance(value, list) else ([value], "")
+            for ok, message in tests:
+                check(all(map(ok, values)), key, prefix + message)
+
+    def order(low: str, high: str) -> None:
+        if low in params:
+            check(params[low] <= params[high], low, f"must not exceed {high}")
+
     if mode == "entropy-grid":
         check(
             params["alpha"] >= _MIN_ENTROPY_ALPHA,
             "alpha",
             f"must be >= {_MIN_ENTROPY_ALPHA:g} for entropy-grid",
         )
-    if "alphas" in params:
-        check(
-            all(0.0 < a <= 1.0 for a in params["alphas"]),
-            "alphas",
-            "every entry must lie in (0, 1]",
-        )
-    if "theta_min" in params:
-        slack = 1e-12
-        check(
-            -_PI - slack <= params["theta_min"] <= _PI + slack,
-            "theta_min",
-            "must lie in [-pi, pi]",
-        )
-        check(
-            -_PI - slack <= params["theta_max"] <= _PI + slack,
-            "theta_max",
-            "must lie in [-pi, pi]",
-        )
-        check(
-            params["theta_min"] <= params["theta_max"],
-            "theta_min",
-            "must not exceed theta_max",
-        )
-    for key in (*_COUNT_KEYS, "samples"):
-        if key in params:
-            check(params[key] >= 1, key, "must be >= 1")
-    if "samples" in params:
-        check(params["samples"] <= _MAX_SAMPLES, "samples", f"must be <= {_MAX_SAMPLES}")
+    order("theta_min", "theta_max")
     axes = [key for key in (*_COUNT_KEYS, "alphas") if key in params]
     points = math.prod(len(params[k]) if k == "alphas" else params[k] for k in axes)
     if points > _MAX_POINTS:
         raise ConfigError(f"{' * '.join(axes)}: must not exceed {_MAX_POINTS} points")
-    if "threshold" in params:
-        check(params["threshold"] > 0.0, "threshold", "must be > 0")
-    if "p1_threshold" in params:
-        check(params["p1_threshold"] >= 0.0, "p1_threshold", "must be >= 0")
-    if "round_trip_time_s" in params:
-        check(params["round_trip_time_s"] > 0.0, "round_trip_time_s", "must be > 0")
-    if "delta_tr_min" in params:
-        check(params["delta_tr_min"] > 0.0, "delta_tr_min", "must be > 0")
-        check(
-            params["delta_tr_min"] <= params["delta_tr_max"],
-            "delta_tr_min",
-            "must not exceed delta_tr_max",
-        )
-    if "gamma_per_m" in params:
-        check(params["gamma_per_m"] >= 0.0, "gamma_per_m", "must be >= 0")
-        check(params["length_m"] > 0.0, "length_m", "must be > 0")
+    order("delta_tr_min", "delta_tr_max")
     if "splitter_counts" in params:
-        check(
-            all(n >= 1 for n in params["splitter_counts"]),
-            "splitter_counts",
-            "every entry must be >= 1",
-        )
-        check(
-            max(params["splitter_counts"]) <= attenuation._MAX_SPLITTERS,
-            "splitter_counts",
-            f"every entry must be <= {attenuation._MAX_SPLITTERS}",
-        )
         # a beam splitter cannot drop more than all of its power
         check(
             params["gamma_per_m"] * params["length_m"] <= min(params["splitter_counts"]),
@@ -281,8 +273,6 @@ def _validate(mode: str, params: dict) -> None:
             f"must keep detunings and matched rates within [{1.0 / _MAX_RATE:g}, "
             f"{_MAX_RATE:g}] rad/s",
         )
-    if "seed" in params:
-        check(params["seed"] >= 0, "seed", "must be >= 0")
 
 
 def load_config(
@@ -803,10 +793,11 @@ def run_audit(seed: int, samples: int) -> AuditReport:
     """Re-derive every bookkeeping identity on random parameters.
 
     Deterministic for a fixed seed; each identity records its worst
-    residual over ``samples`` draws and the draw that produced it.
+    residual over ``samples`` draws and the draw that produced it.  A
+    negative ``seed`` or ``samples`` outside [1, `_MAX_SAMPLES`] is a
+    `ConfigError`, as on the command line.
     """
-    if samples < 1:
-        raise ConfigError(f"samples: must be >= 1, got {samples}")
+    _validate("audit", {"seed": seed, "samples": samples})
     rng = np.random.default_rng(seed)
     records = []
     for name, tolerance, most, variates, residuals in _IDENTITIES:
@@ -969,7 +960,6 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.mode == "audit":
-            _validate("audit", {"seed": args.seed, "samples": args.samples})
             report = run_audit(args.seed, args.samples)
             with _open_sink(None) as stdout:
                 stdout.write(render_audit_text(report, args.samples))

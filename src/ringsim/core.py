@@ -49,13 +49,17 @@ def alpha_from_loss(gamma: float, length: float) -> float:
     gamma : float
         Distributed power loss rate, 1/m.  Must be >= 0.
     length : float
-        Propagation length (one circulation), m.  Must be > 0.
+        Propagation length (one circulation), m.  Must be > 0.  Gamma*L above
+        about 1490 is rejected: exp(-Gamma*L/2) underflows to 0.
     """
     if not gamma >= 0:  # NaN too
         raise ValueError(f"loss rate must be >= 0, got {gamma}")
     if not length > 0:
         raise ValueError(f"length must be > 0, got {length}")
-    return math.exp(-0.5 * gamma * length)
+    alpha = math.exp(-0.5 * gamma * length)
+    if not alpha > 0.0:  # NaN too, from 0 * inf
+        raise ValueError(f"loss rate {gamma} over length {length} leaves alpha = {alpha}")
+    return alpha
 
 
 @dataclass(frozen=True)
@@ -97,10 +101,9 @@ class RingParams:
     theta: float
 
     def __post_init__(self) -> None:
-        if not self.loss_rate >= 0:  # NaN too
-            raise ValueError(f"loss rate must be >= 0, got {self.loss_rate}")
-        if not self.loss_rate < math.inf:  # alpha would be 0
+        if self.loss_rate == math.inf:
             raise ValueError(f"loss rate must be finite, got {self.loss_rate}")
+        alpha_from_loss(self.loss_rate, 1.0)  # a NaN, negative or underflowing loss
         if not math.isfinite(self.theta):
             raise ValueError("round-trip phase must be finite")
 
@@ -181,6 +184,14 @@ def _as_2x2(matrix, noun: str = "matrix") -> np.ndarray:
     m = np.asarray(matrix, dtype=complex)
     if m.shape != (2, 2):
         raise ValueError(f"expected a 2x2 {noun}, got shape {m.shape}")
+    return m
+
+
+def _as_2x2_stack(matrix) -> np.ndarray:
+    """``matrix`` as a complex (..., 2, 2) stack; raise naming its shape otherwise."""
+    m = np.asarray(matrix, dtype=complex)
+    if m.shape[-2:] != (2, 2):
+        raise ValueError(f"expected 2x2 matrices, got shape {m.shape}")
     return m
 
 

@@ -53,6 +53,14 @@ def test_matrix_entries_closed_form():
     assert m[1, 1] == pytest.approx((0.6 - 0.8 * z) / d)
 
 
+@pytest.mark.parametrize("function", [noise_commutators, inverse_conjugate])
+@pytest.mark.parametrize("shape", [(3, 3), (2,), (4, 2, 3)])
+def test_stack_functions_reject_non_2x2_shapes(function, shape):
+    with pytest.raises(ValueError) as info:
+        function(np.zeros(shape))
+    assert str(info.value) == f"expected 2x2 matrices, got shape {shape}"
+
+
 def test_decoupled_first_bus():
     p = _params(1.0, 0.6, 1.0, 1.2)
     m = transfer_matrix(p)

@@ -248,6 +248,16 @@ def test_batched_guards_raise_on_one_bad_draw():
         hom._coincidence_probability(amps)
 
 
+def test_run_audit_checks_its_inputs_like_the_command_line():
+    # a negative seed reached numpy, which raised an unnamed ValueError
+    with pytest.raises(cli.ConfigError) as info:
+        cli.run_audit(-1, 5)
+    assert str(info.value) == "seed: must be >= 0 (got -1)"
+    with pytest.raises(cli.ConfigError) as info:
+        cli.run_audit(5, 0)
+    assert str(info.value) == "samples: must be >= 1 (got 0)"
+
+
 # SHA-256 of the text report and of the ``--out`` JSON report of
 # ``ringsim audit --seed 7 --samples 500``.  The JSON report writes each
 # worst residual with ``repr``, so a residual that moves by one ulp fails.

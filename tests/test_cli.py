@@ -165,7 +165,50 @@ _BAD_INPUTS = [
     # JSON nested past the recursion limit raised RecursionError
     (("single-bus", "--set", "bogus=" + "[" * 100_000), "bogus: unknown key"),
     (("single-bus", "--set", "tau=" + "[" * 100_000), "tau: expected a number"),
+    # the whole text of every range check: key, range and the value as resolved
+    (("single-bus", "--set", "alpha=0"), "alpha: must lie in (0, 1] (got 0.0)"),
+    (
+        ("critical-dip", "--set", "alphas=[1.0,0]"),
+        "alphas: every entry must lie in (0, 1] (got [1.0, 0.0])",
+    ),
+    (("single-bus", "--set", "theta_min=-4"), "theta_min: must lie in [-pi, pi] (got -4.0)"),
+    (("add-drop", "--set", "theta_max=4"), "theta_max: must lie in [-pi, pi] (got 4.0)"),
+    (
+        ("critical-dip", "--set", "theta_min=1", "--set", "theta_max=0"),
+        "theta_min: must not exceed theta_max (got 1.0)",
+    ),
+    (
+        ("langevin-compare", "--set", "delta_tr_min=3", "--set", "delta_tr_max=2"),
+        "delta_tr_min: must not exceed delta_tr_max (got 3.0)",
+    ),
+    (("homm-grid", "--set", "tau_count=0"), "tau_count: must be >= 1 (got 0)"),
+    (("entropy-grid", "--set", "eta_count=-2"), "eta_count: must be >= 1 (got -2)"),
+    (("single-bus", "--set", "theta_count=0"), "theta_count: must be >= 1 (got 0)"),
+    (("langevin-compare", "--set", "delta_count=0"), "delta_count: must be >= 1 (got 0)"),
+    (("homm-grid", "--set", "threshold=0"), "threshold: must be > 0 (got 0.0)"),
+    (("entropy-grid", "--set", "p1_threshold=-1"), "p1_threshold: must be >= 0 (got -1.0)"),
+    (
+        ("langevin-compare", "--set", "round_trip_time_s=0"),
+        "round_trip_time_s: must be > 0 (got 0.0)",
+    ),
+    (("langevin-compare", "--set", "delta_tr_min=0"), "delta_tr_min: must be > 0 (got 0.0)"),
+    (("attenuation-chain", "--set", "gamma_per_m=-1"), "gamma_per_m: must be >= 0 (got -1.0)"),
+    (("attenuation-chain", "--set", "length_m=0"), "length_m: must be > 0 (got 0.0)"),
+    (
+        ("attenuation-chain", "--set", "splitter_counts=[10,0]"),
+        "splitter_counts: every entry must be >= 1 (got [10, 0])",
+    ),
+    # a value outside its own range comes before any relation between values
+    (
+        ("homm-grid", "--set", "threshold=-1", "--set", "tau_count=1e200"),
+        "threshold: must be > 0 (got -1.0)",
+    ),
 ]
+
+
+def test_every_config_key_has_one_range_row():
+    keys = {key for defaults in cli._DEFAULTS.values() for key in defaults}
+    assert set(cli._RANGES) == keys
 
 
 def test_invalid_values_are_config_errors(capsys):
@@ -637,6 +680,14 @@ def test_out_dev_null_is_written_in_place(monkeypatch, capsys):
     code, err = _main(capsys, "single-bus", "--set", "theta_count=3", "--out", os.devnull)
     assert code == 0 and err == ""
     assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
+def test_console_script_target_is_main():
+    tomllib = pytest.importorskip("tomllib")
+    with open(_ROOT / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["ringsim"]
+    module, _, attr = target.partition(":")
+    assert getattr(importlib.import_module(module), attr) is cli.main
 
 
 @pytest.mark.skipif(shutil.which("ringsim") is None, reason="entry point not on PATH")

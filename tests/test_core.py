@@ -70,6 +70,16 @@ _BAD_FIELDS = {
         lambda: RingParams(loss_rate=math.inf, theta=0.0),
         "loss rate must be finite, got inf",
     ),
+    # exp(-Gamma/2) underflowed to alpha = 0, and rate matching then blamed
+    # tau or alpha
+    "ring-underflowing-loss": (
+        lambda: RingParams(loss_rate=1500.0, theta=0.0),
+        "loss rate 1500.0 over length 1.0 leaves alpha = 0.0",
+    ),
+    "alpha-inf-loss": (
+        lambda: alpha_from_loss(math.inf, 1.0),
+        "loss rate inf over length 1.0 leaves alpha = 0.0",
+    ),
     "alpha-nan-loss": (lambda: alpha_from_loss(_NAN, 1.0), "loss rate must be >= 0, got nan"),
     "alpha-nan-length": (lambda: alpha_from_loss(1.0, _NAN), "length must be > 0, got nan"),
     "chain-nan-loss": (
