@@ -61,10 +61,12 @@ _MAX_SAMPLES = 1_000_000
 _MIN_ENTROPY_ALPHA = 1e-100
 
 #: Most worker threads (``RINGSIM_THREADS``).  Each worker evaluates one
-#: chunk at a time, and an entropy-grid chunk's kernel arrays take about
-#: 20 MB, so the cap bounds a sweep's memory (the walk keeps
-#: `hom._WINDOW` chunks per worker in flight); two workers already give all
-#: the speedup measured on the grid sweeps.
+#: chunk at a time.  An entropy-grid chunk's kernel arrays take about 20 MB
+#: while it runs; a census worker keeps its coincidence workspace
+#: (`hom._WORKSPACE`), about 4.2 MB at a full chunk, until the walk ends:
+#: about 270 MB at 64 workers.  So the cap bounds a sweep's memory (the walk
+#: keeps `hom._WINDOW` chunks per worker in flight); two workers already
+#: give all the speedup measured on the grid sweeps.
 _MAX_THREADS = 64
 
 #: Largest detuning or matched rate (rad/s) of a langevin-compare sweep,

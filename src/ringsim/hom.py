@@ -23,6 +23,7 @@ where the generalized two-photon dip survives loss (`hom_region`).
 from __future__ import annotations
 
 import math
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -59,9 +60,14 @@ _EIG_SLACK = 1e-10
 #: last digit.
 _CHUNK = 65536
 #: Chunks a threaded grid walk keeps in flight, per worker.  Enough to keep
-#: every worker busy while the caller consumes a chunk; each one in flight
-#: holds its kernel arrays or its result.
+#: every worker busy while the caller consumes a chunk.  A census chunk
+#: waiting to be taken holds only its result; a running one computes in its
+#: worker's `_WORKSPACE`.  A running entropy chunk allocates its own kernel
+#: arrays.
 _WINDOW = 2
+#: Per-thread arrays of `coincidence_ratio_grid` (see `_workspace`): about
+#: 4.2 MB at a full census chunk, kept by each thread until it exits.
+_WORKSPACE = threading.local()
 
 
 @dataclass(frozen=True)
@@ -320,21 +326,48 @@ def coincidence_ratio_grid(
     phase theta and the survival factor alpha; the common circulation
     denominator cancels.  Points where both Perm and det vanish (e.g.
     tau*eta = alpha exactly on resonance) come out NaN.
+
+    The result is always a fresh array (a numpy scalar for 0-d inputs).
+    The temporaries live in a per-thread workspace of the broadcast shape,
+    which the calling thread keeps, for the next call, until it exits.
     """
     _check_alpha(alpha)
     t, e = _real_couplers(tau, eta)
     z = alpha * np.exp(1j * np.asarray(theta, dtype=float))
     te = t * e
+    kk = (1.0 - t * t) * (1.0 - e * e)
     # Perm and det of M share the denominator D^2, so only the numerators
     # matter.  The factored forms avoid the cancellation the expanded
     # polynomials suffer near the decoupled corner tau = eta = 1, theta = 0:
     # perm_num = (tau - eta z)(eta - tau z) + kappa^2 gamma^2 z,
     # det_num = (tau eta - z)(1 - tau eta z).
-    perm_num = (t - e * z) * (e - t * z) + (1.0 - t * t) * (1.0 - e * e) * z
-    det_num = (te - z) * (1.0 - te * z)
+    # Each step is one ufunc of those forms, in their order of operations,
+    # written into this thread's workspace: the result is the only
+    # grid-sized array a call allocates once the workspace has its shape.
+    perm, det, tmp, perm2, det2 = _workspace(np.broadcast_shapes(t.shape, e.shape, z.shape))
+    np.subtract(t, np.multiply(e, z, out=perm), out=perm)
+    np.subtract(e, np.multiply(t, z, out=tmp), out=tmp)
+    np.multiply(perm, tmp, out=perm)
+    np.add(perm, np.multiply(kk, z, out=tmp), out=perm)
+    np.subtract(te, z, out=det)
+    np.subtract(1.0, np.multiply(te, z, out=tmp), out=tmp)
+    np.multiply(det, tmp, out=det)
+    np.square(np.abs(perm, out=perm2), out=perm2)
+    np.square(np.abs(det, out=det2), out=det2)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.abs(perm_num) ** 2 / np.abs(det_num) ** 2
-    return ratio
+        return np.divide(perm2, det2)
+
+
+def _workspace(shape: tuple[int, ...]):
+    """This thread's three complex and two float arrays of ``shape`` for
+    `coincidence_ratio_grid`, reallocated only when the shape changes."""
+    arrays = getattr(_WORKSPACE, "arrays", None)
+    if arrays is None or arrays[0].shape != shape:
+        arrays = tuple(np.empty(shape, complex) for _ in range(3)) + tuple(
+            np.empty(shape) for _ in range(2)
+        )
+        _WORKSPACE.arrays = arrays
+    return arrays
 
 
 @dataclass(frozen=True)

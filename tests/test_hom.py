@@ -1,5 +1,8 @@
 import itertools
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -320,6 +323,124 @@ def test_ratio_grid_validates_inputs():
         coincidence_ratio_grid(np.float64(0.5), np.float64(0.5), np.float64(0.0), 0.0)
     with pytest.raises(ValueError, match="amplitudes"):
         coincidence_ratio_grid(np.float64(1.5), np.float64(0.5), np.float64(0.0), 0.9)
+
+
+# --- former expression of the coincidence kernel (oracle) ----------------------
+
+
+def _former_ratio_grid(tau, eta, theta, alpha):
+    """`coincidence_ratio_grid` as one numpy expression, before its
+    temporaries moved into a per-thread workspace."""
+    t, e = np.asarray(tau, dtype=float), np.asarray(eta, dtype=float)
+    z = alpha * np.exp(1j * np.asarray(theta, dtype=float))
+    te = t * e
+    perm_num = (t - e * z) * (e - t * z) + (1.0 - t * t) * (1.0 - e * e) * z
+    det_num = (te - z) * (1.0 - te * z)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.abs(perm_num) ** 2 / np.abs(det_num) ** 2
+
+
+def _census_block(lo, alpha=0.9, counts=(201, 201, 401)):
+    """The `homm-grid` chunk that starts at pair ``lo`` of the census axes."""
+    taus, etas, thetas = hom._grid_axes(*counts)
+    pairs = len(taus) * len(etas)
+    it, ie = np.divmod(np.arange(lo, min(lo + hom._CHUNK // len(thetas), pairs)), len(etas))
+    return taus[it][:, None], etas[ie][:, None], thetas[None, :], alpha
+
+
+def test_ratio_grid_arrays_are_bitwise_the_former_expression():
+    # Grids: the first and last census chunks (the last one is short and
+    # holds the decoupled edge tau = eta = 1), and a 3-D block through the
+    # decoupled corner and the 0/0 point tau = 1, eta = alpha, theta = 0.
+    blocks = [_census_block(0), _census_block(201 * 201 - 5), _census_block(0, alpha=1.0)]
+    axis = np.array([0.0, 0.5, 0.75, 1.0])
+    corner = (axis[:, None, None], axis[None, :, None], np.array([-0.3, 0.0, 4.44e-16]), 0.75)
+    blocks.append(corner)
+    # 1-D: the critical-dip curves, and a tau axis against one eta and theta.
+    thetas = np.linspace(-np.pi, np.pi, 401)
+    blocks += [(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0), thetas, a) for a in (1.0, 0.9, 0.5)]
+    blocks.append((np.linspace(0.0, 1.0, 33), 0.75, 0.0, 0.75))
+    for tau, eta, theta, alpha in blocks:
+        got = coincidence_ratio_grid(tau, eta, theta, alpha)
+        want = _former_ratio_grid(tau, eta, theta, alpha)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+    ratio = coincidence_ratio_grid(*corner)
+    assert ratio[3, 3, 1] == 1.0 and math.isnan(ratio[3, 2, 1])
+
+
+def test_ratio_grid_scalars_match_the_former_expression():
+    # A 0-d call runs ufuncs into 0-d workspace arrays.  The former
+    # expression squared numpy scalars with `**`, which is libm pow, not
+    # x * x; that is the only difference, and it moves the ratio by at most
+    # 2 ulp (about 1 point in 1000).
+    rng = np.random.default_rng(1203)
+    got, want = [], []
+    for tau, eta, alpha, theta in zip(*rng.uniform(0.0, 1.0, (3, 2000)), rng.uniform(-3, 3, 2000)):
+        got.append(coincidence_ratio_grid(np.float64(tau), np.float64(eta), theta, alpha))
+        want.append(_former_ratio_grid(np.float64(tau), np.float64(eta), theta, alpha))
+    np.testing.assert_array_max_ulp(np.array(got), np.array(want), maxulp=2)
+    assert coincidence_ratio_grid(1.0, 1.0, 0.0, 0.95) == _former_ratio_grid(1.0, 1.0, 0.0, 0.95)
+    assert math.isnan(coincidence_ratio_grid(1.0, 0.75, 0.0, 0.75))
+    value = coincidence_ratio_grid(np.float64(0.3), np.float64(0.6), np.float64(0.2), 0.9)
+    assert type(value) is np.float64
+
+
+def test_ratio_grid_result_is_not_the_workspace():
+    first = coincidence_ratio_grid(*_census_block(0))
+    kept = first.copy()
+    second = coincidence_ratio_grid(*_census_block(163))
+    assert second.shape == first.shape
+    assert np.array_equal(first, kept, equal_nan=True)
+    for array in (second, *hom._WORKSPACE.arrays):
+        assert not np.shares_memory(first, array)
+
+
+def test_ratio_grid_threads_keep_their_own_workspace():
+    # More threads than cores, with a short switch interval so the threads
+    # interleave inside the kernel: two on census chunks of one shape, two
+    # on blocks of shapes of their own.
+    blocks = [_census_block(0), _census_block(163)] + [
+        _census_block(lo, counts=counts) for lo, counts in ((3, (9, 7, 130)), (0, (5, 5, 3)))
+    ]
+    serial = [coincidence_ratio_grid(*block) for block in blocks]
+    failures = []
+    start = threading.Barrier(len(blocks))
+
+    def run(block, want):
+        start.wait(timeout=30)
+        for _ in range(50):
+            if not np.array_equal(coincidence_ratio_grid(*block), want, equal_nan=True):
+                failures.append(block[0].shape)
+
+    threads = [threading.Thread(target=run, args=pair) for pair in zip(blocks, serial)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+
+
+def test_ratio_grid_census_chunk_allocates_only_its_result():
+    # The first call sizes this thread's workspace; a second call of the
+    # same shape allocates its result and a few axis-sized arrays, not the
+    # grid-sized temporaries (about 8x the result before the workspace).
+    block = _census_block(0)
+    coincidence_ratio_grid(*block)
+    tracemalloc.start()
+    try:
+        ratio = coincidence_ratio_grid(*block)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ratio.shape == (163, 401)
+    assert peak < 2 * ratio.nbytes
 
 
 def test_hom_region_census_without_loss():
