@@ -61,7 +61,8 @@ def transfer_matrix(params: AddDropParams) -> np.ndarray:
     Raises
     ------
     ResonantDivergenceError
-        If the circulation denominator 1 - conj(tau) conj(eta) z vanishes
+        If an entry is not finite: the circulation denominator
+        1 - conj(tau) conj(eta) z vanishes or is too small to divide by
         (lossless, both couplers fully reflective, on resonance).
     """
     coupler_in, coupler_drop, ring = params.coupler_in, params.coupler_drop, params.ring
@@ -84,10 +85,6 @@ def _matrix(tau, kappa, eta, gamma, alpha, theta) -> np.ndarray:
     z = alpha * np.exp(1j * theta)
     s = np.sqrt(alpha) * np.exp(0.5j * theta)
     denom = 1.0 - _cmul(_cmul(np.conj(tau), np.conj(eta)), z)
-    if np.any(denom == 0):
-        raise ResonantDivergenceError(
-            "unit loop gain: conj(tau)*conj(eta)*alpha*exp(i*theta) == 1"
-        )
     cross = _cdiv(s, denom)
     entries = (
         _cdiv(tau - _cmul(np.conj(eta), z), denom),
@@ -95,7 +92,12 @@ def _matrix(tau, kappa, eta, gamma, alpha, theta) -> np.ndarray:
         _cmul(_cmul(-np.conj(kappa), gamma), cross),
         _cdiv(eta - _cmul(np.conj(tau), z), denom),
     )
-    return np.stack(np.broadcast_arrays(*entries), axis=-1).reshape(denom.shape + (2, 2))
+    m = np.stack(np.broadcast_arrays(*entries), axis=-1).reshape(denom.shape + (2, 2))
+    if not np.all(np.isfinite(m)):  # a zero denominator gives NaN, a subnormal one inf
+        raise ResonantDivergenceError(
+            "unit loop gain: conj(tau)*conj(eta)*alpha*exp(i*theta) == 1"
+        )
+    return m
 
 
 def noise_commutators(matrix: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _elementwise
+from .core import _check_line, _elementwise
 
 __all__ = [
     "BeamSplitterChain",
@@ -62,12 +62,7 @@ class BeamSplitterChain:
     n_splitters: int = 1000
 
     def __post_init__(self) -> None:
-        if not self.gamma >= 0:  # NaN too
-            raise ValueError(f"loss rate must be >= 0, got {self.gamma}")
-        if not self.length > 0:
-            raise ValueError(f"length must be > 0, got {self.length}")
-        if not self.length < math.inf:
-            raise ValueError(f"length must be finite, got {self.length}")
+        _check_line(self.gamma, self.length)
         if not math.isfinite(self.beta * self.length):  # NaN or infinite beta too
             raise ValueError(f"beta * length must be finite, got beta = {self.beta}")
         if not (isinstance(self.n_splitters, (int, np.integer)) and self.n_splitters >= 1):
@@ -136,12 +131,7 @@ def _continuum(gamma, length):
     gamma, length = np.broadcast_arrays(
         np.asarray(gamma, dtype=float), np.asarray(length, dtype=float)
     )
-    bad = ~(gamma >= 0)  # NaN too
-    if np.any(bad):
-        raise ValueError(f"loss rate must be >= 0, got {gamma[bad].flat[0]}")
-    bad = ~((0 < length) & (length < math.inf))
-    if np.any(bad):
-        raise ValueError(f"length must be finite and > 0, got {length[bad].flat[0]}")
+    _check_line(gamma, length)
     gl = gamma * length
     g, ell = gamma.ravel(), length.ravel()
     panels = np.array(list(map(_simpson_panels, gl.ravel().tolist())), dtype=np.int64)
@@ -192,10 +182,7 @@ class LossSegment:
     length: float
 
     def __post_init__(self) -> None:
-        if not self.gamma >= 0:  # NaN too
-            raise ValueError(f"loss rate must be >= 0, got {self.gamma}")
-        if not 0 < self.length < math.inf:  # NaN too
-            raise ValueError(f"length must be finite and > 0, got {self.length}")
+        _check_line(self.gamma, self.length)
 
 
 def piecewise_commutator(segments: list[LossSegment] | tuple[LossSegment, ...]) -> float:

@@ -24,6 +24,7 @@ from .core import (
     CouplerParams,
     ResonantDivergenceError,
     RingParams,
+    UnitarityError,
     _abs,
     _coupler,
     _square,
@@ -263,14 +264,13 @@ def _validate(mode: str, params: dict) -> None:
         )
     if mode == "langevin-compare":
         check(params["tau"] > 0.0, "tau", "must be > 0 to match Langevin rates")
-        # every matched rate times T_R is at most 2 / sqrt(tau * alpha)
-        top = max(
-            params["delta_tr_max"],
-            2.0 / math.sqrt(params["tau"]) / math.sqrt(params["alpha"]),
-        )
         t_r = params["round_trip_time_s"]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            rates = single_bus._match_rates(params["tau"], _survival(params["alpha"]), t_r)
+        highs = (params["delta_tr_max"] / t_r, *rates)
         check(
-            params["delta_tr_min"] / t_r >= 1.0 / _MAX_RATE and top / t_r <= _MAX_RATE,
+            params["delta_tr_min"] / t_r >= 1.0 / _MAX_RATE
+            and all(value <= _MAX_RATE for value in highs),  # NaN too
             "round_trip_time_s",
             f"must keep detunings and matched rates within [{1.0 / _MAX_RATE:g}, "
             f"{_MAX_RATE:g}] rad/s",
@@ -427,12 +427,9 @@ def _sweep_add_drop(p: dict, workers: int):
     comm = add_drop.noise_commutators(m)
     rows = _rows(
         thetas,
-        m[:, 0, 0].real, m[:, 0, 0].imag,
-        m[:, 0, 1].real, m[:, 0, 1].imag,
-        m[:, 1, 0].real, m[:, 1, 0].imag,
-        m[:, 1, 1].real, m[:, 1, 1].imag,
-        comm[:, 0, 0].real, comm[:, 1, 1].real,
-        comm[:, 0, 1].real, comm[:, 0, 1].imag,
+        *m.reshape(-1, 4).view(float).T,  # (re, im) of m_ca, m_cb, m_da, m_db
+        *comm.diagonal(0, -2, -1).real.T,
+        *comm[:, 0, 1:].view(float).T,
     )
     columns = [
         "theta_rad",
@@ -492,7 +489,13 @@ def _sweep_critical_dip(p: dict, workers: int):
 
 def _sweep_entropy_grid(p: dict, workers: int):
     def evaluate(tau, eta, theta):
-        bits = hom.entropy_grid(tau, eta, theta, p["alpha"], p["p1_threshold"])
+        try:
+            bits = hom.entropy_grid(tau, eta, theta, p["alpha"], p["p1_threshold"])
+        except UnitarityError as exc:  # near alpha = 1 the commutators cancel
+            raise ConfigError(
+                f"alpha, p1_threshold: {exc}; lower alpha or raise p1_threshold "
+                f"(got {p['alpha']!r}, {p['p1_threshold']!r})"
+            ) from exc
         return bits, np.ones(bits.shape, dtype=bool)
 
     columns = ["tau", "eta", "theta_rad", "entropy_bits"]

@@ -30,9 +30,9 @@ class UnitarityError(ValueError):
 class ResonantDivergenceError(ZeroDivisionError):
     """A circulation sum was evaluated at its divergent (unit loop gain) point.
 
-    Reachable only for a lossless ring driven exactly on resonance through a
-    fully reflective coupler; any finite loss keeps the loop gain inside the
-    unit disk.
+    Reachable only for a lossless ring driven on resonance, to within
+    rounding, through a fully reflective coupler; any finite loss keeps the
+    loop gain inside the unit disk.
     """
 
 
@@ -49,13 +49,10 @@ def alpha_from_loss(gamma: float, length: float) -> float:
     gamma : float
         Distributed power loss rate, 1/m.  Must be >= 0.
     length : float
-        Propagation length (one circulation), m.  Must be > 0.  Gamma*L above
-        about 1490 is rejected: exp(-Gamma*L/2) underflows to 0.
+        Propagation length (one circulation), m.  Must be finite and > 0.
+        Gamma*L above about 1490 is rejected: exp(-Gamma*L/2) underflows to 0.
     """
-    if not gamma >= 0:  # NaN too
-        raise ValueError(f"loss rate must be >= 0, got {gamma}")
-    if not length > 0:
-        raise ValueError(f"length must be > 0, got {length}")
+    _check_line(gamma, length)
     alpha = math.exp(-0.5 * gamma * length)
     if not alpha > 0.0:  # NaN too, from 0 * inf
         raise ValueError(f"loss rate {gamma} over length {length} leaves alpha = {alpha}")
@@ -168,6 +165,20 @@ def _check_alpha(alpha) -> np.ndarray:
         bad = alpha if a.ndim == 0 else a[~inside].flat[0]
         raise ValueError(f"alpha must be in (0, 1], got {bad}")
     return a
+
+
+def _check_line(gamma, length) -> None:
+    """Raise unless each loss rate (NaN too) is >= 0 and each length is
+    finite and > 0.  Broadcasts over arrays."""
+    g, ell = np.asarray(gamma, dtype=float), np.asarray(length, dtype=float)
+    bad = ~(g >= 0)
+    if np.any(bad):
+        got = gamma if g.ndim == 0 else g[bad].flat[0]
+        raise ValueError(f"loss rate must be >= 0, got {got}")
+    bad = ~((0 < ell) & (ell < math.inf))
+    if np.any(bad):
+        got = length if ell.ndim == 0 else ell[bad].flat[0]
+        raise ValueError(f"length must be finite and > 0, got {got}")
 
 
 def _real_couplers(tau, eta) -> tuple[np.ndarray, np.ndarray]:

@@ -39,7 +39,6 @@ from .core import (
     TruncationError,
     _abs,
     _cdiv,
-    _check_alpha,
     _cmul,
     _square,
 )
@@ -213,9 +212,9 @@ def power_comparison(
     detuning.  Returns an (n, 3) array with columns
     ``(delta*T_R, power_ring, power_lorentzian)``.
     """
-    _check_alpha(alpha)
-    if not round_trip_time > 0:  # NaN too
-        raise ValueError(f"round-trip time must be > 0, got {round_trip_time}")
+    rates = match_rates(
+        coupler, RingParams.from_alpha(alpha, theta=0.0), round_trip_time
+    )
     deltas = np.asarray(deltas, dtype=float)
     _check_detunings(deltas)
     t = abs(coupler.tau)
@@ -224,9 +223,6 @@ def power_comparison(
     loop = alpha * np.exp(1j * x)
     ring_amp = (t - loop) / (1.0 - t * loop)
     ring_power = np.abs(ring_amp) ** 2
-    rates = match_rates(
-        coupler, RingParams.from_alpha(alpha, theta=0.0), round_trip_time
-    )
     lorentz_power = (rates.gamma_minus**2 + deltas**2) / (
         rates.gamma_plus**2 + deltas**2
     )

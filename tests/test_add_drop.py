@@ -98,6 +98,12 @@ def test_divergence_error():
         transfer_matrix(_params(1.0, 1.0, 1.0, 0.0))
 
 
+def test_divergence_error_at_a_subnormal_denominator():
+    # the cross entries came out 0 * inf = NaN, with no error
+    with pytest.raises(ResonantDivergenceError, match="unit loop gain"):
+        transfer_matrix(_params(1.0, 1.0, 1.0, 5e-324))
+
+
 def test_cross_term_reciprocity():
     rng = np.random.default_rng(22)
     for _ in range(50):

@@ -158,6 +158,27 @@ _BAD_INPUTS = [
          "--set", "theta_count=3"),
         "unit loop gain",
     ),
+    # a subnormal denominator: 0 * inf = NaN cross entries, then a
+    # UnitarityError traceback from the noise commutators
+    (
+        ("add-drop", "--set", "tau=1", "--set", "eta=1", "--set", "alpha=1",
+         "--set", "theta_min=5e-324", "--set", "theta_max=5e-324", "--set", "theta_count=1"),
+        "unit loop gain",
+    ),
+    # sqrt(alpha * tau) underflows to 0: a RuntimeWarning, then infinite
+    # matched rates and a ValueError traceback
+    (
+        ("langevin-compare", "--set", "tau=5e-324", "--set", "alpha=0.03",
+         "--set", "round_trip_time_s=1e100"),
+        "round_trip_time_s: must keep",
+    ),
+    # near alpha = 1 the noise commutators cancel, and the one-photon state
+    # just above the threshold has a negative eigenvalue: a traceback
+    (("entropy-grid", "--set", "alpha=0.99999999999995"), "alpha, p1_threshold: negative"),
+    (
+        ("entropy-grid", "--set", "alpha=1.0", "--set", "p1_threshold=0"),
+        "alpha, p1_threshold: negative",
+    ),
     # the sector norms overflow on the tau = 0 and eta = 0 edges: warnings
     # and NaN cells
     (("entropy-grid", "--set", "alpha=5e-324"), "alpha: must be >= 1e-100 for entropy-grid"),
@@ -229,6 +250,17 @@ def test_invalid_values_are_config_errors(capsys):
         assert code == 1, args
         assert err.startswith("ringsim: config error: ") and message in err, args
         assert err.count("\n") == 1, args
+
+
+def test_bad_inputs_leave_no_output_file(monkeypatch, tmp_path, capsys):
+    out = tmp_path / "table.csv"
+    for args, _ in _BAD_INPUTS:
+        results = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("RINGSIM_THREADS", threads)
+            results.append(_main(capsys, *args, "--out", str(out)))
+        assert results[0][0] == 1 and results[0] == results[1], args
+        assert not any(tmp_path.iterdir()), args
 
 
 def test_config_file_problems_are_config_errors(tmp_path, monkeypatch, capsys):
@@ -501,6 +533,15 @@ def test_langevin_compare_agrees_at_small_detuning():
     # innermost detunings (|delta| T_R = 1e-4) sit deep in the matched regime
     assert rows[39][3] < 1e-8
     assert rows[40][3] < 1e-8
+
+
+def test_langevin_compare_accepts_matched_rates_inside_the_window():
+    # the matched rates are 6.7e149 rad/s, inside the window; a bound that
+    # takes sqrt(tau) and sqrt(alpha) apart put them above 1e150
+    proc = _run("langevin-compare", "--set", "tau=2.25e-266", "--set", "alpha=1e-10")
+    assert proc.returncode == 0 and proc.stderr == ""
+    _, _, rows, _ = _parse_csv(proc.stdout)
+    assert len(rows) == 80 and all(map(math.isfinite, itertools.chain(*rows)))
 
 
 def test_add_drop_sweep_reports_contractive_commutators():

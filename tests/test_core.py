@@ -81,12 +81,18 @@ _BAD_FIELDS = {
         "loss rate inf over length 1.0 leaves alpha = 0.0",
     ),
     "alpha-nan-loss": (lambda: alpha_from_loss(_NAN, 1.0), "loss rate must be >= 0, got nan"),
-    "alpha-nan-length": (lambda: alpha_from_loss(1.0, _NAN), "length must be > 0, got nan"),
+    "alpha-nan-length": (
+        lambda: alpha_from_loss(1.0, _NAN), "length must be finite and > 0, got nan"
+    ),
+    # exp(-Gamma*L/2) underflowed to 0 and blamed the loss rate
+    "alpha-inf-length": (
+        lambda: alpha_from_loss(1.0, math.inf), "length must be finite and > 0, got inf"
+    ),
     "chain-nan-loss": (
         lambda: BeamSplitterChain(_NAN, 1.0, 0.0, 10), "loss rate must be >= 0, got nan"
     ),
     "chain-nan-length": (
-        lambda: BeamSplitterChain(0.1, _NAN, 0.0, 10), "length must be > 0, got nan"
+        lambda: BeamSplitterChain(0.1, _NAN, 0.0, 10), "length must be finite and > 0, got nan"
     ),
     # 0 * inf in the segment power made piecewise_commutator NaN with a warning
     "segment-inf-length": (

@@ -244,6 +244,15 @@ _BAD_RATES = {
         lambda: power_comparison(CouplerParams.from_magnitude(0.5), 0.9, math.nan, np.zeros(3)),
         "round-trip time",
     ),
+    # rate matching owns these two checks; the texts are those power_comparison raised itself
+    "compare-zero-alpha": (
+        lambda: power_comparison(CouplerParams.from_magnitude(0.5), 0.0, 1e-12, np.zeros(3)),
+        r"^alpha must be in \(0, 1\], got 0\.0$",
+    ),
+    "compare-zero-time": (
+        lambda: power_comparison(CouplerParams.from_magnitude(0.5), 0.9, 0.0, np.zeros(3)),
+        r"^round-trip time must be > 0, got 0\.0$",
+    ),
     # a non-finite detuning gave a NaN amplitude, or a numpy RuntimeWarning
     "langevin-nan-detuning": (lambda: langevin_transfer(LangevinRates(1.0, 1.0), math.nan), "detuning"),
     "langevin-inf-detuning": (lambda: langevin_transfer(LangevinRates(1.0, 1.0), math.inf), "detuning"),
