@@ -1,9 +1,13 @@
 """Command-line front end: parameter sweeps, grid data emission, identity audit.
 
 Every sweep writes a deterministic table (CSV or JSON): the same config
-produces byte-identical output regardless of how many worker threads
-evaluate the grid.  ``RINGSIM_THREADS`` caps the worker count.  A sweep's
-output is written chunk by chunk as the chunks are evaluated.
+produces byte-identical output regardless of how many workers evaluate the
+grid.  ``RINGSIM_THREADS`` caps the worker count.  A sweep's output is
+written chunk by chunk as the chunks are evaluated.  A grid chunk is
+evaluated and rendered to text in one task: a census chunk on a worker
+thread (its kernel releases the GIL), an entropy-grid chunk in a forked
+worker process (its ``x log x`` and cell text hold it), which allocates
+its own kernel arrays, about 20 MB per chunk.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import math
 import os
 import stat
 import sys
+from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +50,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_AUDIT = 2
 EXIT_IO = 3
+EXIT_INTERNAL = 4
 
 #: Most points a sweep may have: the product of its counts (critical-dip
 #: also counts its curves).  Six times a 201x201x401 census grid.
@@ -61,13 +67,14 @@ _MAX_SAMPLES = 1_000_000
 #: against dense eta, tau and theta axes); the floor keeps a margin.
 _MIN_ENTROPY_ALPHA = 1e-100
 
-#: Most worker threads (``RINGSIM_THREADS``).  Each worker evaluates one
-#: chunk at a time.  An entropy-grid chunk's kernel arrays take about 20 MB
-#: while it runs; a census worker keeps its coincidence workspace
-#: (`hom._WORKSPACE`), about 4.2 MB at a full chunk, until the walk ends:
-#: about 270 MB at 64 workers.  So the cap bounds a sweep's memory (the walk
-#: keeps `hom._WINDOW` chunks per worker in flight); two workers already
-#: give all the speedup measured on the grid sweeps.
+#: Most workers (``RINGSIM_THREADS``).  Each worker evaluates one chunk at
+#: a time.  An entropy-grid worker is a forked process, at most one per
+#: usable CPU, whose kernel arrays take about 20 MB while a chunk runs; a
+#: census worker thread keeps its coincidence workspace (`hom._WORKSPACE`),
+#: about 4.2 MB at a full chunk, until the walk ends: about 270 MB at 64
+#: workers.  So the cap bounds a sweep's memory (the walk keeps
+#: `hom._WINDOW` chunks per worker in flight); two workers already give all
+#: the speedup measured on the grid sweeps.
 _MAX_THREADS = 64
 
 #: Largest detuning or matched rate (rad/s) of a langevin-compare sweep,
@@ -369,9 +376,15 @@ def _cells(values) -> list[str]:
     return list(map(repr, np.asarray(values).tolist()))
 
 
-def _rows(*columns) -> list[Rows]:
-    """The one chunk of a sweep given whole value columns."""
-    return [Rows(*map(_cells, columns))]
+def _rows(*columns):
+    """The chunks of a sweep given whole value columns: one chunk, in the
+    form `_grid_rows` returns."""
+    rows = Rows(*map(_cells, columns))
+
+    def chunks(piece):
+        yield piece(rows)
+
+    return chunks
 
 
 # --- sweep implementations -------------------------------------------------
@@ -440,27 +453,34 @@ def _sweep_add_drop(p: dict, workers: int):
     return columns, rows, None
 
 
-def _grid_rows(p: dict, workers: int, evaluate):
-    """The rows of a (tau, eta, theta) grid sweep, chunk by chunk, in grid order.
+def _grid_rows(p: dict, workers: int, evaluate, processes: bool = False):
+    """The chunks of a (tau, eta, theta) grid sweep: ``chunks(piece)``
+    yields ``piece`` of each chunk's `Rows`, in grid order.
 
-    ``evaluate`` is the chunk kernel of `hom._walk_grid`.  Each chunk is
-    reduced to the cells of its rows in its own task, so only the chunks in
-    flight exist at once; each axis value is formatted once.
+    ``evaluate`` is the chunk kernel of `hom._walk_grid`, and ``processes``
+    picks its worker processes over threads.  Each chunk is evaluated and
+    passed through ``piece`` in its own task, so only the chunks in flight
+    exist at once; each axis value is formatted once.
     """
     axes = hom._grid_axes(p["tau_count"], p["eta_count"], p["theta_count"])
     tau_cells, eta_cells, theta_cells = (
         np.array(_cells(axis), dtype=object) for axis in axes
     )
 
-    def reduce(ti, ei, hi, values) -> Rows:
-        return Rows(
-            tau_cells[ti].tolist(),
-            eta_cells[ei].tolist(),
-            theta_cells[hi].tolist(),
-            _cells(values),
-        )
+    def chunks(piece):
+        def reduce(ti, ei, hi, values):
+            return piece(
+                Rows(
+                    tau_cells[ti].tolist(),
+                    eta_cells[ei].tolist(),
+                    theta_cells[hi].tolist(),
+                    _cells(values),
+                )
+            )
 
-    return hom._walk_grid(axes, evaluate, reduce, workers)
+        return hom._walk_grid(axes, evaluate, reduce, workers, processes)
+
+    return chunks
 
 
 def _sweep_homm_grid(p: dict, workers: int):
@@ -499,7 +519,8 @@ def _sweep_entropy_grid(p: dict, workers: int):
         return bits, np.ones(bits.shape, dtype=bool)
 
     columns = ["tau", "eta", "theta_rad", "entropy_bits"]
-    return columns, _grid_rows(p, workers, evaluate), None
+    # x log x and the cell text hold the GIL, so only processes run in parallel
+    return columns, _grid_rows(p, workers, evaluate, processes=True), None
 
 
 _SWEEPS = {
@@ -558,33 +579,42 @@ def render_csv(config: SweepConfig, columns, rows: Rows, before: int) -> str:
 
 
 def render_json(config: SweepConfig, columns, rows: Rows, before: int) -> str:
-    """The ``"rows"`` entries of one chunk of rows that ``before`` rows
-    precede, laid out as ``json.dumps(indent=2)`` lays them out, with
-    undefined cells as ``null`` and a leading ``,`` unless ``before`` is 0.
-    `run_sweep` writes the payload around them."""
+    """The ``"rows"`` entries of one chunk of rows, laid out as
+    ``json.dumps(indent=2)`` lays them out, with undefined cells as
+    ``null``.  `run_sweep` writes the payload around them and the ``,``
+    between chunks.  Takes every renderer's arguments."""
     entries = map(",\n      ".join, zip(*map(_json_cells, rows.columns)))
-    return ("," if before else "") + ",".join(map("\n    [\n      {}\n    ]".format, entries))
+    return ",".join(map("\n    [\n      {}\n    ]".format, entries))
 
 
 def run_sweep(config: SweepConfig, sink) -> None:
     """Evaluate one sweep and write its output text to ``sink``.
 
-    Writes the head of `_frame`, then each chunk that has rows as soon as
-    it is evaluated, holding no other chunk, then the tail, which holds a
-    census summary (it counts the rows).
+    Every chunk is rendered in the task that evaluates it, wherever that
+    runs, and comes back as its text and row count.  Each chunk that has
+    rows is written as soon as it is taken, in grid order, holding no other
+    chunk; the head of `_frame` goes with the first of them, so a sweep
+    that fails before its first rows writes nothing.  The tail, which holds
+    a census summary (it counts the rows), goes last.
     """
     if config.mode not in _SWEEPS:
         raise ConfigError(f"mode: unknown sweep mode {config.mode!r}")
     columns, chunks, summary = _SWEEPS[config.mode](config.params, _worker_count())
     render = render_csv if config.fmt == "csv" else render_json
+    between = "" if config.fmt == "csv" else ","
+
+    def piece(rows: Rows) -> tuple[str, int]:
+        return render(config, columns, rows, 0), len(rows)
+
     head, _ = _frame(config, columns, None, 0)
-    _write_output(head, sink)
     count = 0
-    for rows in filter(len, chunks):
-        _write_output(render(config, columns, rows, count), sink)
-        count += len(rows)
+    with contextlib.closing(chunks(piece)) as pieces:
+        for text, rows in pieces:
+            if rows:
+                _write_output((between if count else head) + text, sink)
+                count += rows
     _, tail = _frame(config, columns, summary(count) if summary else None, count)
-    _write_output(tail, sink)
+    _write_output(tail if count else head + tail, sink)
 
 
 # --- identity audit ---------------------------------------------------------
@@ -981,6 +1011,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         sys.stderr.write(f"ringsim: i/o error: {exc}\n")
         return EXIT_IO
+    except BrokenExecutor:
+        sys.stderr.write("ringsim: internal error: a worker process died\n")
+        return EXIT_INTERNAL
     return EXIT_OK
 
 

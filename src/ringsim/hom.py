@@ -23,6 +23,7 @@ where the generalized two-photon dip survives loss (`hom_region`).
 from __future__ import annotations
 
 import math
+import os
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -59,11 +60,12 @@ _EIG_SLACK = 1e-10
 #: 67,376 of the 450,241 cells of a 61x61x121 entropy grid change in the
 #: last digit.
 _CHUNK = 65536
-#: Chunks a threaded grid walk keeps in flight, per worker.  Enough to keep
+#: Chunks a pooled grid walk keeps in flight, per worker.  Enough to keep
 #: every worker busy while the caller consumes a chunk.  A census chunk
 #: waiting to be taken holds only its result; a running one computes in its
-#: worker's `_WORKSPACE`.  A running entropy chunk allocates its own kernel
-#: arrays.
+#: worker thread's `_WORKSPACE`.  An entropy chunk runs in a worker process,
+#: which allocates its own kernel arrays (about 20 MB) and sends back only
+#: the chunk's result.
 _WINDOW = 2
 #: Per-thread arrays of `coincidence_ratio_grid` (see `_workspace`): about
 #: 4.2 MB at a full census chunk, kept by each thread until it exits.
@@ -454,7 +456,7 @@ def _grid_axes(
     )
 
 
-def _walk_grid(axes, evaluate, reduce, workers: int = 1):
+def _walk_grid(axes, evaluate, reduce, workers: int = 1, processes: bool = False):
     """Yield ``reduce`` of each chunk of a (tau, eta, theta) grid, in grid order.
 
     A chunk is a block of (tau, eta) pairs against the whole theta axis, at
@@ -465,10 +467,14 @@ def _walk_grid(axes, evaluate, reduce, workers: int = 1):
     of the kept points.  Both run in the chunk's task, so its kernel arrays
     die with it.
 
-    With more than one worker the chunks run on a thread pool, at most
+    With more than one worker the chunks run on a pool, at most
     ``_WINDOW * workers`` at a time: the results are taken in order, and the
     next chunk is submitted as each one is taken.  Closing the generator
-    early cancels the chunks not yet started.
+    early cancels the chunks not yet started and waits for the running ones,
+    so no worker outlives it.  The pool is of threads, or with ``processes``
+    of forked worker processes (see `_pool`), for chunks that hold the GIL:
+    there ``reduce``'s result must pickle, and at most one worker runs per
+    usable CPU.
     """
     taus, etas, thetas = axes
     pairs = len(taus) * len(etas)
@@ -481,20 +487,71 @@ def _walk_grid(axes, evaluate, reduce, workers: int = 1):
         return reduce(it[pair], ie[pair], ith, values[pair, ith])
 
     starts = range(0, pairs, step)
+    if processes:
+        workers = min(workers, _usable_cpus(), len(starts))
     if workers <= 1 or len(starts) == 1:
         yield from map(chunk, starts)
         return
-    pool = ThreadPoolExecutor(max_workers=workers)
+    pool, task = _pool(chunk, workers, processes)
     try:
         window = deque()
         for lo in starts:
             if len(window) == _WINDOW * workers:
                 yield window.popleft().result()
-            window.append(pool.submit(chunk, lo))
+            window.append(pool.submit(task, lo))
         while window:
             yield window.popleft().result()
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _pool(chunk, workers: int, processes: bool):
+    """An executor of ``workers`` and the task that runs ``chunk(lo)`` on it.
+
+    With ``processes``, and where the ``fork`` start method exists, the
+    workers are forked processes: each inherits ``chunk`` through the
+    initializer, unpickled, and the task passes only ``lo`` and the result.
+    The pool forks them all at its first submit, before it starts a thread
+    of its own.  Otherwise they are threads.
+    """
+    if processes:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures.process import ProcessPoolExecutor
+
+            # A worker flushes its copies of sys.stdout and sys.stderr when it
+            # exits; multiprocessing flushes both before each fork, so no
+            # buffered line is written twice.  A file sink is never flushed
+            # in a worker.
+            pool = ProcessPoolExecutor(
+                max_workers=workers,
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_adopt,
+                initargs=(chunk,),
+            )
+            return pool, _run_adopted
+    return ThreadPoolExecutor(max_workers=workers), chunk
+
+
+# The chunk function a forked worker process runs, set in that process only.
+_adopted = None
+
+
+def _adopt(chunk) -> None:
+    global _adopted
+    _adopted = chunk
+
+
+def _run_adopted(lo):
+    return _adopted(lo)
 
 
 def entropy_one_photon(density: SectorDensity) -> float:

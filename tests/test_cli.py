@@ -1,6 +1,9 @@
 import ast
 import cmath
+import concurrent.futures
+import concurrent.futures.process
 import contextlib
+import functools
 import gc
 import hashlib
 import importlib
@@ -9,9 +12,11 @@ import io
 import itertools
 import json
 import math
+import multiprocessing
 import os
 import select
 import shutil
+import signal
 import stat
 import subprocess
 import sys
@@ -383,12 +388,14 @@ def test_invalid_thread_env_is_a_config_error(monkeypatch, capsys):
         raise AssertionError("a worker pool was built")
 
     monkeypatch.setattr(hom, "ThreadPoolExecutor", no_pool)
-    code, err = _main(capsys, "homm-grid")
-    assert code == 1
-    assert err == (
-        "ringsim: config error: RINGSIM_THREADS: must be an integer in "
-        f"[1, {cli._MAX_THREADS}], got '100000'\n"
-    )
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", no_pool)
+    for mode in ("homm-grid", "entropy-grid"):
+        code, err = _main(capsys, mode)
+        assert code == 1
+        assert err == (
+            "ringsim: config error: RINGSIM_THREADS: must be an integer in "
+            f"[1, {cli._MAX_THREADS}], got '100000'\n"
+        )
 
 
 def test_audit_passes_and_writes_report(tmp_path):
@@ -437,6 +444,24 @@ def test_cli_import_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_only_the_process_pool_imports_multiprocessing():
+    # about 11 ms of imports that no quick sweep and no census should pay
+    probe = (
+        "import os, sys; from ringsim import cli; "
+        "cli.main(['homm-grid', '--set', 'tau_count=41', '--set', 'eta_count=41', "
+        "'--set', 'theta_count=41', '--out', os.devnull]); "
+        "os.environ['RINGSIM_THREADS'] = '1'; "
+        "cli.main(['entropy-grid', '--out', os.devnull]); "
+        "print('multiprocessing' in sys.modules)"
+    )
+    env = dict(os.environ, RINGSIM_THREADS="2")
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 # Values of every kind: small and huge numbers of both signs, non-finite
@@ -613,10 +638,12 @@ _STREAMED = (
 def test_rows_reach_the_sink_before_the_last_kernel_call(monkeypatch, threads):
     monkeypatch.setenv("RINGSIM_THREADS", str(threads))
     monkeypatch.setattr(hom, "_CHUNK", 16)
-    kernel, calls = hom.entropy_grid, []
+    # counted in shared memory: entropy chunks run in forked worker processes
+    kernel, calls = hom.entropy_grid, multiprocessing.Value("i", 0)
 
     def counted(*args, **kwargs):
-        calls.append(None)
+        with calls.get_lock():
+            calls.value += 1
         return kernel(*args, **kwargs)
 
     monkeypatch.setattr(hom, "entropy_grid", counted)
@@ -627,14 +654,14 @@ def test_rows_reach_the_sink_before_the_last_kernel_call(monkeypatch, threads):
         def write(self, text):
             rows = any(line[:1].isdigit() for line in text.splitlines())
             if rows and self.first_row_after is None:
-                self.first_row_after = len(calls)
+                self.first_row_after = calls.value
             return super().write(text)
 
     config = cli.load_config(_STREAMED[0], None, list(_STREAMED[2::2]), None, "csv")
     sink = Sink()
     cli.run_sweep(config, sink)
-    assert len(calls) == 10
-    assert sink.first_row_after is not None and sink.first_row_after < len(calls)
+    assert calls.value == 10
+    assert sink.first_row_after is not None and sink.first_row_after < calls.value
     assert len(_parse_csv(sink.getvalue())[2]) == 4 * 5 * 7
 
 
@@ -684,6 +711,194 @@ def test_a_sweep_holds_one_chunk_of_rows_at_a_time(monkeypatch):
     cli.run_sweep(config, sink)
     assert len(_parse_csv(sink.getvalue())[2]) == 4 * 5 * 7
     assert max(sink.live) <= 1, sink.live
+
+
+# --- worker processes -----------------------------------------------------------
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail a block that waits on worker processes, rather than hang."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    saved = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, saved)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_a_sweep_that_fails_in_its_first_chunk_writes_nothing(monkeypatch, capfd, threads):
+    # the error comes from the kernel of the first chunk, in a worker
+    # process at 2 workers; the head goes out with the first rows, so none is left
+    monkeypatch.setenv("RINGSIM_THREADS", threads)
+    monkeypatch.setattr(hom, "_usable_cpus", lambda: 2)
+    with _deadline(60):
+        code = cli.main(["entropy-grid", "--set", "alpha=1.0", "--set", "p1_threshold=0"])
+    out, err = capfd.readouterr()
+    assert code == 1 and out == ""
+    assert err == (
+        "ringsim: config error: alpha, p1_threshold: negative one-photon eigenvalue at "
+        "9609 grid points; lower alpha or raise p1_threshold (got 1.0, 0.0)\n"
+    )
+    assert multiprocessing.active_children() == []
+
+
+def test_a_dead_worker_process_ends_the_run_cleanly(monkeypatch, tmp_path, capfd):
+    monkeypatch.setenv("RINGSIM_THREADS", "2")
+    monkeypatch.setattr(hom, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(hom, "_CHUNK", 16)
+    parent, kernel = os.getpid(), hom.entropy_grid
+
+    def dying(*args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(1)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(hom, "entropy_grid", dying)
+    with _deadline(60):
+        code = cli.main([*_STREAMED, "--out", str(tmp_path / "table.csv")])
+    out, err = capfd.readouterr()
+    assert code == cli.EXIT_INTERNAL == 4
+    assert (out, err) == ("", "ringsim: internal error: a worker process died\n")
+    assert not any(tmp_path.iterdir())
+    assert multiprocessing.active_children() == []
+
+
+def test_no_worker_process_outlives_a_sweep(monkeypatch, tmp_path):
+    monkeypatch.setenv("RINGSIM_THREADS", "2")
+    monkeypatch.setattr(hom, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(hom, "_CHUNK", 16)
+    with _deadline(60):
+        assert cli.main([*_STREAMED, "--out", str(tmp_path / "table.csv")]) == 0
+    assert multiprocessing.active_children() == []
+
+    # a reader that closes stdout before the first chunk is written
+    class ClosedStdout(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return spare
+
+    spare = os.open(tmp_path / "spare", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", ClosedStdout())
+        with _deadline(60):
+            assert cli.main(list(_STREAMED)) == 0
+    finally:
+        os.close(spare)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_worker_processes_never_change_entropy_grid_bytes(monkeypatch, tmp_path, capfd, fmt):
+    # ten chunks of two pairs: every chunk after the first starts with the
+    # JSON separator, and the last holds the eight undefined cells (tau = 1)
+    monkeypatch.setattr(hom, "_CHUNK", 16)
+    monkeypatch.setattr(hom, "_usable_cpus", lambda: 3)
+    _, want = _sweep_and_reference(monkeypatch, _STREAMED[0], _STREAMED[2::2], fmt, 1)
+    assert want.count("null" if fmt == "json" else ",nan\n") == 8
+    for threads in ("1", "2", "3"):
+        monkeypatch.setenv("RINGSIM_THREADS", threads)
+        out = tmp_path / f"table.{fmt}"
+        assert cli.main([*_STREAMED, "--format", fmt, "--out", str(out)]) == 0
+        assert cli.main([*_STREAMED, "--format", fmt]) == 0
+        assert capfd.readouterr() == (want, ""), threads
+        assert out.read_text() == want, threads
+
+
+def test_forked_workers_do_not_repeat_buffered_stdout():
+    # a worker process flushes its copy of sys.stdout when it exits
+    script = (
+        "import sys; from ringsim import cli, hom; hom._CHUNK = 16; "
+        "hom._usable_cpus = lambda: 2; sys.stdout.write('before\\n'); "
+        f"sys.exit(cli.main({list(_STREAMED)!r}))"
+    )
+    env = dict(os.environ, RINGSIM_THREADS="2", PYTHONPATH=str(_ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.count("before\n") == 1
+    assert proc.stdout.startswith("before\n" + CONFIG_PREFIX)
+
+
+class _RecordingPool:
+    """Stands in for an executor: records the worker count it is built
+    with, runs its initializer, and runs each task at once, in this process."""
+
+    def __init__(self, built, max_workers, mp_context=None, initializer=None, initargs=()):
+        built.append(max_workers)
+        if initializer is not None:
+            initializer(*initargs)
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+def _record_pools(monkeypatch):
+    """Replace both worker pools by `_RecordingPool`; return the worker
+    counts each kind was built with."""
+    built = {"process": [], "thread": []}
+    monkeypatch.setattr(
+        concurrent.futures.process, "ProcessPoolExecutor",
+        functools.partial(_RecordingPool, built["process"]),
+    )
+    monkeypatch.setattr(
+        hom, "ThreadPoolExecutor", functools.partial(_RecordingPool, built["thread"])
+    )
+    monkeypatch.setattr(hom, "_adopted", None)
+    return built
+
+
+def test_worker_processes_are_capped_by_cpus_and_chunks(monkeypatch):
+    monkeypatch.setattr(hom, "_CHUNK", 16)  # ten chunks
+    built = _record_pools(monkeypatch)
+    config = cli.load_config(_STREAMED[0], None, list(_STREAMED[2::2]), None, "csv")
+    monkeypatch.setenv("RINGSIM_THREADS", "1")
+    want = _sweep_text(config)
+    for threads, cpus in ((64, 3), (64, 64), (2, 64), (64, 1)):
+        monkeypatch.setenv("RINGSIM_THREADS", str(threads))
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)), raising=False
+        )
+        assert _sweep_text(config) == want
+    # one usable CPU walks the grid serially
+    assert built == {"process": [3, 10, 2], "thread": []}
+
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    monkeypatch.setenv("RINGSIM_THREADS", "64")
+    assert _sweep_text(config) == want
+    assert built["process"] == [3, 10, 2, 5]
+
+
+def test_grid_sweeps_fall_back_to_threads_without_fork(monkeypatch):
+    monkeypatch.setattr(hom, "_CHUNK", 16)
+    monkeypatch.setattr(hom, "_usable_cpus", lambda: 2)
+    monkeypatch.setenv("RINGSIM_THREADS", "2")
+    built = _record_pools(monkeypatch)
+    census = cli.load_config("homm-grid", None, list(_SMALL["homm-grid"]), None, "json")
+    _sweep_text(census)  # the census keeps its threads
+    assert built == {"process": [], "thread": [2]}
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    text, want = _sweep_and_reference(monkeypatch, _STREAMED[0], _STREAMED[2::2], "json", 2)
+    assert text == want
+    assert built == {"process": [], "thread": [2, 2]}
 
 
 def test_output_file_mode_is_what_open_gives(tmp_path):
