@@ -2,12 +2,16 @@
 
 Every sweep writes a deterministic table (CSV or JSON): the same config
 produces byte-identical output regardless of how many workers evaluate the
-grid.  ``RINGSIM_THREADS`` caps the worker count.  A sweep's output is
-written chunk by chunk as the chunks are evaluated.  A grid chunk is
-evaluated and rendered to text in one task: a census chunk on a worker
-thread (its kernel releases the GIL), an entropy-grid chunk in a forked
-worker process (its ``x log x`` and cell text hold it), which allocates
-its own kernel arrays, about 20 MB per chunk.
+grid.  Every sweep hands `run_sweep` a stream of chunks of rows, and its
+output is written chunk by chunk as the chunks are evaluated, so no sweep
+holds more than the chunks in flight.  A sweep along one axis evaluates
+and renders its chunks of at most `hom._CHUNK` axis values one at a time
+in the main thread.  A grid chunk is evaluated and rendered to text in one
+task: a census chunk on a worker thread (its kernel releases the GIL), an
+entropy-grid chunk in a forked worker process (its ``x log x`` and cell
+text hold it), which allocates its own kernel arrays, about 20 MB per
+chunk.  ``RINGSIM_THREADS`` caps the grid workers; at most one runs per
+usable CPU and per chunk.
 """
 
 from __future__ import annotations
@@ -67,12 +71,13 @@ _MAX_SAMPLES = 1_000_000
 #: against dense eta, tau and theta axes); the floor keeps a margin.
 _MIN_ENTROPY_ALPHA = 1e-100
 
-#: Most workers (``RINGSIM_THREADS``).  Each worker evaluates one chunk at
-#: a time.  An entropy-grid worker is a forked process, at most one per
-#: usable CPU, whose kernel arrays take about 20 MB while a chunk runs; a
+#: Most workers (``RINGSIM_THREADS``).  `hom._walk_grid` runs at most one
+#: worker per usable CPU and per chunk, threads and processes alike, and
+#: each evaluates one chunk at a time.  An entropy-grid worker is a forked
+#: process whose kernel arrays take about 20 MB while a chunk runs; a
 #: census worker thread keeps its coincidence workspace (`hom._WORKSPACE`),
 #: about 4.2 MB at a full chunk, until the walk ends: about 270 MB at 64
-#: workers.  So the cap bounds a sweep's memory (the walk keeps
+#: workers on 64 CPUs.  So the cap bounds a sweep's memory (the walk keeps
 #: `hom._WINDOW` chunks per worker in flight); two workers already give all
 #: the speedup measured on the grid sweeps.
 _MAX_THREADS = 64
@@ -344,7 +349,7 @@ def load_config(
 def _worker_count() -> int:
     raw = os.environ.get("RINGSIM_THREADS")
     if raw is None:
-        return min(8, os.cpu_count() or 1)
+        return 8
     try:
         count = int(raw)
     except ValueError:
@@ -376,13 +381,17 @@ def _cells(values) -> list[str]:
     return list(map(repr, np.asarray(values).tolist()))
 
 
-def _rows(*columns):
-    """The chunks of a sweep given whole value columns: one chunk, in the
-    form `_grid_rows` returns."""
-    rows = Rows(*map(_cells, columns))
+def _rows(axis, values):
+    """The chunks of a sweep along one axis, in the form `_grid_rows`
+    returns: ``chunks(piece)`` yields ``piece`` of the `Rows` of
+    ``values(part)``, the value columns on each slice ``part`` of at most
+    `hom._CHUNK` axis values, in axis order.  A slice is evaluated when its
+    chunk is taken, in the main thread, so one chunk of cells exists at a time.
+    """
 
     def chunks(piece):
-        yield piece(rows)
+        for lo in range(0, len(axis), hom._CHUNK):
+            yield piece(Rows(*map(_cells, values(axis[lo : lo + hom._CHUNK]))))
 
     return chunks
 
@@ -392,11 +401,15 @@ def _rows(*columns):
 
 def _sweep_single_bus(p: dict, workers: int):
     tau, _ = _coupler(p["tau"])
+    alpha = _survival(p["alpha"])
     thetas = np.linspace(p["theta_min"], p["theta_max"], p["theta_count"])
-    amp, power, _ = single_bus._transfer(tau, _survival(p["alpha"]), thetas)
-    rows = _rows(thetas, amp.real, amp.imag, power, 1.0 - power)
+
+    def values(theta):
+        amp, power, _ = single_bus._transfer(tau, alpha, theta)
+        return theta, amp.real, amp.imag, power, 1.0 - power
+
     columns = ["theta_rad", "transfer_re", "transfer_im", "power", "noise_power"]
-    return columns, rows, None
+    return columns, _rows(thetas, values), None
 
 
 def _sweep_langevin_compare(p: dict, workers: int):
@@ -404,29 +417,31 @@ def _sweep_langevin_compare(p: dict, workers: int):
     per_side = np.logspace(
         math.log10(p["delta_tr_min"]), math.log10(p["delta_tr_max"]), p["delta_count"]
     )
-    x = np.concatenate([-per_side[::-1], per_side])
-    deltas = x / p["round_trip_time_s"]
-    xval, ring_pow, lor_pow = single_bus.power_comparison(
-        coupler, p["alpha"], p["round_trip_time_s"], deltas
-    ).T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rel = np.where(lor_pow != 0.0, np.abs(ring_pow - lor_pow) / lor_pow, math.inf)
+    deltas = np.concatenate([-per_side[::-1], per_side]) / p["round_trip_time_s"]
+
+    def values(delta):
+        xval, ring_pow, lor_pow = single_bus.power_comparison(
+            coupler, p["alpha"], p["round_trip_time_s"], delta
+        ).T
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rel = np.where(lor_pow != 0.0, np.abs(ring_pow - lor_pow) / lor_pow, math.inf)
+        return xval, ring_pow, lor_pow, rel
+
     columns = ["delta_tr", "power_phasor", "power_lorentzian", "rel_diff"]
-    return columns, _rows(xval, ring_pow, lor_pow, rel), None
+    return columns, _rows(deltas, values), None
 
 
 def _sweep_attenuation_chain(p: dict, workers: int):
     gamma, length, beta = p["gamma_per_m"], p["length_m"], p["beta_per_m"]
     counts = p["splitter_counts"]
     limit = math.exp(-gamma * length)
-    powers = [
-        attenuation.BeamSplitterChain(gamma, length, beta, n).power for n in counts
-    ]
-    rows = _rows(
-        counts, powers, [limit] * len(counts), [abs(pw - limit) for pw in powers]
-    )
+
+    def values(part):
+        powers = [attenuation.BeamSplitterChain(gamma, length, beta, n).power for n in part]
+        return part, powers, [limit] * len(part), [abs(pw - limit) for pw in powers]
+
     columns = ["n_splitters", "chain_power", "continuum_power", "abs_error"]
-    return columns, rows, None
+    return columns, _rows(counts, values), None
 
 
 def _add_drop_matrices(tau, eta, alpha, theta):
@@ -435,22 +450,26 @@ def _add_drop_matrices(tau, eta, alpha, theta):
 
 
 def _sweep_add_drop(p: dict, workers: int):
+    alpha = _survival(p["alpha"])
     thetas = np.linspace(p["theta_min"], p["theta_max"], p["theta_count"])
-    m = _add_drop_matrices(p["tau"], p["eta"], _survival(p["alpha"]), thetas)
-    comm = add_drop.noise_commutators(m)
-    rows = _rows(
-        thetas,
-        *m.reshape(-1, 4).view(float).T,  # (re, im) of m_ca, m_cb, m_da, m_db
-        *comm.diagonal(0, -2, -1).real.T,
-        *comm[:, 0, 1:].view(float).T,
-    )
+
+    def values(theta):
+        m = _add_drop_matrices(p["tau"], p["eta"], alpha, theta)
+        comm = add_drop.noise_commutators(m)
+        return (
+            theta,
+            *m.reshape(-1, 4).view(float).T,  # (re, im) of m_ca, m_cb, m_da, m_db
+            *comm.diagonal(0, -2, -1).real.T,
+            *comm[:, 0, 1:].view(float).T,
+        )
+
     columns = [
         "theta_rad",
         "m_ca_re", "m_ca_im", "m_cb_re", "m_cb_im",
         "m_da_re", "m_da_im", "m_db_re", "m_db_im",
         "comm_cc", "comm_dd", "comm_cd_re", "comm_cd_im",
     ]
-    return columns, rows, None
+    return columns, _rows(thetas, values), None
 
 
 def _grid_rows(p: dict, workers: int, evaluate, processes: bool = False):
@@ -500,11 +519,12 @@ def _sweep_homm_grid(p: dict, workers: int):
 def _sweep_critical_dip(p: dict, workers: int):
     thetas = np.linspace(p["theta_min"], p["theta_max"], p["theta_count"])
     tau = 1.0 / math.sqrt(2.0)
-    curves = [
-        hom.coincidence_ratio_grid(tau, tau, thetas, a) for a in p["alphas"]
-    ]
+
+    def values(theta):
+        return theta, *(hom.coincidence_ratio_grid(tau, tau, theta, a) for a in p["alphas"])
+
     columns = ["theta_rad"] + [f"coincidence_alpha_{a!r}" for a in p["alphas"]]
-    return columns, _rows(thetas, *curves), None
+    return columns, _rows(thetas, values), None
 
 
 def _sweep_entropy_grid(p: dict, workers: int):
@@ -572,13 +592,13 @@ def _frame(config: SweepConfig, columns, summary, count: int) -> tuple[str, str]
     return head + "[", ("\n  ]" if count else "]") + tail + "\n"
 
 
-def render_csv(config: SweepConfig, columns, rows: Rows, before: int) -> str:
+def render_csv(config: SweepConfig, columns, rows: Rows) -> str:
     """CSV lines of one chunk of rows, and only those: `run_sweep` writes
     the config echo and the header line.  Takes every renderer's arguments."""
     return "\n".join([*map(",".join, zip(*rows.columns)), ""])
 
 
-def render_json(config: SweepConfig, columns, rows: Rows, before: int) -> str:
+def render_json(config: SweepConfig, columns, rows: Rows) -> str:
     """The ``"rows"`` entries of one chunk of rows, laid out as
     ``json.dumps(indent=2)`` lays them out, with undefined cells as
     ``null``.  `run_sweep` writes the payload around them and the ``,``
@@ -604,7 +624,7 @@ def run_sweep(config: SweepConfig, sink) -> None:
     between = "" if config.fmt == "csv" else ","
 
     def piece(rows: Rows) -> tuple[str, int]:
-        return render(config, columns, rows, 0), len(rows)
+        return render(config, columns, rows), len(rows)
 
     head, _ = _frame(config, columns, None, 0)
     count = 0

@@ -467,14 +467,14 @@ def _walk_grid(axes, evaluate, reduce, workers: int = 1, processes: bool = False
     of the kept points.  Both run in the chunk's task, so its kernel arrays
     die with it.
 
-    With more than one worker the chunks run on a pool, at most
+    At most ``workers`` workers run, and at most one per usable CPU and per
+    chunk; with more than one the chunks run on a pool, at most
     ``_WINDOW * workers`` at a time: the results are taken in order, and the
     next chunk is submitted as each one is taken.  Closing the generator
     early cancels the chunks not yet started and waits for the running ones,
     so no worker outlives it.  The pool is of threads, or with ``processes``
     of forked worker processes (see `_pool`), for chunks that hold the GIL:
-    there ``reduce``'s result must pickle, and at most one worker runs per
-    usable CPU.
+    there ``reduce``'s result must pickle.
     """
     taus, etas, thetas = axes
     pairs = len(taus) * len(etas)
@@ -487,9 +487,8 @@ def _walk_grid(axes, evaluate, reduce, workers: int = 1, processes: bool = False
         return reduce(it[pair], ie[pair], ith, values[pair, ith])
 
     starts = range(0, pairs, step)
-    if processes:
-        workers = min(workers, _usable_cpus(), len(starts))
-    if workers <= 1 or len(starts) == 1:
+    workers = min(workers, _usable_cpus(), len(starts))
+    if workers <= 1:
         yield from map(chunk, starts)
         return
     pool, task = _pool(chunk, workers, processes)

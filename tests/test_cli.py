@@ -692,6 +692,21 @@ def test_a_failed_sweep_leaves_the_old_output(monkeypatch, tmp_path, capsys, thr
         assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
 
 
+def test_a_pole_past_the_first_chunk_ends_the_stream_there(monkeypatch, tmp_path, capsys):
+    # theta = 0, where a lossless ring with a closed coupler has unit loop
+    # gain, is the first value of the second chunk of 16
+    monkeypatch.setattr(hom, "_CHUNK", 16)
+    args = ("single-bus", "--set", "tau=1", "--set", "alpha=1", "--set", "theta_min=-1",
+            "--set", "theta_max=1", "--set", "theta_count=33")
+    assert cli.main(list(args)) == 1
+    out, err = capsys.readouterr()
+    assert len(_parse_csv(out)[2]) == 16
+    assert err == "ringsim: config error: unit loop gain: conj(tau)*alpha*exp(i*theta) == 1\n"
+    code, err = _main(capsys, *args, "--out", str(tmp_path / "table.csv"))
+    assert code == 1 and "unit loop gain" in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_a_sweep_holds_one_chunk_of_rows_at_a_time(monkeypatch):
     monkeypatch.setenv("RINGSIM_THREADS", "1")
     monkeypatch.setattr(hom, "_CHUNK", 16)
@@ -885,6 +900,20 @@ def test_worker_processes_are_capped_by_cpus_and_chunks(monkeypatch):
     monkeypatch.setenv("RINGSIM_THREADS", "64")
     assert _sweep_text(config) == want
     assert built["process"] == [3, 10, 2, 5]
+
+
+def test_census_threads_are_capped_by_cpus(monkeypatch):
+    monkeypatch.setattr(hom, "_CHUNK", 16)  # 72 chunks
+    built = _record_pools(monkeypatch)
+    sets = _SMALL["homm-grid"]
+    for cpus in (3, 1):
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)), raising=False
+        )
+        text, want = _sweep_and_reference(monkeypatch, "homm-grid", sets, "csv", 64)
+        assert text == want
+    # one usable CPU walks the grid serially
+    assert built == {"process": [], "thread": [3]}
 
 
 def test_grid_sweeps_fall_back_to_threads_without_fork(monkeypatch):
@@ -1108,6 +1137,36 @@ def test_every_mode_matches_the_row_by_row_reference(monkeypatch, mode, fmt):
     assert text == want
 
 
+# Axis sweeps whose axis length 16 does not divide: at a chunk size of 16,
+# two or three chunks, the last one shorter.
+_AXIS_CHUNKED = {
+    "single-bus": ("theta_count=41",),
+    "langevin-compare": ("delta_count=21",),  # 42 detunings, both sides
+    "attenuation-chain": (f"splitter_counts={list(range(1, 35, 2))}",),  # 17
+    "add-drop": ("theta_count=37",),
+    "critical-dip": ("theta_count=35",),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_no_chunk_exceeds_the_chunk_size(monkeypatch, fmt):
+    assert set(_AXIS_CHUNKED) | {"homm-grid", "entropy-grid"} == set(cli.SWEEP_MODES)
+    monkeypatch.setattr(hom, "_CHUNK", 16)
+    monkeypatch.setenv("RINGSIM_THREADS", "1")
+    name = f"render_{fmt}"
+    render, sizes = getattr(cli, name), []
+
+    def recording(*args):  # rows are the third argument, as the tracer reads them
+        sizes.append(len(args[2]))
+        return render(*args)
+
+    monkeypatch.setattr(cli, name, recording)
+    for mode, sets in _AXIS_CHUNKED.items():
+        sizes.clear()
+        _sweep_text(cli.load_config(mode, None, list(sets), None, fmt))
+        assert max(sizes) <= 16 < sum(sizes), (mode, sizes)
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize(
     "mode, sets",
@@ -1120,6 +1179,8 @@ def test_every_mode_matches_the_row_by_row_reference(monkeypatch, mode, fmt):
         # more theta points than the chunk size: one pair per chunk
         ("entropy-grid", ("tau_count=2", "eta_count=3", "theta_count=40")),
         ("homm-grid", ("tau_count=7", "eta_count=7", "theta_count=40", "threshold=0.05")),
+        # axis sweeps: chunks of 16 axis values and a shorter last one
+        *_AXIS_CHUNKED.items(),
     ],
 )
 def test_grid_chunking_never_changes_output_bytes(monkeypatch, mode, sets, fmt):
