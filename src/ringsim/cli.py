@@ -4,14 +4,15 @@ Every sweep writes a deterministic table (CSV or JSON): the same config
 produces byte-identical output regardless of how many workers evaluate the
 grid.  Every sweep hands `run_sweep` a stream of chunks of rows, and its
 output is written chunk by chunk as the chunks are evaluated, so no sweep
-holds more than the chunks in flight.  A sweep along one axis evaluates
-and renders its chunks of at most `hom._CHUNK` axis values one at a time
-in the main thread.  A grid chunk is evaluated and rendered to text in one
-task: a census chunk on a worker thread (its kernel releases the GIL), an
-entropy-grid chunk in a forked worker process (its ``x log x`` and cell
-text hold it), which allocates its own kernel arrays, about 20 MB per
-chunk.  ``RINGSIM_THREADS`` caps the grid workers; at most one runs per
-usable CPU and per chunk.
+holds more than the chunks in flight, and no chunk or cell table holds
+more than `hom._CHUNK` points, however long an axis.  A sweep along one
+axis evaluates and renders its chunks one at a time in the main thread.
+A grid chunk (a longer theta axis runs in even slices) is evaluated and
+rendered to text in one task: a census chunk on a worker thread (its
+kernel releases the GIL), an entropy-grid chunk in a forked worker process
+(its ``x log x`` and cell text hold it), which allocates its own kernel
+arrays, about 20 MB per chunk.  ``RINGSIM_THREADS`` caps the grid workers;
+at most one runs per usable CPU and per chunk.
 """
 
 from __future__ import annotations
@@ -396,6 +397,19 @@ def _rows(axis, values):
     return chunks
 
 
+def _axis_cells(axis):
+    """``cells(index)``: the cell text of ``axis`` at the indices ``index``."""
+    if len(axis) <= hom._CHUNK:
+        table = np.array(_cells(axis), dtype=object)
+        return lambda index: table[index].tolist()
+
+    def cells(index):
+        kept, inverse = np.unique(index, return_inverse=True)
+        return np.array(_cells(axis[kept]), dtype=object)[inverse].tolist()
+
+    return cells
+
+
 # --- sweep implementations -------------------------------------------------
 
 
@@ -479,23 +493,16 @@ def _grid_rows(p: dict, workers: int, evaluate, processes: bool = False):
     ``evaluate`` is the chunk kernel of `hom._walk_grid`, and ``processes``
     picks its worker processes over threads.  Each chunk is evaluated and
     passed through ``piece`` in its own task, so only the chunks in flight
-    exist at once; each axis value is formatted once.
+    exist at once.  An axis of at most `hom._CHUNK` values is formatted once,
+    into a table the chunks index; a longer one is formatted in each chunk,
+    at the chunk's distinct indices, so no cell table outgrows a chunk.
     """
     axes = hom._grid_axes(p["tau_count"], p["eta_count"], p["theta_count"])
-    tau_cells, eta_cells, theta_cells = (
-        np.array(_cells(axis), dtype=object) for axis in axes
-    )
+    tau_cells, eta_cells, theta_cells = map(_axis_cells, axes)
 
     def chunks(piece):
         def reduce(ti, ei, hi, values):
-            return piece(
-                Rows(
-                    tau_cells[ti].tolist(),
-                    eta_cells[ei].tolist(),
-                    theta_cells[hi].tolist(),
-                    _cells(values),
-                )
-            )
+            return piece(Rows(tau_cells(ti), eta_cells(ei), theta_cells(hi), _cells(values)))
 
         return hom._walk_grid(axes, evaluate, reduce, workers, processes)
 

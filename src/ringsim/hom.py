@@ -54,11 +54,14 @@ __all__ = [
 P1_THRESHOLD = 1e-12
 #: Eigenvalues of a reduced density matrix may undershoot 0 by at most this.
 _EIG_SLACK = 1e-10
-#: Grid points per chunk of a (tau, eta, theta) walk.  Fixed, so the chunks
-#: never depend on the worker count.  It also pins output bytes: numpy's
-#: loops do not round alike at every array length, and at 16384 points
-#: 67,376 of the 450,241 cells of a 61x61x121 entropy grid change in the
-#: last digit.
+#: Most points, or axis values, in one chunk of any sweep.  Fixed, so the
+#: chunks never depend on the worker count.  It also pins output bytes:
+#: numpy computes ``a * conj(b)`` as ``conj(b) * a`` once the temporary
+#: holds at least 16384 complex points (256 KiB), and its complex multiply
+#: is not bitwise commutative; at 16384 points 67,376 of the 450,241 cells
+#: of a 61x61x121 entropy grid change in the last digit.  So a longer theta
+#: axis is cut into even slices, each of at least 32,768 points, which stay
+#: on the whole axis's side of that size.
 _CHUNK = 65536
 #: Chunks a pooled grid walk keeps in flight, per worker.  Enough to keep
 #: every worker busy while the caller consumes a chunk.  A census chunk
@@ -330,8 +333,11 @@ def coincidence_ratio_grid(
     tau*eta = alpha exactly on resonance) come out NaN.
 
     The result is always a fresh array (a numpy scalar for 0-d inputs).
-    The temporaries live in a per-thread workspace of the broadcast shape,
-    which the calling thread keeps, for the next call, until it exits.
+    A 0-d call can differ in the last bit from the same point inside a
+    grid: numpy's 0-d complex multiply does not fuse the multiply-add that
+    its array loop fuses.  The temporaries live in a per-thread workspace
+    of the broadcast shape, which the calling thread keeps, for the next
+    call, until it exits.
     """
     _check_alpha(alpha)
     t, e = _real_couplers(tau, eta)
@@ -459,9 +465,11 @@ def _grid_axes(
 def _walk_grid(axes, evaluate, reduce, workers: int = 1, processes: bool = False):
     """Yield ``reduce`` of each chunk of a (tau, eta, theta) grid, in grid order.
 
-    A chunk is a block of (tau, eta) pairs against the whole theta axis, at
-    most `_CHUNK` points.  ``evaluate(tau, eta, theta)`` receives
-    broadcastable (pairs, 1), (pairs, 1) and (1, theta_count) arrays and
+    A chunk is a block of (tau, eta) pairs against the theta axis, at most
+    `_CHUNK` points; a theta axis longer than `_CHUNK` is cut into
+    ``ceil(theta_count / _CHUNK)`` even slices, and each chunk is then one
+    pair against one slice.  ``evaluate(tau, eta, theta)`` receives
+    broadcastable (pairs, 1), (pairs, 1) and (1, slice) arrays and
     returns the values on that block and a mask of the points to keep;
     ``reduce(ti, ei, hi, values)`` receives the axis indices and the values
     of the kept points.  Both run in the chunk's task, so its kernel arrays
@@ -478,15 +486,18 @@ def _walk_grid(axes, evaluate, reduce, workers: int = 1, processes: bool = False
     """
     taus, etas, thetas = axes
     pairs = len(taus) * len(etas)
-    step = max(1, _CHUNK // len(thetas))
+    slices = -(-len(thetas) // _CHUNK)
+    width = -(-len(thetas) // slices)
+    step = max(1, _CHUNK // width)
 
-    def chunk(lo):
+    def chunk(start):
+        lo, h = start
         it, ie = np.divmod(np.arange(lo, min(lo + step, pairs)), len(etas))
-        values, keep = evaluate(taus[it][:, None], etas[ie][:, None], thetas[None, :])
+        values, keep = evaluate(taus[it][:, None], etas[ie][:, None], thetas[None, h : h + width])
         pair, ith = np.nonzero(keep)
-        return reduce(it[pair], ie[pair], ith, values[pair, ith])
+        return reduce(it[pair], ie[pair], ith + h, values[pair, ith])
 
-    starts = range(0, pairs, step)
+    starts = [(lo, h) for lo in range(0, pairs, step) for h in range(0, len(thetas), width)]
     workers = min(workers, _usable_cpus(), len(starts))
     if workers <= 1:
         yield from map(chunk, starts)
@@ -494,10 +505,10 @@ def _walk_grid(axes, evaluate, reduce, workers: int = 1, processes: bool = False
     pool, task = _pool(chunk, workers, processes)
     try:
         window = deque()
-        for lo in starts:
+        for start in starts:
             if len(window) == _WINDOW * workers:
                 yield window.popleft().result()
-            window.append(pool.submit(task, lo))
+            window.append(pool.submit(task, start))
         while window:
             yield window.popleft().result()
     finally:
@@ -512,11 +523,11 @@ def _usable_cpus() -> int:
 
 
 def _pool(chunk, workers: int, processes: bool):
-    """An executor of ``workers`` and the task that runs ``chunk(lo)`` on it.
+    """An executor of ``workers`` and the task that runs ``chunk(start)`` on it.
 
     With ``processes``, and where the ``fork`` start method exists, the
     workers are forked processes: each inherits ``chunk`` through the
-    initializer, unpickled, and the task passes only ``lo`` and the result.
+    initializer, unpickled, and the task passes only ``start`` and the result.
     The pool forks them all at its first submit, before it starts a thread
     of its own.  Otherwise they are threads.
     """
@@ -549,8 +560,8 @@ def _adopt(chunk) -> None:
     _adopted = chunk
 
 
-def _run_adopted(lo):
-    return _adopted(lo)
+def _run_adopted(start):
+    return _adopted(start)
 
 
 def entropy_one_photon(density: SectorDensity) -> float:

@@ -728,6 +728,41 @@ def test_a_sweep_holds_one_chunk_of_rows_at_a_time(monkeypatch):
     assert max(sink.live) <= 1, sink.live
 
 
+# Runs its arguments as a Python child and prints the exit code and peak RSS
+# of the child and its reaped workers.  The child is forked from this small
+# launcher, not from the test process: exec keeps the peak RSS of the image
+# it replaces, so a child of a large pytest process would report pytest's.
+_PEAK_RSS = """import os, sys
+pid = os.fork()
+if pid == 0:
+    os.execv(sys.executable, [sys.executable, *sys.argv[1:]])
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="os.wait4 not available")
+@pytest.mark.parametrize(
+    "mode, sets",
+    [
+        ("homm-grid", ("tau_count=1", "eta_count=1", "theta_count=1000000")),
+        ("entropy-grid", ("alpha=0.9", "tau_count=1", "eta_count=1", "theta_count=1000000")),
+        ("entropy-grid", ("alpha=0.9", "tau_count=1000000", "eta_count=1", "theta_count=1")),
+    ],
+)
+def test_a_long_grid_axis_keeps_memory_bounded(mode, sets):
+    # A million-value axis costs 8 MB of linspace values; its chunks and
+    # cell tables stay at most hom._CHUNK long, whichever axis it is.
+    args = [sys.executable, "-c", _PEAK_RSS, "-m", "ringsim", mode, "--out", os.devnull]
+    args += [arg for s in sets for arg in ("--set", s)]
+    env = dict(os.environ, RINGSIM_THREADS="2")
+    done = subprocess.run(args, capture_output=True, text=True, env=env, timeout=120)
+    code, peak = map(int, done.stdout.split())
+    assert code == 0, done.stderr
+    peak_mb = peak / (2**20 if sys.platform == "darwin" else 2**10)
+    assert peak_mb < 120, peak_mb
+
+
 # --- worker processes -----------------------------------------------------------
 
 
@@ -1148,23 +1183,38 @@ _AXIS_CHUNKED = {
 }
 
 
+# Grid sweeps whose theta axis (or tau axis) is longer than a chunk of 16,
+# keeping every point.
+_GRID_CHUNKED = {
+    "homm-grid": ("tau_count=2", "eta_count=1", "theta_count=40", "threshold=1e300"),
+    "entropy-grid": ("tau_count=40", "eta_count=1", "theta_count=40"),
+}
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_no_chunk_exceeds_the_chunk_size(monkeypatch, fmt):
-    assert set(_AXIS_CHUNKED) | {"homm-grid", "entropy-grid"} == set(cli.SWEEP_MODES)
     monkeypatch.setattr(hom, "_CHUNK", 16)
     monkeypatch.setenv("RINGSIM_THREADS", "1")
     name = f"render_{fmt}"
-    render, sizes = getattr(cli, name), []
+    render, cells, sizes, tables = getattr(cli, name), cli._cells, [], []
 
     def recording(*args):  # rows are the third argument, as the tracer reads them
         sizes.append(len(args[2]))
         return render(*args)
 
+    def recording_cells(values):
+        tables.append(len(values))
+        return cells(values)
+
     monkeypatch.setattr(cli, name, recording)
-    for mode, sets in _AXIS_CHUNKED.items():
+    monkeypatch.setattr(cli, "_cells", recording_cells)
+    chunked = {**_AXIS_CHUNKED, **_GRID_CHUNKED}
+    for mode in cli.SWEEP_MODES:
         sizes.clear()
-        _sweep_text(cli.load_config(mode, None, list(sets), None, fmt))
+        tables.clear()
+        _sweep_text(cli.load_config(mode, None, list(chunked[mode]), None, fmt))
         assert max(sizes) <= 16 < sum(sizes), (mode, sizes)
+        assert max(tables) <= 16, (mode, tables)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -1181,6 +1231,9 @@ def test_no_chunk_exceeds_the_chunk_size(monkeypatch, fmt):
         ("homm-grid", ("tau_count=7", "eta_count=7", "theta_count=40", "threshold=0.05")),
         # axis sweeps: chunks of 16 axis values and a shorter last one
         *_AXIS_CHUNKED.items(),
+        # tau or eta axes longer than the chunk size: cells formatted per chunk
+        ("entropy-grid", ("tau_count=37", "eta_count=2", "theta_count=1")),
+        ("homm-grid", ("tau_count=2", "eta_count=37", "theta_count=3", "threshold=0.5")),
     ],
 )
 def test_grid_chunking_never_changes_output_bytes(monkeypatch, mode, sets, fmt):

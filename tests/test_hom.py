@@ -622,3 +622,33 @@ def test_xlogx_rounds_like_libm():
     special_fn = pytest.importorskip("scipy.special")
     want = special_fn.xlogy(values, values)
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        lambda t, e, th: entropy_grid(t, e, th, 0.9),
+        lambda t, e, th: coincidence_ratio_grid(t, e, th, 0.9),
+    ],
+    ids=["entropy", "ratio"],
+)
+def test_split_theta_axis_keeps_the_whole_axis_bits(kernel):
+    # At the real chunk size: a 70,001-point theta axis runs in two slices,
+    # both above the size where numpy's temporary elision swaps operands.
+    taus, etas, thetas = axes = (
+        np.array([0.5]), np.array([0.3, 0.8]), np.linspace(-np.pi, np.pi, 70001)
+    )
+    got = np.full((2, len(thetas)), -1.0)
+
+    def evaluate(t, e, th):
+        values = kernel(t, e, th)
+        return values, np.ones(values.shape, dtype=bool)
+
+    def reduce(ti, ei, hi, values):
+        got[ti * len(etas) + ei, hi] = values
+        return hi.size
+
+    sizes = list(hom._walk_grid(axes, evaluate, reduce))
+    assert max(sizes) <= hom._CHUNK and sum(sizes) == got.size
+    whole, _ = evaluate(taus[:, None], etas[:, None], thetas[None, :])
+    assert got.tobytes() == whole.tobytes()
