@@ -486,16 +486,17 @@ def _sweep_add_drop(p: dict, workers: int):
     return columns, _rows(thetas, values), None
 
 
-def _grid_rows(p: dict, workers: int, evaluate, processes: bool = False):
+def _grid_rows(p: dict, workers: int, evaluate, screen=None, processes: bool = False):
     """The chunks of a (tau, eta, theta) grid sweep: ``chunks(piece)``
     yields ``piece`` of each chunk's `Rows`, in grid order.
 
-    ``evaluate`` is the chunk kernel of `hom._walk_grid`, and ``processes``
-    picks its worker processes over threads.  Each chunk is evaluated and
-    passed through ``piece`` in its own task, so only the chunks in flight
-    exist at once.  An axis of at most `hom._CHUNK` values is formatted once,
-    into a table the chunks index; a longer one is formatted in each chunk,
-    at the chunk's distinct indices, so no cell table outgrows a chunk.
+    ``evaluate`` and ``screen`` are the chunk kernel and the pair screen of
+    `hom._walk_grid`, and ``processes`` picks its worker processes over
+    threads.  Each chunk is evaluated and passed through ``piece`` in its
+    own task, so only the chunks in flight exist at once.  An axis of at
+    most `hom._CHUNK` values is formatted once, into a table the chunks
+    index; a longer one is formatted in each chunk, at the chunk's distinct
+    indices, so no cell table outgrows a chunk.
     """
     axes = hom._grid_axes(p["tau_count"], p["eta_count"], p["theta_count"])
     tau_cells, eta_cells, theta_cells = map(_axis_cells, axes)
@@ -504,7 +505,7 @@ def _grid_rows(p: dict, workers: int, evaluate, processes: bool = False):
         def reduce(ti, ei, hi, values):
             return piece(Rows(tau_cells(ti), eta_cells(ei), theta_cells(hi), _cells(values)))
 
-        return hom._walk_grid(axes, evaluate, reduce, workers, processes)
+        return hom._walk_grid(axes, evaluate, reduce, workers, processes, screen)
 
     return chunks
 
@@ -520,7 +521,7 @@ def _sweep_homm_grid(p: dict, workers: int):
         }
 
     columns = ["tau", "eta", "theta_rad", "coincidence_ratio"]
-    return columns, _grid_rows(p, workers, hom._census(p["alpha"], p["threshold"])), summary
+    return columns, _grid_rows(p, workers, *hom._census(p["alpha"], p["threshold"])), summary
 
 
 def _sweep_critical_dip(p: dict, workers: int):

@@ -73,6 +73,12 @@ _WINDOW = 2
 #: Per-thread arrays of `coincidence_ratio_grid` (see `_workspace`): about
 #: 4.2 MB at a full census chunk, kept by each thread until it exits.
 _WORKSPACE = threading.local()
+#: Slack of the census screen (`_census_screen`): an absolute bound on the
+#: rounding of |Perm| and |det| numerators, in the kernel and in the screen,
+#: and a relative one on their squares and the ratio.  Each is thousands of
+#: times the rounding it covers.
+_SCREEN_ABS = 1e-12
+_SCREEN_REL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -335,9 +341,13 @@ def coincidence_ratio_grid(
     The result is always a fresh array (a numpy scalar for 0-d inputs).
     A 0-d call can differ in the last bit from the same point inside a
     grid: numpy's 0-d complex multiply does not fuse the multiply-add that
-    its array loop fuses.  The temporaries live in a per-thread workspace
-    of the broadcast shape, which the calling thread keeps, for the next
-    call, until it exits.
+    its array loop fuses.  Within arrays every step is elementwise, into
+    explicit outputs, so a point's value does not depend on the other
+    points of the call; a census (`hom_region`) therefore evaluates only
+    the (tau, eta) pairs its screen keeps and still gives the whole grid's
+    bits.  The temporaries live in a per-thread workspace sized to the
+    largest broadcast shape the thread has asked for, which the thread
+    keeps, for the next call, until it exits.
     """
     _check_alpha(alpha)
     t, e = _real_couplers(tau, eta)
@@ -368,14 +378,18 @@ def coincidence_ratio_grid(
 
 def _workspace(shape: tuple[int, ...]):
     """This thread's three complex and two float arrays of ``shape`` for
-    `coincidence_ratio_grid`, reallocated only when the shape changes."""
+    `coincidence_ratio_grid`: leading views of flat buffers sized to the
+    largest shape this thread has asked for.  The buffers only grow, and the
+    old set is dropped before the larger one is allocated."""
+    size = math.prod(shape)
     arrays = getattr(_WORKSPACE, "arrays", None)
-    if arrays is None or arrays[0].shape != shape:
-        arrays = tuple(np.empty(shape, complex) for _ in range(3)) + tuple(
-            np.empty(shape) for _ in range(2)
+    if arrays is None or arrays[0].size < size:
+        _WORKSPACE.arrays = None
+        arrays = tuple(np.empty(size, complex) for _ in range(3)) + tuple(
+            np.empty(size) for _ in range(2)
         )
         _WORKSPACE.arrays = arrays
-    return arrays
+    return tuple(array[:size].reshape(shape) for array in arrays)
 
 
 @dataclass(frozen=True)
@@ -410,6 +424,10 @@ def hom_region(
     theta in [-pi, pi] (the ``homm-grid`` axes) chunk by chunk and collects
     the points with `coincidence_ratio` <= threshold.  Shrinking fractions
     with decreasing alpha quantify how loss erodes the interference manifold.
+
+    The ratio is evaluated only at the (tau, eta) pairs that `_census_screen`
+    cannot rule out; a skipped pair has the ratio above the threshold at
+    every theta, so the result is what the whole grid gives, bit for bit.
     """
     if not threshold > 0:  # NaN too
         raise ValueError(f"threshold must be > 0, got {threshold}")
@@ -427,8 +445,10 @@ def hom_region(
     def reduce(ti, ei, hi, values):
         return np.column_stack([taus[ti], etas[ei], thetas[hi]]), values
 
-    chunks = _walk_grid(axes, _census(alpha, threshold), reduce)
-    points, values = (np.concatenate(part) for part in zip(*chunks))
+    evaluate, screen = _census(alpha, threshold)
+    chunks = _walk_grid(axes, evaluate, reduce, screen=screen)
+    empty = (np.empty((0, 3)), np.empty(0))
+    points, values = (np.concatenate(part) for part in zip(empty, *chunks))
     return HomRegion(
         points=points,
         values=values,
@@ -441,14 +461,73 @@ def hom_region(
 
 
 def _census(alpha: float, threshold: float):
-    """The `_walk_grid` kernel of a census: the coincidence ratio, keeping
-    ``ratio <= threshold``; NaN (an undefined ratio) never passes."""
+    """The `_walk_grid` kernel and screen of a census: ``(evaluate, screen)``.
+
+    ``evaluate`` is the coincidence ratio, keeping ``ratio <= threshold``;
+    NaN (an undefined ratio) never passes.  ``screen`` is `_census_screen`,
+    which picks the (tau, eta) pairs that may hold a kept point; the others
+    are never evaluated.  So alpha is checked here, not only by the kernel,
+    which a census may never call.
+    """
+    _check_alpha(alpha)
 
     def evaluate(tau, eta, theta):
         ratio = coincidence_ratio_grid(tau, eta, theta, alpha)
         return ratio, ratio <= threshold
 
-    return evaluate
+    def screen(tau, eta):
+        return _census_screen(tau, eta, alpha, threshold)
+
+    return evaluate, screen
+
+
+def _census_screen(tau, eta, alpha: float, threshold: float) -> np.ndarray:
+    """Mask of the (tau, eta) pairs where `coincidence_ratio_grid` may be at
+    or below ``threshold`` at some theta; False only where it cannot be.
+
+    With A = tau eta and z = alpha exp(i theta), both numerators of the
+    kernel are A + B z + A z^2, with B = kappa^2 gamma^2 - tau^2 - eta^2 for
+    Perm and B = -(1 + A^2) for det.  Taking z out of the bracket, with
+    u = cos theta,
+
+        |A + B z + A z^2|^2 = (alpha B + (1 + alpha^2) A u)^2
+                              + ((1 - alpha^2) A)^2 (1 - u^2),
+
+    a convex quadratic in u (its u^2 coefficient is 4 alpha^2 A^2).  So at
+    every theta |Perm| >= L, the square root of the Perm quadratic at its
+    vertex u = -B (1 + alpha^2) / (4 alpha A) clipped to [-1, 1], and
+    |det| <= U = alpha (1 + A^2) + (1 + alpha^2) A, the root of the det
+    quadratic at u = -1.
+
+    Rounding: with tau, eta and |z| at most 1, every term of either
+    numerator is at most about 5 in size, so the kernel's rounded numerator,
+    z itself included, is within a few hundred ulp of 1 (some 3e-14) of the
+    exact one (about 5 ulp measured over random draws), and the screen's L
+    and U are as close to theirs; a subnormal step adds at most 2**-1074.
+    `_SCREEN_ABS` covers both, so the kernel's |Perm| >= L - `_SCREEN_ABS`
+    and |det| <= U + `_SCREEN_ABS`.  Its abs, square and divide, and the
+    screen's own products, add a few ulp of relative error, which
+    `_SCREEN_REL` covers while (L - `_SCREEN_ABS`)^2 is a normal float.
+    A pair is skipped only when
+
+        (L - _SCREEN_ABS)^2 (1 - _SCREEN_REL)
+            > max(threshold (U + _SCREEN_ABS)^2, smallest normal float),
+
+    and then the kernel's ratio exceeds ``threshold`` (or is NaN) at every
+    theta.  A vertex that overflows (alpha A zero or tiny) clips to
+    u = +-1; a NaN anywhere in the screen keeps the pair.
+    """
+    a = tau * eta
+    b_perm = (1.0 - tau * tau) * (1.0 - eta * eta) - tau * tau - eta * eta
+    q = (1.0 + alpha * alpha) * a
+    r = (1.0 - alpha) * (1.0 + alpha) * a
+    with np.errstate(all="ignore"):
+        u = np.clip(-b_perm * (1.0 + alpha * alpha) / (4.0 * alpha * a), -1.0, 1.0)
+        low = np.sqrt((alpha * b_perm + q * u) ** 2 + r * r * ((1.0 - u) * (1.0 + u)))
+        low = np.maximum(low - _SCREEN_ABS, 0.0)  # NaN stays NaN
+        high = alpha * (1.0 + a * a) + q + _SCREEN_ABS
+        floor = np.maximum(threshold * (high * high), np.finfo(float).tiny)
+        return ~(low * low * (1.0 - _SCREEN_REL) > floor)
 
 
 def _grid_axes(
@@ -462,7 +541,9 @@ def _grid_axes(
     )
 
 
-def _walk_grid(axes, evaluate, reduce, workers: int = 1, processes: bool = False):
+def _walk_grid(
+    axes, evaluate, reduce, workers: int = 1, processes: bool = False, screen=None
+):
     """Yield ``reduce`` of each chunk of a (tau, eta, theta) grid, in grid order.
 
     A chunk is a block of (tau, eta) pairs against the theta axis, at most
@@ -475,14 +556,22 @@ def _walk_grid(axes, evaluate, reduce, workers: int = 1, processes: bool = False
     of the kept points.  Both run in the chunk's task, so its kernel arrays
     die with it.
 
+    ``screen(tau, eta)``, if given, receives each block's (pairs,) tau and
+    eta arrays, as the walk reaches the block, and returns the mask of the
+    pairs that may hold a kept point.  The blocks keep their bounds: a block
+    with no such pair is dropped, and the others are evaluated on those
+    pairs only.  ``evaluate`` must then be elementwise, so that a point's
+    value does not depend on the rest of its chunk.
+
     At most ``workers`` workers run, and at most one per usable CPU and per
-    chunk; with more than one the chunks run on a pool, at most
-    ``_WINDOW * workers`` at a time: the results are taken in order, and the
-    next chunk is submitted as each one is taken.  Closing the generator
-    early cancels the chunks not yet started and waits for the running ones,
-    so no worker outlives it.  The pool is of threads, or with ``processes``
-    of forked worker processes (see `_pool`), for chunks that hold the GIL:
-    there ``reduce``'s result must pickle.
+    chunk, the dropped ones counted; with more than one the chunks run on a
+    pool, at most ``_WINDOW * workers`` at a time: the results are taken in
+    order, and the next chunk is submitted as each one is taken.  Closing
+    the generator early cancels the chunks not yet started and waits for the
+    running ones, so no worker outlives it.  The pool is of threads, which
+    start only as chunks are submitted, or with ``processes`` of forked
+    worker processes (see `_pool`), for chunks that hold the GIL: there
+    ``reduce``'s result must pickle.
     """
     taus, etas, thetas = axes
     pairs = len(taus) * len(etas)
@@ -490,22 +579,37 @@ def _walk_grid(axes, evaluate, reduce, workers: int = 1, processes: bool = False
     width = -(-len(thetas) // slices)
     step = max(1, _CHUNK // width)
 
+    def block(lo):
+        return np.divmod(np.arange(lo, min(lo + step, pairs)), len(etas))
+
     def chunk(start):
-        lo, h = start
-        it, ie = np.divmod(np.arange(lo, min(lo + step, pairs)), len(etas))
+        lo, h, live = start
+        it, ie = block(lo)
+        if live is not None:
+            it, ie = it[live], ie[live]
         values, keep = evaluate(taus[it][:, None], etas[ie][:, None], thetas[None, h : h + width])
         pair, ith = np.nonzero(keep)
         return reduce(it[pair], ie[pair], ith + h, values[pair, ith])
 
-    starts = [(lo, h) for lo in range(0, pairs, step) for h in range(0, len(thetas), width)]
-    workers = min(workers, _usable_cpus(), len(starts))
+    def starts():
+        for lo in range(0, pairs, step):
+            live = None
+            if screen is not None:
+                it, ie = block(lo)
+                live = screen(taus[it], etas[ie])
+                if not live.any():
+                    continue
+            for h in range(0, len(thetas), width):
+                yield lo, h, live
+
+    workers = min(workers, _usable_cpus(), -(-pairs // step) * slices)
     if workers <= 1:
-        yield from map(chunk, starts)
+        yield from map(chunk, starts())
         return
     pool, task = _pool(chunk, workers, processes)
     try:
         window = deque()
-        for start in starts:
+        for start in starts():
             if len(window) == _WINDOW * workers:
                 yield window.popleft().result()
             window.append(pool.submit(task, start))

@@ -951,6 +951,54 @@ def test_census_threads_are_capped_by_cpus(monkeypatch):
     assert built == {"process": [], "thread": [3]}
 
 
+def test_census_screen_drops_whole_blocks(monkeypatch):
+    # 81 pairs in 41 blocks of two pairs against 7 phases: the screen rules
+    # out both pairs of 12 blocks, which never reach the pool, and one pair
+    # of some others, which the kernel never sees.
+    monkeypatch.setattr(hom, "_CHUNK", 16)
+    monkeypatch.setattr(hom, "_usable_cpus", lambda: 3)
+    built = _record_pools(monkeypatch)
+    kernel, calls = hom.coincidence_ratio_grid, []
+
+    def counting(tau, eta, theta, alpha):
+        calls.append(tau.shape[0])
+        return kernel(tau, eta, theta, alpha)
+
+    sets = ("tau_count=9", "eta_count=9", "theta_count=7", "threshold=0.05")
+    for fmt in ("csv", "json"):
+        config = cli.load_config("homm-grid", None, list(sets), None, fmt)
+        render = _reference_csv if fmt == "csv" else _reference_json
+        want = render(config, *_reference_table("homm-grid", config.params))
+        for threads in (1, 3):
+            monkeypatch.setenv("RINGSIM_THREADS", str(threads))
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(hom, "coincidence_ratio_grid", counting)
+                assert _sweep_text(config) == want
+            assert (len(calls), sum(calls), max(calls)) == (29, 52, 2)
+    assert built == {"process": [], "thread": [3, 3]}
+
+
+def test_entropy_grid_evaluates_every_block(monkeypatch):
+    # no screen: every pair of every block, against every slice
+    monkeypatch.setattr(hom, "_CHUNK", 16)
+    monkeypatch.setenv("RINGSIM_THREADS", "1")
+    kernel, shapes = hom.entropy_grid, []
+
+    def recording(tau, eta, theta, *args):
+        shapes.append((tau.shape[0], theta.shape[1]))
+        return kernel(tau, eta, theta, *args)
+
+    monkeypatch.setattr(hom, "entropy_grid", recording)
+    for sets, plan in (
+        (("tau_count=3", "eta_count=5", "theta_count=7"), [(2, 7)] * 7 + [(1, 7)]),
+        (("tau_count=2", "eta_count=3", "theta_count=40"), [(1, 14), (1, 14), (1, 12)] * 6),
+    ):
+        shapes.clear()
+        _sweep_text(cli.load_config("entropy-grid", None, list(sets), None, "csv"))
+        assert shapes == plan
+
+
 def test_grid_sweeps_fall_back_to_threads_without_fork(monkeypatch):
     monkeypatch.setattr(hom, "_CHUNK", 16)
     monkeypatch.setattr(hom, "_usable_cpus", lambda: 2)

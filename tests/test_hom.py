@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringsim import hom
 from ringsim.core import CouplerParams, RingParams, UnitarityError
@@ -443,6 +445,93 @@ def test_ratio_grid_census_chunk_allocates_only_its_result():
     assert peak < 2 * ratio.nbytes
 
 
+def test_ratio_grid_smaller_block_allocates_only_its_result():
+    # A block of fewer pairs after a full one (a census chunk of the pairs its
+    # screen keeps) computes in leading views of the same workspace.
+    tau, eta, theta, alpha = block = _census_block(0)
+    coincidence_ratio_grid(*block)
+    buffers = hom._WORKSPACE.arrays
+    tracemalloc.start()
+    try:
+        ratio = coincidence_ratio_grid(tau[:60], eta[:60], theta, alpha)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ratio.shape == (60, 401)
+    assert peak < 2 * ratio.nbytes
+    assert hom._WORKSPACE.arrays is buffers
+    assert ratio.tobytes() == coincidence_ratio_grid(*block)[:60].tobytes()
+
+
+def _vertex_angle(tau, eta, alpha):
+    """The phase where |Perm|, as a quadratic in cos theta, is least
+    (0 where that cosine is undefined)."""
+    tau, eta = np.float64(tau), np.float64(eta)
+    a = tau * eta
+    b = (1.0 - tau**2) * (1.0 - eta**2) - tau**2 - eta**2
+    with np.errstate(all="ignore"):
+        u = -b * (1.0 + alpha**2) / (4.0 * alpha * a)
+    return math.acos(min(1.0, max(-1.0, u))) if math.isfinite(u) else 0.0
+
+
+_SCREEN_AXIS = np.linspace(-math.pi, math.pi, 4001)  # holds -pi, 0 and pi
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    tau=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    eta=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    alpha=st.one_of(
+        st.sampled_from([5e-324, 1e-3, 1.0 - 1e-12, 1.0]),
+        st.floats(0.0, 1.0, exclude_min=True),
+    ),
+    threshold=st.one_of(
+        st.floats(-300.0, math.log10(1.5)).map(lambda x: 10.0**x),
+        st.sampled_from([1e-300, 1.5, math.inf]),
+    ),
+)
+def test_census_screen_skips_only_pairs_above_the_threshold(tau, eta, alpha, threshold):
+    t, e = np.array([tau]), np.array([eta])
+    if hom._census_screen(t, e, alpha, threshold)[0]:
+        return
+    vertex = _vertex_angle(tau, eta, alpha)
+    thetas = np.concatenate([_SCREEN_AXIS, [vertex, -vertex]])
+    ratio = coincidence_ratio_grid(t[:, None], e[:, None], thetas[None, :], alpha)
+    assert np.all((ratio > threshold) | np.isnan(ratio))
+
+
+def test_hom_region_is_the_whole_grid_census(monkeypatch):
+    # Small random grids, at the real chunk size and at one that cuts the
+    # pairs into many blocks: the screened census keeps what one
+    # whole-grid kernel call keeps, bit for bit.
+    rng = np.random.default_rng(1709)
+    alphas = (5e-324, 1e-3, 0.5, 0.9, 1.0 - 1e-12, 1.0)
+    screened = 0
+    for case in range(20):
+        counts = tuple(int(n) for n in rng.integers(1, 13, 2)) + (int(rng.integers(1, 40)),)
+        alpha = float(rng.choice(alphas)) if case % 2 else float(rng.uniform(0.0, 1.0))
+        threshold = 10.0 ** rng.uniform(-300.0, math.log10(1.5))
+        monkeypatch.setattr(hom, "_CHUNK", int(rng.choice([16, 65536])))
+        region = hom_region(alpha, threshold, *counts)
+        axes = hom._grid_axes(*counts)
+        t, e, th = (g.ravel() for g in np.meshgrid(*axes, indexing="ij"))
+        ratio = coincidence_ratio_grid(t, e, th, alpha)
+        keep = ratio <= threshold
+        assert region.points.tobytes() == np.column_stack([t, e, th])[keep].tobytes()
+        assert region.values.tobytes() == ratio[keep].tobytes()
+        assert region.points.shape == (keep.sum(), 3)
+        pair_t, pair_e = (g.ravel() for g in np.meshgrid(*axes[:2], indexing="ij"))
+        screened += (~hom._census_screen(pair_t, pair_e, alpha, threshold)).sum()
+    assert screened > 0
+
+
+def test_hom_region_with_no_pair_left_is_empty():
+    region = hom_region(1.0, 1e-300, 21, 21, 41)
+    assert region.points.shape == (0, 3) and region.points.dtype == float
+    assert region.values.shape == (0,) and region.values.dtype == float
+    assert region.count == 0 and region.fraction == 0.0
+
+
 def test_hom_region_census_without_loss():
     region = hom_region(alpha=1.0)
     assert region.grid_shape == (101, 101, 201)
@@ -471,6 +560,10 @@ def test_hom_region_validates_inputs():
             hom_region(alpha=0.9, threshold=threshold)
     with pytest.raises(ValueError, match="tau_count"):
         hom_region(alpha=0.9, tau_count=0)
+    # checked even where the screen leaves the kernel nothing to evaluate
+    for alpha in (1.5, 0.0, math.nan):
+        with pytest.raises(ValueError, match="alpha"):
+            hom_region(alpha, 1e-300, 5, 5, 5)
     # a fractional count used to die in np.linspace with a TypeError
     for name in ("tau_count", "eta_count", "theta_count"):
         with pytest.raises(ValueError, match=name):
@@ -650,5 +743,7 @@ def test_split_theta_axis_keeps_the_whole_axis_bits(kernel):
 
     sizes = list(hom._walk_grid(axes, evaluate, reduce))
     assert max(sizes) <= hom._CHUNK and sum(sizes) == got.size
+    # one pair against each of two even slices, pair by pair
+    assert sizes == [35001, 35000] * 2
     whole, _ = evaluate(taus[:, None], etas[:, None], thetas[None, :])
     assert got.tobytes() == whole.tobytes()
