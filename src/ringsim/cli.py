@@ -75,12 +75,10 @@ _MIN_ENTROPY_ALPHA = 1e-100
 #: Most workers (``RINGSIM_THREADS``).  `hom._walk_grid` runs at most one
 #: worker per usable CPU and per chunk, threads and processes alike, and
 #: each evaluates one chunk at a time.  An entropy-grid worker is a forked
-#: process whose kernel arrays take about 20 MB while a chunk runs; a
-#: census worker thread keeps its coincidence workspace (`hom._WORKSPACE`),
-#: about 4.2 MB at a full chunk, until the walk ends: about 270 MB at 64
-#: workers on 64 CPUs.  So the cap bounds a sweep's memory (the walk keeps
-#: `hom._WINDOW` chunks per worker in flight); two workers already give all
-#: the speedup measured on the grid sweeps.
+#: process whose kernel arrays take about 20 MB while a chunk runs.  So the
+#: cap bounds a sweep's memory (the walk keeps `hom._WINDOW` chunks per
+#: worker in flight); two workers already give all the speedup measured on
+#: the grid sweeps.
 _MAX_THREADS = 64
 
 #: Largest detuning or matched rate (rad/s) of a langevin-compare sweep,
@@ -384,13 +382,14 @@ def _cells(values) -> list[str]:
 
 def _rows(axis, values):
     """The chunks of a sweep along one axis, in the form `_grid_rows`
-    returns: ``chunks(piece)`` yields ``piece`` of the `Rows` of
+    returns: ``chunks(piece, workers)`` yields ``piece`` of the `Rows` of
     ``values(part)``, the value columns on each slice ``part`` of at most
     `hom._CHUNK` axis values, in axis order.  A slice is evaluated when its
-    chunk is taken, in the main thread, so one chunk of cells exists at a time.
+    chunk is taken, in the main thread, so one chunk of cells exists at a
+    time, whatever ``workers`` is.
     """
 
-    def chunks(piece):
+    def chunks(piece, workers):
         for lo in range(0, len(axis), hom._CHUNK):
             yield piece(Rows(*map(_cells, values(axis[lo : lo + hom._CHUNK]))))
 
@@ -413,7 +412,7 @@ def _axis_cells(axis):
 # --- sweep implementations -------------------------------------------------
 
 
-def _sweep_single_bus(p: dict, workers: int):
+def _sweep_single_bus(p: dict):
     tau, _ = _coupler(p["tau"])
     alpha = _survival(p["alpha"])
     thetas = np.linspace(p["theta_min"], p["theta_max"], p["theta_count"])
@@ -426,7 +425,7 @@ def _sweep_single_bus(p: dict, workers: int):
     return columns, _rows(thetas, values), None
 
 
-def _sweep_langevin_compare(p: dict, workers: int):
+def _sweep_langevin_compare(p: dict):
     coupler = CouplerParams.from_magnitude(p["tau"])
     per_side = np.logspace(
         math.log10(p["delta_tr_min"]), math.log10(p["delta_tr_max"]), p["delta_count"]
@@ -445,7 +444,7 @@ def _sweep_langevin_compare(p: dict, workers: int):
     return columns, _rows(deltas, values), None
 
 
-def _sweep_attenuation_chain(p: dict, workers: int):
+def _sweep_attenuation_chain(p: dict):
     gamma, length, beta = p["gamma_per_m"], p["length_m"], p["beta_per_m"]
     counts = p["splitter_counts"]
     limit = math.exp(-gamma * length)
@@ -463,7 +462,7 @@ def _add_drop_matrices(tau, eta, alpha, theta):
     return add_drop._matrix(*_coupler(tau), *_coupler(eta), alpha, theta)
 
 
-def _sweep_add_drop(p: dict, workers: int):
+def _sweep_add_drop(p: dict):
     alpha = _survival(p["alpha"])
     thetas = np.linspace(p["theta_min"], p["theta_max"], p["theta_count"])
 
@@ -486,9 +485,10 @@ def _sweep_add_drop(p: dict, workers: int):
     return columns, _rows(thetas, values), None
 
 
-def _grid_rows(p: dict, workers: int, evaluate, screen=None, processes: bool = False):
-    """The chunks of a (tau, eta, theta) grid sweep: ``chunks(piece)``
-    yields ``piece`` of each chunk's `Rows`, in grid order.
+def _grid_rows(p: dict, evaluate, screen=None, processes: bool = False):
+    """The chunks of a (tau, eta, theta) grid sweep: ``chunks(piece,
+    workers)`` yields ``piece`` of each chunk's `Rows`, in grid order, on
+    at most ``workers`` workers.
 
     ``evaluate`` and ``screen`` are the chunk kernel and the pair screen of
     `hom._walk_grid`, and ``processes`` picks its worker processes over
@@ -501,7 +501,7 @@ def _grid_rows(p: dict, workers: int, evaluate, screen=None, processes: bool = F
     axes = hom._grid_axes(p["tau_count"], p["eta_count"], p["theta_count"])
     tau_cells, eta_cells, theta_cells = map(_axis_cells, axes)
 
-    def chunks(piece):
+    def chunks(piece, workers):
         def reduce(ti, ei, hi, values):
             return piece(Rows(tau_cells(ti), eta_cells(ei), theta_cells(hi), _cells(values)))
 
@@ -510,7 +510,7 @@ def _grid_rows(p: dict, workers: int, evaluate, screen=None, processes: bool = F
     return chunks
 
 
-def _sweep_homm_grid(p: dict, workers: int):
+def _sweep_homm_grid(p: dict):
     shape = (p["tau_count"], p["eta_count"], p["theta_count"])
 
     def summary(count: int) -> dict:
@@ -521,10 +521,10 @@ def _sweep_homm_grid(p: dict, workers: int):
         }
 
     columns = ["tau", "eta", "theta_rad", "coincidence_ratio"]
-    return columns, _grid_rows(p, workers, *hom._census(p["alpha"], p["threshold"])), summary
+    return columns, _grid_rows(p, *hom._census(p["alpha"], p["threshold"])), summary
 
 
-def _sweep_critical_dip(p: dict, workers: int):
+def _sweep_critical_dip(p: dict):
     thetas = np.linspace(p["theta_min"], p["theta_max"], p["theta_count"])
     tau = 1.0 / math.sqrt(2.0)
 
@@ -535,7 +535,7 @@ def _sweep_critical_dip(p: dict, workers: int):
     return columns, _rows(thetas, values), None
 
 
-def _sweep_entropy_grid(p: dict, workers: int):
+def _sweep_entropy_grid(p: dict):
     def evaluate(tau, eta, theta):
         try:
             bits = hom.entropy_grid(tau, eta, theta, p["alpha"], p["p1_threshold"])
@@ -548,7 +548,7 @@ def _sweep_entropy_grid(p: dict, workers: int):
 
     columns = ["tau", "eta", "theta_rad", "entropy_bits"]
     # x log x and the cell text hold the GIL, so only processes run in parallel
-    return columns, _grid_rows(p, workers, evaluate, processes=True), None
+    return columns, _grid_rows(p, evaluate, processes=True), None
 
 
 _SWEEPS = {
@@ -627,7 +627,8 @@ def run_sweep(config: SweepConfig, sink) -> None:
     """
     if config.mode not in _SWEEPS:
         raise ConfigError(f"mode: unknown sweep mode {config.mode!r}")
-    columns, chunks, summary = _SWEEPS[config.mode](config.params, _worker_count())
+    workers = _worker_count()
+    columns, chunks, summary = _SWEEPS[config.mode](config.params)
     render = render_csv if config.fmt == "csv" else render_json
     between = "" if config.fmt == "csv" else ","
 
@@ -636,7 +637,7 @@ def run_sweep(config: SweepConfig, sink) -> None:
 
     head, _ = _frame(config, columns, None, 0)
     count = 0
-    with contextlib.closing(chunks(piece)) as pieces:
+    with contextlib.closing(chunks(piece, workers)) as pieces:
         for text, rows in pieces:
             if rows:
                 _write_output((between if count else head) + text, sink)

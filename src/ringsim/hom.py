@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -64,15 +63,14 @@ _EIG_SLACK = 1e-10
 #: on the whole axis's side of that size.
 _CHUNK = 65536
 #: Chunks a pooled grid walk keeps in flight, per worker.  Enough to keep
-#: every worker busy while the caller consumes a chunk.  A census chunk
-#: waiting to be taken holds only its result; a running one computes in its
-#: worker thread's `_WORKSPACE`.  An entropy chunk runs in a worker process,
-#: which allocates its own kernel arrays (about 20 MB) and sends back only
-#: the chunk's result.
+#: every worker busy while the caller consumes a chunk.  An entropy chunk
+#: runs in a worker process, which allocates its own kernel arrays (about
+#: 20 MB) and sends back only the chunk's result.
 _WINDOW = 2
-#: Per-thread arrays of `coincidence_ratio_grid` (see `_workspace`): about
-#: 4.2 MB at a full census chunk, kept by each thread until it exits.
-_WORKSPACE = threading.local()
+#: Most points in one tile of `coincidence_ratio_grid`.  A tile's complex
+#: temporaries then take 64 KiB each, under glibc's 128 KiB mmap threshold,
+#: so they are recycled through the heap instead of faulting in fresh pages.
+_TILE = 4096
 #: Slack of the census screen (`_census_screen`): an absolute bound on the
 #: rounding of |Perm| and |det| numerators, in the kernel and in the screen,
 #: and a relative one on their squares and the ratio.  Each is thousands of
@@ -341,55 +339,43 @@ def coincidence_ratio_grid(
     The result is always a fresh array (a numpy scalar for 0-d inputs).
     A 0-d call can differ in the last bit from the same point inside a
     grid: numpy's 0-d complex multiply does not fuse the multiply-add that
-    its array loop fuses.  Within arrays every step is elementwise, into
-    explicit outputs, so a point's value does not depend on the other
-    points of the call; a census (`hom_region`) therefore evaluates only
-    the (tau, eta) pairs its screen keeps and still gives the whole grid's
-    bits.  The temporaries live in a per-thread workspace sized to the
-    largest broadcast shape the thread has asked for, which the thread
-    keeps, for the next call, until it exits.
+    its array loop fuses.  Within arrays every step is elementwise, so a
+    point's value does not depend on the other points of the call; a census
+    (`hom_region`) therefore evaluates only the (tau, eta) pairs its screen
+    keeps and still gives the whole grid's bits.  The grid is evaluated in
+    tiles of whole rows along its leading axis, at most `_TILE` points each
+    (a longer row is one tile), and the call keeps nothing once it returns.
     """
     _check_alpha(alpha)
     t, e = _real_couplers(tau, eta)
     z = alpha * np.exp(1j * np.asarray(theta, dtype=float))
-    te = t * e
-    kk = (1.0 - t * t) * (1.0 - e * e)
+    operands = t, e, z, t * e, (1.0 - t * t) * (1.0 - e * e)
+    shape = np.broadcast_shapes(*(x.shape for x in operands))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if not shape:
+            return _ratio(*operands)
+        out = np.empty(shape)
+        rows = max(1, _TILE // max(1, math.prod(shape[1:])))
+        # an operand without the leading axis broadcasts whole into every tile
+        cut = [x.ndim == len(shape) and len(x) > 1 for x in operands]
+        for lo in range(0, shape[0], rows):
+            tile = slice(lo, lo + rows)
+            out[tile] = _ratio(*(x[tile] if c else x for x, c in zip(operands, cut)))
+    return out
+
+
+def _ratio(t, e, z, te, kk):
+    """|Perm|^2/|det|^2 of `coincidence_ratio_grid` on broadcast operands."""
     # Perm and det of M share the denominator D^2, so only the numerators
     # matter.  The factored forms avoid the cancellation the expanded
     # polynomials suffer near the decoupled corner tau = eta = 1, theta = 0:
     # perm_num = (tau - eta z)(eta - tau z) + kappa^2 gamma^2 z,
     # det_num = (tau eta - z)(1 - tau eta z).
-    # Each step is one ufunc of those forms, in their order of operations,
-    # written into this thread's workspace: the result is the only
-    # grid-sized array a call allocates once the workspace has its shape.
-    perm, det, tmp, perm2, det2 = _workspace(np.broadcast_shapes(t.shape, e.shape, z.shape))
-    np.subtract(t, np.multiply(e, z, out=perm), out=perm)
-    np.subtract(e, np.multiply(t, z, out=tmp), out=tmp)
-    np.multiply(perm, tmp, out=perm)
-    np.add(perm, np.multiply(kk, z, out=tmp), out=perm)
-    np.subtract(te, z, out=det)
-    np.subtract(1.0, np.multiply(te, z, out=tmp), out=tmp)
-    np.multiply(det, tmp, out=det)
-    np.square(np.abs(perm, out=perm2), out=perm2)
-    np.square(np.abs(det, out=det2), out=det2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.divide(perm2, det2)
-
-
-def _workspace(shape: tuple[int, ...]):
-    """This thread's three complex and two float arrays of ``shape`` for
-    `coincidence_ratio_grid`: leading views of flat buffers sized to the
-    largest shape this thread has asked for.  The buffers only grow, and the
-    old set is dropped before the larger one is allocated."""
-    size = math.prod(shape)
-    arrays = getattr(_WORKSPACE, "arrays", None)
-    if arrays is None or arrays[0].size < size:
-        _WORKSPACE.arrays = None
-        arrays = tuple(np.empty(size, complex) for _ in range(3)) + tuple(
-            np.empty(size) for _ in range(2)
-        )
-        _WORKSPACE.arrays = arrays
-    return tuple(array[:size].reshape(shape) for array in arrays)
+    # Where numpy reuses a temporary in place, it is a left operand, so no
+    # product swaps its operands and the bits do not depend on the tiling.
+    perm = (t - e * z) * (e - t * z) + kk * z
+    det = (te - z) * (1.0 - te * z)
+    return np.square(np.abs(perm)) / np.square(np.abs(det))
 
 
 @dataclass(frozen=True)

@@ -331,8 +331,8 @@ def test_ratio_grid_validates_inputs():
 
 
 def _former_ratio_grid(tau, eta, theta, alpha):
-    """`coincidence_ratio_grid` as one numpy expression, before its
-    temporaries moved into a per-thread workspace."""
+    """`coincidence_ratio_grid` as one numpy expression over the whole
+    grid, as it was first written."""
     t, e = np.asarray(tau, dtype=float), np.asarray(eta, dtype=float)
     z = alpha * np.exp(1j * np.asarray(theta, dtype=float))
     te = t * e
@@ -362,6 +362,9 @@ def test_ratio_grid_arrays_are_bitwise_the_former_expression():
     thetas = np.linspace(-np.pi, np.pi, 401)
     blocks += [(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0), thetas, a) for a in (1.0, 0.9, 0.5)]
     blocks.append((np.linspace(0.0, 1.0, 33), 0.75, 0.0, 0.75))
+    # Zero-size grids: an empty theta axis and an empty block of pairs.
+    blocks.append((np.full((3, 1), 0.5), 0.5, np.zeros((1, 0)), 0.9))
+    blocks.append((np.zeros((0, 1)), 0.5, np.zeros((1, 401)), 0.9))
     for tau, eta, theta, alpha in blocks:
         got = coincidence_ratio_grid(tau, eta, theta, alpha)
         want = _former_ratio_grid(tau, eta, theta, alpha)
@@ -372,10 +375,10 @@ def test_ratio_grid_arrays_are_bitwise_the_former_expression():
 
 
 def test_ratio_grid_scalars_match_the_former_expression():
-    # A 0-d call runs ufuncs into 0-d workspace arrays.  The former
-    # expression squared numpy scalars with `**`, which is libm pow, not
-    # x * x; that is the only difference, and it moves the ratio by at most
-    # 2 ulp (about 1 point in 1000).
+    # A 0-d call evaluates the kernel's expression once, on numpy scalars,
+    # with no tiles.  The former expression squared numpy scalars with `**`,
+    # which is libm pow, not x * x; that is the only difference, and it
+    # moves the ratio by at most 2 ulp (about 1 point in 1000).
     rng = np.random.default_rng(1203)
     got, want = [], []
     for tau, eta, alpha, theta in zip(*rng.uniform(0.0, 1.0, (3, 2000)), rng.uniform(-3, 3, 2000)):
@@ -388,17 +391,16 @@ def test_ratio_grid_scalars_match_the_former_expression():
     assert type(value) is np.float64
 
 
-def test_ratio_grid_result_is_not_the_workspace():
+def test_ratio_grid_result_is_a_fresh_array():
     first = coincidence_ratio_grid(*_census_block(0))
     kept = first.copy()
     second = coincidence_ratio_grid(*_census_block(163))
     assert second.shape == first.shape
     assert np.array_equal(first, kept, equal_nan=True)
-    for array in (second, *hom._WORKSPACE.arrays):
-        assert not np.shares_memory(first, array)
+    assert not np.shares_memory(first, second)
 
 
-def test_ratio_grid_threads_keep_their_own_workspace():
+def test_ratio_grid_is_thread_safe():
     # More threads than cores, with a short switch interval so the threads
     # interleave inside the kernel: two on census chunks of one shape, two
     # on blocks of shapes of their own.
@@ -429,38 +431,73 @@ def test_ratio_grid_threads_keep_their_own_workspace():
     assert failures == []
 
 
-def test_ratio_grid_census_chunk_allocates_only_its_result():
-    # The first call sizes this thread's workspace; a second call of the
-    # same shape allocates its result and a few axis-sized arrays, not the
-    # grid-sized temporaries (about 8x the result before the workspace).
-    block = _census_block(0)
-    coincidence_ratio_grid(*block)
+def _traced(call):
+    """``call()``, its peak traced allocation, and the bytes it still holds
+    once its result is dropped."""
     tracemalloc.start()
     try:
-        ratio = coincidence_ratio_grid(*block)
+        result = call()
         _, peak = tracemalloc.get_traced_memory()
+        shape, nbytes = result.shape, result.nbytes
+        del result
+        held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert ratio.shape == (163, 401)
-    assert peak < 2 * ratio.nbytes
+    return shape, nbytes, peak, held
+
+
+def test_ratio_grid_census_chunk_allocates_only_its_result():
+    # The kernel computes in tiles of at most `_TILE` points, so a census
+    # chunk allocates its result and a few tile- and axis-sized arrays, not
+    # grid-sized temporaries (about 8x the result if evaluated at once).
+    shape, nbytes, peak, _ = _traced(lambda: coincidence_ratio_grid(*_census_block(0)))
+    assert shape == (163, 401)
+    assert peak < 2 * nbytes
 
 
 def test_ratio_grid_smaller_block_allocates_only_its_result():
-    # A block of fewer pairs after a full one (a census chunk of the pairs its
-    # screen keeps) computes in leading views of the same workspace.
+    # A census chunk of the pairs its screen keeps: its result and one
+    # tile's temporaries (about five complex tiles), not the block-sized
+    # temporaries of a whole-block evaluation (about 8x the result).
     tau, eta, theta, alpha = block = _census_block(0)
-    coincidence_ratio_grid(*block)
-    buffers = hom._WORKSPACE.arrays
-    tracemalloc.start()
-    try:
-        ratio = coincidence_ratio_grid(tau[:60], eta[:60], theta, alpha)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert ratio.shape == (60, 401)
-    assert peak < 2 * ratio.nbytes
-    assert hom._WORKSPACE.arrays is buffers
-    assert ratio.tobytes() == coincidence_ratio_grid(*block)[:60].tobytes()
+    part = tau[:60], eta[:60], theta, alpha
+    shape, nbytes, peak, _ = _traced(lambda: coincidence_ratio_grid(*part))
+    assert shape == (60, 401)
+    assert peak < nbytes + 8 * hom._TILE * 16
+    want = coincidence_ratio_grid(*block)[:60]
+    assert coincidence_ratio_grid(*part).tobytes() == want.tobytes()
+
+
+def test_ratio_grid_large_call_keeps_nothing():
+    # One whole-grid library call peaks at its result plus its tiles and
+    # holds nothing once the result is dropped.
+    t = np.linspace(0.0, 1.0, 1000)
+    th = np.linspace(-np.pi, np.pi, 1000)
+    call = lambda: coincidence_ratio_grid(t[:, None], 0.5, th[None, :], 0.9)  # noqa: E731
+    shape, nbytes, peak, held = _traced(call)
+    assert shape == (1000, 1000)
+    assert peak < nbytes + 2 * 2**20
+    assert held < 2**20
+
+
+def test_ratio_grid_tiles_never_change_bits(monkeypatch):
+    rng = np.random.default_rng(18)
+    taus, etas, thetas = hom._grid_axes(9, 7, 130)
+    cases = [
+        _census_block(163),
+        (rng.uniform(0.0, 1.0, (1, 1)), 0.75, rng.uniform(-np.pi, np.pi, (1, 70001)), 0.9),
+        (taus[:, None, None], etas[None, :, None], thetas, 0.75),
+        (rng.uniform(0.0, 1.0, 2000), rng.uniform(0.0, 1.0, 2000), 0.3, 0.5),
+    ]
+    shapes = [(163, 401), (1, 70001), (9, 7, 130), (2000,)]
+    for case, shape in zip(cases, shapes):
+        bits = set()
+        for tile in (1, 7, 401, 4096, 10**9):
+            monkeypatch.setattr(hom, "_TILE", tile)
+            ratio = coincidence_ratio_grid(*case)
+            assert ratio.shape == shape
+            bits.add(ratio.tobytes())
+        assert len(bits) == 1, shape
 
 
 def _vertex_angle(tau, eta, alpha):
