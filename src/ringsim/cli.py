@@ -24,8 +24,16 @@ import math
 import os
 import stat
 import sys
-from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
+
+if "numpy" not in sys.modules:
+    # ringsim's matrices are 2x2, too small for BLAS to thread, yet the
+    # OpenBLAS bundled with numpy starts a helper thread at load that spins
+    # for about 0.1 s of CPU.  So when this module loads numpy, as the
+    # command line does, it asks for one BLAS thread unless the user set a
+    # count; forked workers inherit it.  A program that loaded numpy first
+    # keeps its own BLAS setting.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -1040,8 +1048,14 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         sys.stderr.write(f"ringsim: i/o error: {exc}\n")
         return EXIT_IO
-    except BrokenExecutor:
-        sys.stderr.write("ringsim: internal error: a worker process died\n")
+    except Exception as exc:  # a bug, a dead worker or exhausted memory
+        # a pool raises BrokenExecutor, so its module is loaded by then
+        futures = sys.modules.get("concurrent.futures")
+        if futures is not None and isinstance(exc, futures.BrokenExecutor):
+            reason = "a worker process died"
+        else:
+            reason = f"{type(exc).__name__}: {exc}"
+        sys.stderr.write(f"ringsim: internal error: {reason}\n")
         return EXIT_INTERNAL
     return EXIT_OK
 

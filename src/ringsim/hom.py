@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 import os
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -638,6 +637,8 @@ def _pool(chunk, workers: int, processes: bool):
                 initargs=(chunk,),
             )
             return pool, _run_adopted
+    from concurrent.futures import ThreadPoolExecutor
+
     return ThreadPoolExecutor(max_workers=workers), chunk
 
 

@@ -28,7 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringsim import add_drop, attenuation, cli, hom, single_bus
-from ringsim.core import CouplerParams, RingParams
+from ringsim.core import CouplerParams, RingParams, TruncationError, UnitarityError
 from ringsim.single_bus import transfer_amplitude
 
 CONFIG_PREFIX = "# config: "
@@ -387,8 +387,7 @@ def test_invalid_thread_env_is_a_config_error(monkeypatch, capsys):
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was built")
 
-    monkeypatch.setattr(hom, "ThreadPoolExecutor", no_pool)
-    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(hom, "_pool", no_pool)
     for mode in ("homm-grid", "entropy-grid"):
         code, err = _main(capsys, mode)
         assert code == 1
@@ -434,16 +433,68 @@ def test_usage_errors_are_config_errors():
         assert "Traceback" not in proc.stderr, args
 
 
-def test_cli_import_loads_no_scipy():
-    probe = (
-        "import sys, ringsim.cli; "
-        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
-    )
+def _probe(code, **env):
+    """Run ``code`` in a fresh interpreter whose environment has no
+    ``OPENBLAS_NUM_THREADS`` unless ``env`` sets it; return its stdout."""
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     proc = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env={**base, **env}, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return proc.stdout
+
+
+def test_cli_import_loads_no_scipy():
+    # nor the pool modules (concurrent.futures, with logging, about 10 ms),
+    # which only grid sweeps use: not for an axis sweep and not for the audit
+    probe = (
+        "import os, sys, ringsim.cli; "
+        "loaded = lambda: 'concurrent.futures' in sys.modules; "
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'), loaded()); "
+        "ringsim.cli.main(['single-bus', '--out', os.devnull]); print(loaded()); "
+        "sys.stdout = open(os.devnull, 'w'); ringsim.cli.main(['audit', '--samples', '20']); "
+        "sys.stdout = sys.__stdout__; print(loaded())"
+    )
+    assert _probe(probe) == "[] False\nFalse\nFalse\n"
+
+
+def test_package_import_loads_no_numpy_and_leaves_blas_alone():
+    probe = (
+        "import os, sys, ringsim; "
+        "print('numpy' in sys.modules, 'concurrent.futures' in sys.modules, "
+        "os.environ.get('OPENBLAS_NUM_THREADS'))"
+    )
+    assert _probe(probe) == "False False None\n"
+
+
+def test_the_cli_loads_blas_on_one_thread():
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc/self/task to count threads")
+    probe = (
+        "import os, ringsim.cli; "
+        "print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task')))"
+    )
+    assert _probe(probe) == "1 1\n"
+
+
+def test_a_users_blas_thread_count_is_kept():
+    probe = "import os, ringsim.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _probe(probe, OPENBLAS_NUM_THREADS="3") == "3\n"
+
+
+def test_the_package_root_resolves_its_names_lazily():
+    probe = (
+        "import ringsim; ns = {}; exec('from ringsim import *', ns); "
+        "missing = [n for n in ringsim.__all__ if n not in ns or getattr(ringsim, n) is not ns[n]]; "
+        "print(missing, sorted(set(ringsim.__all__) - set(dir(ringsim))), "
+        "ringsim.hom.__name__, ringsim.RingParams.__module__)"
+    )
+    assert _probe(probe) == "[] [] ringsim.hom ringsim.core\n"
+    import ringsim
+
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        ringsim.no_such_name
 
 
 def test_only_the_process_pool_imports_multiprocessing():
@@ -502,6 +553,7 @@ def test_fuzzed_values_end_cleanly(data):
             code = cli.main(args)
         except SystemExit as exc:  # an argparse usage error
             code = exc.code
+    assert code != cli.EXIT_INTERNAL, (args, err.getvalue())
     assert code in (0, 1, 3), (args, err.getvalue())
     assert "Traceback" not in err.getvalue()
     if code == 1:
@@ -686,8 +738,9 @@ def test_a_failed_sweep_leaves_the_old_output(monkeypatch, tmp_path, capsys, thr
             code, err = _main(capsys, *_STREAMED, "--out", str(out))
             assert code == 3 and err == "ringsim: i/o error: disk failed\n"
         else:
-            with pytest.raises(RuntimeError, match="kernel failed"):
-                cli.main([*_STREAMED, "--out", str(out)])
+            code, err = _main(capsys, *_STREAMED, "--out", str(out))
+            assert code == 4
+            assert err == "ringsim: internal error: RuntimeError: kernel failed\n"
         assert out.read_bytes() == b"old output\n"
         assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
 
@@ -820,6 +873,35 @@ def test_a_dead_worker_process_ends_the_run_cleanly(monkeypatch, tmp_path, capfd
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize(
+    "error",
+    [
+        UnitarityError("|A|^2 + noise = 1.5 outside [0, 1]"),
+        TruncationError("the double sum needs 10**9 terms"),
+        MemoryError("out of memory"),
+        ValueError("an unmapped library check"),
+    ],
+    ids=lambda error: type(error).__name__,
+)
+def test_an_internal_error_ends_the_run_in_one_line(monkeypatch, tmp_path, capfd, error):
+    # a single-bus sweep of three chunks that fails in its second: no
+    # traceback, exit 4 rather than the config error's 1, and no --out file
+    monkeypatch.setattr(hom, "_CHUNK", 16)
+    calls, kernel = itertools.count(1), single_bus._transfer
+
+    def failing(*args):
+        if next(calls) == 2:
+            raise error
+        return kernel(*args)
+
+    monkeypatch.setattr(single_bus, "_transfer", failing)
+    code = cli.main(["single-bus", "--set", "theta_count=40", "--out", str(tmp_path / "t.csv")])
+    out, err = capfd.readouterr()
+    assert code == cli.EXIT_INTERNAL == 4
+    assert (out, err) == ("", f"ringsim: internal error: {type(error).__name__}: {error}\n")
+    assert not any(tmp_path.iterdir())
+
+
 def test_no_worker_process_outlives_a_sweep(monkeypatch, tmp_path):
     monkeypatch.setenv("RINGSIM_THREADS", "2")
     monkeypatch.setattr(hom, "_usable_cpus", lambda: 2)
@@ -909,7 +991,8 @@ def _record_pools(monkeypatch):
         functools.partial(_RecordingPool, built["process"]),
     )
     monkeypatch.setattr(
-        hom, "ThreadPoolExecutor", functools.partial(_RecordingPool, built["thread"])
+        concurrent.futures, "ThreadPoolExecutor",
+        functools.partial(_RecordingPool, built["thread"]),
     )
     monkeypatch.setattr(hom, "_adopted", None)
     return built
