@@ -23,8 +23,6 @@ module above, is imported on first use (PEP 562).  So ``import ringsim``
 loads no numpy, and the command line reaches `cli` before numpy loads.
 """
 
-from importlib import import_module
-
 __version__ = "0.1.0"
 
 #: Public name -> the module that defines it.
@@ -60,13 +58,14 @@ __all__ = sorted([*_EXPORTS, "__version__"])
 
 
 def __getattr__(name: str):
-    if name in _EXPORTS:
-        value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
-        globals()[name] = value
-        return value
-    if name in _MODULES:
-        return import_module(f".{name}", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _EXPORTS.get(name, name)
+    if module not in _MODULES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # the builtin import, which binds the module here and which -X importtime times
+    __import__(f"{__name__}.{module}")
+    if name != module:
+        globals()[name] = getattr(globals()[module], name)
+    return globals()[name]
 
 
 def __dir__():

@@ -7,12 +7,12 @@ output is written chunk by chunk as the chunks are evaluated, so no sweep
 holds more than the chunks in flight, and no chunk or cell table holds
 more than `hom._CHUNK` points, however long an axis.  A sweep along one
 axis evaluates and renders its chunks one at a time in the main thread.
-A grid chunk (a longer theta axis runs in even slices) is evaluated and
-rendered to text in one task: a census chunk on a worker thread (its
-kernel releases the GIL), an entropy-grid chunk in a forked worker process
-(its ``x log x`` and cell text hold it), which allocates its own kernel
-arrays, about 20 MB per chunk.  ``RINGSIM_THREADS`` caps the grid workers;
-at most one runs per usable CPU and per chunk.
+So does a census, serially, in kernel calls of at most `hom._TILE` points
+whose cos theta lies in their (tau, eta) pair's window, each rendered as one
+chunk.  An entropy-grid chunk (a longer theta axis runs in even slices) is
+evaluated and rendered in a forked worker process (``x log x`` and cell text
+hold the GIL) with its own kernel arrays, about 20 MB.  ``RINGSIM_THREADS``
+caps those processes; at most one runs per usable CPU and per chunk.
 """
 
 from __future__ import annotations
@@ -80,13 +80,11 @@ _MAX_SAMPLES = 1_000_000
 #: against dense eta, tau and theta axes); the floor keeps a margin.
 _MIN_ENTROPY_ALPHA = 1e-100
 
-#: Most workers (``RINGSIM_THREADS``).  `hom._walk_grid` runs at most one
-#: worker per usable CPU and per chunk, threads and processes alike, and
-#: each evaluates one chunk at a time.  An entropy-grid worker is a forked
-#: process whose kernel arrays take about 20 MB while a chunk runs.  So the
-#: cap bounds a sweep's memory (the walk keeps `hom._WINDOW` chunks per
-#: worker in flight); two workers already give all the speedup measured on
-#: the grid sweeps.
+#: Most workers (``RINGSIM_THREADS``): the entropy-grid worker processes, the
+#: only pool; every other sweep, the census too, runs in the main thread.  At
+#: most one runs per usable CPU and per chunk, with about 20 MB of kernel
+#: arrays and `hom._WINDOW` chunks in flight each, so the cap bounds memory;
+#: two already give all the speedup measured on entropy-grid.
 _MAX_THREADS = 64
 
 #: Largest detuning or matched rate (rad/s) of a langevin-compare sweep,
@@ -493,18 +491,16 @@ def _sweep_add_drop(p: dict):
     return columns, _rows(thetas, values), None
 
 
-def _grid_rows(p: dict, evaluate, screen=None, processes: bool = False):
+def _grid_rows(p: dict, evaluate=None):
     """The chunks of a (tau, eta, theta) grid sweep: ``chunks(piece,
-    workers)`` yields ``piece`` of each chunk's `Rows`, in grid order, on
-    at most ``workers`` workers.
+    workers)`` yields ``piece`` of each chunk's `Rows`, in grid order.
 
-    ``evaluate`` and ``screen`` are the chunk kernel and the pair screen of
-    `hom._walk_grid`, and ``processes`` picks its worker processes over
-    threads.  Each chunk is evaluated and passed through ``piece`` in its
-    own task, so only the chunks in flight exist at once.  An axis of at
-    most `hom._CHUNK` values is formatted once, into a table the chunks
-    index; a longer one is formatted in each chunk, at the chunk's distinct
-    indices, so no cell table outgrows a chunk.
+    The chunks are those of `hom._walk_grid` with the chunk kernel
+    ``evaluate``, or of the serial `hom._census` without one.  Each passes
+    its kept points through ``piece``, so only the chunks in flight exist
+    at once.  An axis of at most `hom._CHUNK` values is formatted once, into
+    a table the chunks index; a longer one is formatted in each chunk, at
+    its distinct indices, so no cell table outgrows a chunk.
     """
     axes = hom._grid_axes(p["tau_count"], p["eta_count"], p["theta_count"])
     tau_cells, eta_cells, theta_cells = map(_axis_cells, axes)
@@ -513,7 +509,9 @@ def _grid_rows(p: dict, evaluate, screen=None, processes: bool = False):
         def reduce(ti, ei, hi, values):
             return piece(Rows(tau_cells(ti), eta_cells(ei), theta_cells(hi), _cells(values)))
 
-        return hom._walk_grid(axes, evaluate, reduce, workers, processes, screen)
+        if evaluate is None:
+            return hom._census(axes, p["alpha"], p["threshold"], reduce)
+        return hom._walk_grid(axes, evaluate, reduce, workers)
 
     return chunks
 
@@ -529,7 +527,7 @@ def _sweep_homm_grid(p: dict):
         }
 
     columns = ["tau", "eta", "theta_rad", "coincidence_ratio"]
-    return columns, _grid_rows(p, *hom._census(p["alpha"], p["threshold"])), summary
+    return columns, _grid_rows(p), summary
 
 
 def _sweep_critical_dip(p: dict):
@@ -555,8 +553,7 @@ def _sweep_entropy_grid(p: dict):
         return bits, np.ones(bits.shape, dtype=bool)
 
     columns = ["tau", "eta", "theta_rad", "entropy_bits"]
-    # x log x and the cell text hold the GIL, so only processes run in parallel
-    return columns, _grid_rows(p, evaluate, processes=True), None
+    return columns, _grid_rows(p, evaluate), None
 
 
 _SWEEPS = {

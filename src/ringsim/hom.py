@@ -61,19 +61,17 @@ _EIG_SLACK = 1e-10
 #: axis is cut into even slices, each of at least 32,768 points, which stay
 #: on the whole axis's side of that size.
 _CHUNK = 65536
-#: Chunks a pooled grid walk keeps in flight, per worker.  Enough to keep
-#: every worker busy while the caller consumes a chunk.  An entropy chunk
-#: runs in a worker process, which allocates its own kernel arrays (about
-#: 20 MB) and sends back only the chunk's result.
+#: Chunks a pooled grid walk keeps in flight, per worker: enough to keep
+#: every worker busy while the caller consumes a chunk.  Each worker process
+#: allocates its own kernel arrays (about 20 MB) and sends back the result.
 _WINDOW = 2
-#: Most points in one tile of `coincidence_ratio_grid`.  A tile's complex
-#: temporaries then take 64 KiB each, under glibc's 128 KiB mmap threshold,
-#: so they are recycled through the heap instead of faulting in fresh pages.
+#: Most points in one tile of `coincidence_ratio_grid` or census batch.  A
+#: tile's complex temporaries then take 64 KiB each, under glibc's 128 KiB
+#: mmap threshold, so they are recycled through the heap, not fresh pages.
 _TILE = 4096
-#: Slack of the census screen (`_census_screen`): an absolute bound on the
-#: rounding of |Perm| and |det| numerators, in the kernel and in the screen,
-#: and a relative one on their squares and the ratio.  Each is thousands of
-#: times the rounding it covers.
+#: Slack of the census window (`_census_window`): an absolute bound on the
+#: rounding of |Perm| and |det| numerators, in the kernel and the window,
+#: and a relative one on their squares and the ratio, each many times over.
 _SCREEN_ABS = 1e-12
 _SCREEN_REL = 1e-12
 
@@ -340,10 +338,10 @@ def coincidence_ratio_grid(
     grid: numpy's 0-d complex multiply does not fuse the multiply-add that
     its array loop fuses.  Within arrays every step is elementwise, so a
     point's value does not depend on the other points of the call; a census
-    (`hom_region`) therefore evaluates only the (tau, eta) pairs its screen
-    keeps and still gives the whole grid's bits.  The grid is evaluated in
-    tiles of whole rows along its leading axis, at most `_TILE` points each
-    (a longer row is one tile), and the call keeps nothing once it returns.
+    (`hom_region`) evaluates only the points inside its windows, gathered
+    flat or in blocks, and still gives the whole grid's bits.  The grid is
+    evaluated in tiles of whole rows along its leading axis, at most `_TILE`
+    points each (a longer row is one tile), and the call keeps nothing.
     """
     _check_alpha(alpha)
     t, e = _real_couplers(tau, eta)
@@ -406,13 +404,13 @@ def hom_region(
     """Census of where the two-photon dip survives at survival factor alpha.
 
     Scans the regular grid of real couplers tau, eta in [0, 1] and phases
-    theta in [-pi, pi] (the ``homm-grid`` axes) chunk by chunk and collects
-    the points with `coincidence_ratio` <= threshold.  Shrinking fractions
-    with decreasing alpha quantify how loss erodes the interference manifold.
+    theta in [-pi, pi] (the ``homm-grid`` axes) and collects the points with
+    `coincidence_ratio` <= threshold.  Shrinking fractions with decreasing
+    alpha quantify how loss erodes the interference manifold.
 
-    The ratio is evaluated only at the (tau, eta) pairs that `_census_screen`
-    cannot rule out; a skipped pair has the ratio above the threshold at
-    every theta, so the result is what the whole grid gives, bit for bit.
+    The ratio is evaluated only where cos theta lies in the (tau, eta)
+    pair's `_census_window`, outside which it exceeds the threshold, so the
+    result is what the whole grid gives, bit for bit.
     """
     if not threshold > 0:  # NaN too
         raise ValueError(f"threshold must be > 0, got {threshold}")
@@ -430,8 +428,7 @@ def hom_region(
     def reduce(ti, ei, hi, values):
         return np.column_stack([taus[ti], etas[ei], thetas[hi]]), values
 
-    evaluate, screen = _census(alpha, threshold)
-    chunks = _walk_grid(axes, evaluate, reduce, screen=screen)
+    chunks = _census(axes, alpha, threshold, reduce)
     empty = (np.empty((0, 3)), np.empty(0))
     points, values = (np.concatenate(part) for part in zip(empty, *chunks))
     return HomRegion(
@@ -445,74 +442,116 @@ def hom_region(
     )
 
 
-def _census(alpha: float, threshold: float):
-    """The `_walk_grid` kernel and screen of a census: ``(evaluate, screen)``.
-
-    ``evaluate`` is the coincidence ratio, keeping ``ratio <= threshold``;
-    NaN (an undefined ratio) never passes.  ``screen`` is `_census_screen`,
-    which picks the (tau, eta) pairs that may hold a kept point; the others
-    are never evaluated.  So alpha is checked here, not only by the kernel,
-    which a census may never call.
-    """
+def _census(axes, alpha: float, threshold: float, reduce):
+    """Yield ``reduce(ti, ei, hi, values)`` of the grid points with ratio
+    <= ``threshold`` (never NaN), in grid order, serially, one kernel call
+    of at most `_TILE` (and `_CHUNK`) points each.  Only points inside their
+    pair's `_census_window` are evaluated: runs of pairs whose window holds
+    [-1, 1] as (pairs, 1) x (1, thetas) blocks, the other pairs' candidates
+    found in `_plan`'s blocks and gathered as flat axis indices.  Alpha is
+    checked first: a census may call no kernel at all."""
     _check_alpha(alpha)
+    taus, etas, thetas = axes
+    pairs, step, width = _plan(axes)
+    size = min(_TILE, _CHUNK)
+    rows, cos = max(1, size // len(thetas)), np.cos(thetas)
 
-    def evaluate(tau, eta, theta):
-        ratio = coincidence_ratio_grid(tau, eta, theta, alpha)
-        return ratio, ratio <= threshold
+    def flat(ti, ei, hi):
+        ratio = coincidence_ratio_grid(taus[ti], etas[ei], thetas[hi], alpha)
+        keep = ratio <= threshold
+        return reduce(ti[keep], ei[keep], hi[keep], ratio[keep])
 
-    def screen(tau, eta):
-        return _census_screen(tau, eta, alpha, threshold)
+    def block(ti, ei, h):  # (pairs,) indices against thetas from h
+        ratio = coincidence_ratio_grid(taus[ti, None], etas[ei, None], thetas[None, h : h + size], alpha)
+        pair, ith = np.nonzero(ratio <= threshold)
+        return reduce(ti[pair], ei[pair], ith + h, ratio[pair, ith])
 
-    return evaluate, screen
+    held = [np.empty(0, dtype=np.intp)] * 3  # gathered candidates not yet evaluated
+    for start in range(0, pairs, size):
+        it, ie = np.divmod(np.arange(start, min(start + size, pairs)), len(etas))
+        lo, hi = _census_window(taus[it], etas[ie], alpha, threshold)
+        whole = (lo <= -1.0) & (hi >= 1.0)
+        live = np.flatnonzero((lo <= 1.0) & (hi >= -1.0))  # NaN edges hold no u
+        for run in np.split(live, np.flatnonzero(np.diff(whole[live])) + 1):
+            if run.size and whole[run[0]]:
+                if len(held[0]):
+                    yield flat(*held)
+                    held = [x[:0] for x in held]
+                for k in range(0, run.size, rows):
+                    for h in range(0, len(thetas), size):
+                        yield block(it[run[k : k + rows]], ie[run[k : k + rows]], h)
+                continue
+            for k in range(0, run.size, step):
+                part = run[k : k + step, None]
+                for h in range(0, len(thetas), width):
+                    u = cos[h : h + width]
+                    pair, ith = np.nonzero((u >= lo[part]) & (u <= hi[part]))
+                    found = (it[part[pair, 0]], ie[part[pair, 0]], ith + h)
+                    held = [np.concatenate(x) for x in zip(held, found)]
+                    while len(held[0]) >= size:
+                        yield flat(*(x[:size] for x in held))
+                        held = [x[size:] for x in held]
+    if len(held[0]):
+        yield flat(*held)
 
 
-def _census_screen(tau, eta, alpha: float, threshold: float) -> np.ndarray:
-    """Mask of the (tau, eta) pairs where `coincidence_ratio_grid` may be at
-    or below ``threshold`` at some theta; False only where it cannot be.
+def _census_window(tau, eta, alpha: float, threshold: float):
+    """``(lo, hi)``: for each (tau, eta) pair, the window on u = cos theta
+    outside which `coincidence_ratio_grid` exceeds ``threshold`` or is NaN.
 
-    With A = tau eta and z = alpha exp(i theta), both numerators of the
-    kernel are A + B z + A z^2, with B = kappa^2 gamma^2 - tau^2 - eta^2 for
-    Perm and B = -(1 + A^2) for det.  Taking z out of the bracket, with
-    u = cos theta,
+    With A = tau eta and z = alpha exp(i theta), both kernel numerators are
+    A + B z + A z^2 (Perm: B = kappa^2 gamma^2 - tau^2 - eta^2; det:
+    B = -(1 + A^2)), whose squared modulus is (alpha B + (1 + alpha^2) A u)^2
+    + ((1 - alpha^2) A)^2 (1 - u^2).  So |det| <= U = alpha (1 + A^2)
+    + (1 + alpha^2) A, its value at u = -1, and |Perm|^2 is Fp(u) =
+    4 alpha^2 A^2 (u - v)^2 + m, with c = (1 + alpha^2) B / 2, vertex
+    v = -c / (2 alpha A) and m = (1 - alpha^2)^2 (A^2 - B^2 / 4).
 
-        |A + B z + A z^2|^2 = (alpha B + (1 + alpha^2) A u)^2
-                              + ((1 - alpha^2) A)^2 (1 - u^2),
+    Kernel rounding: every term of either numerator is at most about 5, so
+    the kernel's numerator, z included, is within a few hundred ulp of 1
+    (3e-14) of the exact one (about 5 ulp measured), plus 2**-1074 for a
+    subnormal step: its |Perm| >= sqrt(Fp(u)) - `_SCREEN_ABS`, |det| <= U
+    + `_SCREEN_ABS`, and `_SCREEN_REL` covers the few ulp its abs, square
+    and divide add while the left side below is normal.  So its ratio
+    exceeds ``threshold`` (or is NaN) wherever
 
-    a convex quadratic in u (its u^2 coefficient is 4 alpha^2 A^2).  So at
-    every theta |Perm| >= L, the square root of the Perm quadratic at its
-    vertex u = -B (1 + alpha^2) / (4 alpha A) clipped to [-1, 1], and
-    |det| <= U = alpha (1 + A^2) + (1 + alpha^2) A, the root of the det
-    quadratic at u = -1.
-
-    Rounding: with tau, eta and |z| at most 1, every term of either
-    numerator is at most about 5 in size, so the kernel's rounded numerator,
-    z itself included, is within a few hundred ulp of 1 (some 3e-14) of the
-    exact one (about 5 ulp measured over random draws), and the screen's L
-    and U are as close to theirs; a subnormal step adds at most 2**-1074.
-    `_SCREEN_ABS` covers both, so the kernel's |Perm| >= L - `_SCREEN_ABS`
-    and |det| <= U + `_SCREEN_ABS`.  Its abs, square and divide, and the
-    screen's own products, add a few ulp of relative error, which
-    `_SCREEN_REL` covers while (L - `_SCREEN_ABS`)^2 is a normal float.
-    A pair is skipped only when
-
-        (L - _SCREEN_ABS)^2 (1 - _SCREEN_REL)
+        (sqrt(Fp(u)) - _SCREEN_ABS)^2 (1 - _SCREEN_REL)
             > max(threshold (U + _SCREEN_ABS)^2, smallest normal float),
 
-    and then the kernel's ratio exceeds ``threshold`` (or is NaN) at every
-    theta.  A vertex that overflows (alpha A zero or tiny) clips to
-    u = +-1; a NaN anywhere in the screen keeps the pair.
+    that is where Fp(u) > G^2, G = `_SCREEN_ABS` + sqrt(max(...) /
+    (1 - `_SCREEN_REL`)): outside |u - v| <= sqrt(G^2 - m) / (2 alpha A).
+
+    Window rounding: A, B, c and m (|m| <= 1) are within 1e-14 of exact and
+    G^2 within some 20 ulp, so s, the root of s^2 = G^2 (1 + `_SCREEN_REL`)
+    - m + `_SCREEN_ABS`, exceeds the exact sqrt(G^2 - m) by over
+    2e-13 (1 + G), twenty times the rounding of s and of -c -+ s: the
+    numerators of lo = (-c - s) / (2 alpha A) and hi = (s - c) / (2 alpha A)
+    hold the exact window's.  The `_SCREEN_ABS` added to each edge covers
+    the few ulp of the division and of ``np.cos`` within [-2, 2]; an edge
+    beyond cannot round into [-1, 1].  A subnormal 2 alpha A has no relative
+    rounding bound, but an edge that then cuts [-1, 1] has a numerator under
+    4.5e-308, so the exact one is 2e-13 past zero and the exact window
+    misses [-1, 1] on that side.
+
+    Where 2 alpha A = 0 the edges are infinite: Fp is constant (A = 0), and
+    the window is the whole axis or empty.  A NaN edge (0/0, or a NaN
+    input) keeps the whole axis, except where s^2 < 0: no u passes there.
     """
     a = tau * eta
-    b_perm = (1.0 - tau * tau) * (1.0 - eta * eta) - tau * tau - eta * eta
-    q = (1.0 + alpha * alpha) * a
-    r = (1.0 - alpha) * (1.0 + alpha) * a
+    b = (1.0 - tau * tau) * (1.0 - eta * eta) - tau * tau - eta * eta
     with np.errstate(all="ignore"):
-        u = np.clip(-b_perm * (1.0 + alpha * alpha) / (4.0 * alpha * a), -1.0, 1.0)
-        low = np.sqrt((alpha * b_perm + q * u) ** 2 + r * r * ((1.0 - u) * (1.0 + u)))
-        low = np.maximum(low - _SCREEN_ABS, 0.0)  # NaN stays NaN
-        high = alpha * (1.0 + a * a) + q + _SCREEN_ABS
+        high = alpha * (1.0 + a * a) + (1.0 + alpha * alpha) * a + _SCREEN_ABS
         floor = np.maximum(threshold * (high * high), np.finfo(float).tiny)
-        return ~(low * low * (1.0 - _SCREEN_REL) > floor)
+        g = _SCREEN_ABS + np.sqrt(floor / (1.0 - _SCREEN_REL))
+        c = 0.5 * (1.0 + alpha * alpha) * b
+        m = (1.0 - alpha * alpha) ** 2 * ((a - 0.5 * b) * (a + 0.5 * b))
+        s2 = g * g * (1.0 + _SCREEN_REL) - m + _SCREEN_ABS
+        s = np.sqrt(s2)
+        slope = 2.0 * alpha * a
+        lo = (-c - s) / slope - _SCREEN_ABS
+        hi = (s - c) / slope + _SCREEN_ABS
+    whole = (np.isnan(lo) | np.isnan(hi)) & ~(s2 < 0.0)
+    return np.where(whole, -np.inf, lo), np.where(whole, np.inf, hi)
 
 
 def _grid_axes(
@@ -526,78 +565,51 @@ def _grid_axes(
     )
 
 
-def _walk_grid(
-    axes, evaluate, reduce, workers: int = 1, processes: bool = False, screen=None
-):
-    """Yield ``reduce`` of each chunk of a (tau, eta, theta) grid, in grid order.
-
-    A chunk is a block of (tau, eta) pairs against the theta axis, at most
-    `_CHUNK` points; a theta axis longer than `_CHUNK` is cut into
-    ``ceil(theta_count / _CHUNK)`` even slices, and each chunk is then one
-    pair against one slice.  ``evaluate(tau, eta, theta)`` receives
-    broadcastable (pairs, 1), (pairs, 1) and (1, slice) arrays and
-    returns the values on that block and a mask of the points to keep;
-    ``reduce(ti, ei, hi, values)`` receives the axis indices and the values
-    of the kept points.  Both run in the chunk's task, so its kernel arrays
-    die with it.
-
-    ``screen(tau, eta)``, if given, receives each block's (pairs,) tau and
-    eta arrays, as the walk reaches the block, and returns the mask of the
-    pairs that may hold a kept point.  The blocks keep their bounds: a block
-    with no such pair is dropped, and the others are evaluated on those
-    pairs only.  ``evaluate`` must then be elementwise, so that a point's
-    value does not depend on the rest of its chunk.
-
-    At most ``workers`` workers run, and at most one per usable CPU and per
-    chunk, the dropped ones counted; with more than one the chunks run on a
-    pool, at most ``_WINDOW * workers`` at a time: the results are taken in
-    order, and the next chunk is submitted as each one is taken.  Closing
-    the generator early cancels the chunks not yet started and waits for the
-    running ones, so no worker outlives it.  The pool is of threads, which
-    start only as chunks are submitted, or with ``processes`` of forked
-    worker processes (see `_pool`), for chunks that hold the GIL: there
-    ``reduce``'s result must pickle.
-    """
+def _plan(axes) -> tuple[int, int, int]:
+    """``(pairs, step, width)`` of a grid walk: chunks of at most ``step``
+    of the ``pairs`` (tau, eta) pairs, in grid order, against ``width``
+    thetas, at most `_CHUNK` points; a longer theta axis is cut evenly."""
     taus, etas, thetas = axes
-    pairs = len(taus) * len(etas)
     slices = -(-len(thetas) // _CHUNK)
     width = -(-len(thetas) // slices)
-    step = max(1, _CHUNK // width)
+    return len(taus) * len(etas), max(1, _CHUNK // width), width
 
-    def block(lo):
-        return np.divmod(np.arange(lo, min(lo + step, pairs)), len(etas))
+
+def _walk_grid(axes, evaluate, reduce, workers: int = 1):
+    """Yield ``reduce`` of each of `_plan`'s chunks of a (tau, eta, theta)
+    grid, in grid order: the ``entropy-grid`` walk.
+
+    ``evaluate(tau, eta, theta)`` receives (pairs, 1), (pairs, 1) and
+    (1, slice) arrays and returns the block's values and a mask of the
+    points to keep; ``reduce(ti, ei, hi, values)`` receives their axis
+    indices and values.  Both run in the chunk's task.  With more than one
+    of ``workers`` (capped per usable CPU and per chunk) and ``fork``, the
+    chunks run in forked processes (`_pool`), ``_WINDOW * workers`` at a
+    time, and ``reduce``'s result must pickle; closing the generator early
+    cancels the chunks not yet started.  Otherwise they run serially.
+    """
+    taus, etas, thetas = axes
+    pairs, step, width = _plan(axes)
 
     def chunk(start):
-        lo, h, live = start
-        it, ie = block(lo)
-        if live is not None:
-            it, ie = it[live], ie[live]
+        lo, h = start
+        it, ie = np.divmod(np.arange(lo, min(lo + step, pairs)), len(etas))
         values, keep = evaluate(taus[it][:, None], etas[ie][:, None], thetas[None, h : h + width])
         pair, ith = np.nonzero(keep)
         return reduce(it[pair], ie[pair], ith + h, values[pair, ith])
 
-    def starts():
-        for lo in range(0, pairs, step):
-            live = None
-            if screen is not None:
-                it, ie = block(lo)
-                live = screen(taus[it], etas[ie])
-                if not live.any():
-                    continue
-            for h in range(0, len(thetas), width):
-                yield lo, h, live
-
-    workers = min(workers, _usable_cpus(), -(-pairs // step) * slices)
-    if workers <= 1:
-        yield from map(chunk, starts())
+    starts = [(lo, h) for lo in range(0, pairs, step) for h in range(0, len(thetas), width)]
+    workers = min(workers, _usable_cpus(), len(starts))
+    pool = _pool(chunk, workers) if workers > 1 else None
+    if pool is None:
+        yield from map(chunk, starts)
         return
-    pool, task = _pool(chunk, workers, processes)
     try:
         window = deque()
-        for start in starts():
+        for start in starts:
             if len(window) == _WINDOW * workers:
                 yield window.popleft().result()
-            window.append(pool.submit(task, start))
+            window.append(pool.submit(_run_adopted, start))
         while window:
             yield window.popleft().result()
     finally:
@@ -611,35 +623,26 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _pool(chunk, workers: int, processes: bool):
-    """An executor of ``workers`` and the task that runs ``chunk(start)`` on it.
+def _pool(chunk, workers: int):
+    """An executor of ``workers`` forked processes for `_run_adopted`, or
+    ``None`` without the ``fork`` start method.  Each inherits ``chunk``
+    through the initializer, so a task passes only its start and result;
+    the pool forks them all at its first submit, before it starts a thread."""
+    import multiprocessing
 
-    With ``processes``, and where the ``fork`` start method exists, the
-    workers are forked processes: each inherits ``chunk`` through the
-    initializer, unpickled, and the task passes only ``start`` and the result.
-    The pool forks them all at its first submit, before it starts a thread
-    of its own.  Otherwise they are threads.
-    """
-    if processes:
-        import multiprocessing
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    from concurrent.futures.process import ProcessPoolExecutor
 
-        if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures.process import ProcessPoolExecutor
-
-            # A worker flushes its copies of sys.stdout and sys.stderr when it
-            # exits; multiprocessing flushes both before each fork, so no
-            # buffered line is written twice.  A file sink is never flushed
-            # in a worker.
-            pool = ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=multiprocessing.get_context("fork"),
-                initializer=_adopt,
-                initargs=(chunk,),
-            )
-            return pool, _run_adopted
-    from concurrent.futures import ThreadPoolExecutor
-
-    return ThreadPoolExecutor(max_workers=workers), chunk
+    # A worker flushes its copies of sys.stdout and sys.stderr when it
+    # exits; multiprocessing flushes both before each fork, so no buffered
+    # line is written twice.  A file sink is never flushed in a worker.
+    return ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_adopt,
+        initargs=(chunk,),
+    )
 
 
 # The chunk function a forked worker process runs, set in that process only.

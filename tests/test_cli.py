@@ -497,6 +497,21 @@ def test_the_package_root_resolves_its_names_lazily():
         ringsim.no_such_name
 
 
+def test_import_time_lists_every_module():
+    # the package root imports its modules through the builtin __import__,
+    # which -X importtime reports; a bare import still loads no numpy
+    env = {**os.environ, "PYTHONPATH": str(_ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", "import ringsim.cli"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    listed = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()}
+    for name in ("hom", "single_bus", "add_drop", "attenuation", "core", "cli"):
+        assert f"ringsim.{name}" in listed, name
+    assert _probe("import sys, ringsim; print('numpy' in sys.modules)") == "False\n"
+
+
 def test_only_the_process_pool_imports_multiprocessing():
     # about 11 ms of imports that no quick sweep and no census should pay
     probe = (
@@ -1020,8 +1035,9 @@ def test_worker_processes_are_capped_by_cpus_and_chunks(monkeypatch):
     assert built["process"] == [3, 10, 2, 5]
 
 
-def test_census_threads_are_capped_by_cpus(monkeypatch):
-    monkeypatch.setattr(hom, "_CHUNK", 16)  # 72 chunks
+def test_the_census_builds_no_pool(monkeypatch):
+    # the census walks its grid in the main thread at any worker count
+    monkeypatch.setattr(hom, "_CHUNK", 16)  # 72 blocks
     built = _record_pools(monkeypatch)
     sets = _SMALL["homm-grid"]
     for cpus in (3, 1):
@@ -1030,21 +1046,21 @@ def test_census_threads_are_capped_by_cpus(monkeypatch):
         )
         text, want = _sweep_and_reference(monkeypatch, "homm-grid", sets, "csv", 64)
         assert text == want
-    # one usable CPU walks the grid serially
-    assert built == {"process": [], "thread": [3]}
+    assert built == {"process": [], "thread": []}
 
 
-def test_census_screen_drops_whole_blocks(monkeypatch):
-    # 81 pairs in 41 blocks of two pairs against 7 phases: the screen rules
-    # out both pairs of 12 blocks, which never reach the pool, and one pair
-    # of some others, which the kernel never sees.
+def test_census_evaluates_only_its_window_candidates(monkeypatch):
+    # 81 pairs against 7 phases: the kernel sees only the 160 of 567 points
+    # whose cos theta lies in their pair's window (96 are kept; the pair
+    # screen this replaced passed 364).  The four pairs whose window holds
+    # every phase go in (pairs, 1) x (1, 7) blocks; the others' candidates
+    # are gathered into calls of min(_TILE, _CHUNK) = 16 points at most
     monkeypatch.setattr(hom, "_CHUNK", 16)
-    monkeypatch.setattr(hom, "_usable_cpus", lambda: 3)
     built = _record_pools(monkeypatch)
     kernel, calls = hom.coincidence_ratio_grid, []
 
     def counting(tau, eta, theta, alpha):
-        calls.append(tau.shape[0])
+        calls.append(np.broadcast(tau, theta).size)
         return kernel(tau, eta, theta, alpha)
 
     sets = ("tau_count=9", "eta_count=9", "theta_count=7", "threshold=0.05")
@@ -1058,8 +1074,44 @@ def test_census_screen_drops_whole_blocks(monkeypatch):
             with monkeypatch.context() as patch:
                 patch.setattr(hom, "coincidence_ratio_grid", counting)
                 assert _sweep_text(config) == want
-            assert (len(calls), sum(calls), max(calls)) == (29, 52, 2)
-    assert built == {"process": [], "thread": [3, 3]}
+            assert calls == [14, 16, 16, 16, 13, 7, 16, 10, 7, 16, 16, 13]
+    assert built == {"process": [], "thread": []}
+
+
+def test_no_census_kernel_call_or_chunk_exceeds_a_tile(monkeypatch):
+    # each kernel call is one rendered chunk of its kept rows: blocks of two
+    # whole 2001-phase axes, a 5000-phase axis in slices of a tile, and
+    # candidates gathered into full tiles between the whole axes
+    monkeypatch.setenv("RINGSIM_THREADS", "2")
+    kernel, calls, render, rows = hom.coincidence_ratio_grid, [], cli.render_json, []
+
+    def counting(tau, eta, theta, alpha):
+        calls.append(np.broadcast(tau, theta).size)
+        return kernel(tau, eta, theta, alpha)
+
+    def recording(*args):
+        rows.append(len(args[2]))
+        return render(*args)
+
+    monkeypatch.setattr(hom, "coincidence_ratio_grid", counting)
+    monkeypatch.setattr(cli, "render_json", recording)
+    tile = hom._TILE
+    for grid, threshold, plan in (
+        ((3, 3, 2001), 1e300, [2 * 2001] * 4 + [2001]),
+        ((2, 1, 5000), 1e300, [tile, 5000 - tile] * 2),
+        ((7, 7, 2001), 0.05, [2001, tile, tile, 1553, 2001, tile, tile, tile, 576]),
+    ):
+        counts = (f"{k}_count={n}" for k, n in zip(("tau", "eta", "theta"), grid))
+        sets = (*counts, f"threshold={threshold}")
+        config = cli.load_config("homm-grid", None, list(sets), None, "json")
+        with monkeypatch.context() as patch:
+            patch.setattr(hom, "coincidence_ratio_grid", kernel)
+            want = _reference_json(config, *_reference_table("homm-grid", config.params))
+        calls.clear()
+        rows.clear()
+        assert _sweep_text(config) == want
+        assert calls == plan
+        assert len(rows) == len(plan) and max(rows) <= tile
 
 
 def test_entropy_grid_evaluates_every_block(monkeypatch):
@@ -1082,18 +1134,16 @@ def test_entropy_grid_evaluates_every_block(monkeypatch):
         assert shapes == plan
 
 
-def test_grid_sweeps_fall_back_to_threads_without_fork(monkeypatch):
+def test_grid_sweeps_run_serially_without_fork(monkeypatch):
     monkeypatch.setattr(hom, "_CHUNK", 16)
     monkeypatch.setattr(hom, "_usable_cpus", lambda: 2)
     monkeypatch.setenv("RINGSIM_THREADS", "2")
     built = _record_pools(monkeypatch)
-    census = cli.load_config("homm-grid", None, list(_SMALL["homm-grid"]), None, "json")
-    _sweep_text(census)  # the census keeps its threads
-    assert built == {"process": [], "thread": [2]}
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    text, want = _sweep_and_reference(monkeypatch, _STREAMED[0], _STREAMED[2::2], "json", 2)
-    assert text == want
-    assert built == {"process": [], "thread": [2, 2]}
+    for mode, sets in (("homm-grid", _SMALL["homm-grid"]), (_STREAMED[0], _STREAMED[2::2])):
+        text, want = _sweep_and_reference(monkeypatch, mode, sets, "json", 2)
+        assert text == want
+    assert built == {"process": [], "thread": []}
 
 
 def test_output_file_mode_is_what_open_gives(tmp_path):

@@ -511,7 +511,7 @@ def _vertex_angle(tau, eta, alpha):
     return math.acos(min(1.0, max(-1.0, u))) if math.isfinite(u) else 0.0
 
 
-_SCREEN_AXIS = np.linspace(-math.pi, math.pi, 4001)  # holds -pi, 0 and pi
+_WINDOW_AXIS = np.linspace(-math.pi, math.pi, 4001)  # holds -pi, 0 and pi
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -524,22 +524,45 @@ _SCREEN_AXIS = np.linspace(-math.pi, math.pi, 4001)  # holds -pi, 0 and pi
     ),
     threshold=st.one_of(
         st.floats(-300.0, math.log10(1.5)).map(lambda x: 10.0**x),
-        st.sampled_from([1e-300, 1.5, math.inf]),
+        st.sampled_from([1e-300, 1.5, math.inf, None]),
     ),
 )
-def test_census_screen_skips_only_pairs_above_the_threshold(tau, eta, alpha, threshold):
+def test_census_window_leaves_out_only_points_above_the_threshold(tau, eta, alpha, threshold):
     t, e = np.array([tau]), np.array([eta])
-    if hom._census_screen(t, e, alpha, threshold)[0]:
-        return
+    if threshold is None:
+        # the pair's own ratio at theta = pi, where |det| meets its bound U:
+        # an edge of the window then falls on u = -1, and only the slack
+        # keeps that point, whose ratio equals the threshold
+        threshold = coincidence_ratio_grid(t, e, np.array([math.pi]), alpha)[0]
+        threshold = threshold if threshold > 0 else 1e-300
+    (lo,), (hi,) = hom._census_window(t, e, alpha, threshold)
+    edges = [math.acos(min(1.0, max(-1.0, x))) for x in (lo, hi) if not math.isnan(x)]
     vertex = _vertex_angle(tau, eta, alpha)
-    thetas = np.concatenate([_SCREEN_AXIS, [vertex, -vertex]])
-    ratio = coincidence_ratio_grid(t[:, None], e[:, None], thetas[None, :], alpha)
-    assert np.all((ratio > threshold) | np.isnan(ratio))
+    thetas = np.concatenate([_WINDOW_AXIS, edges, np.negative(edges), [vertex, -vertex]])
+    ratio = coincidence_ratio_grid(t[:, None], e[:, None], thetas[None, :], alpha)[0]
+    out = ~((np.cos(thetas) >= lo) & (np.cos(thetas) <= hi))
+    assert np.all((ratio[out] > threshold) | np.isnan(ratio[out]))
+
+
+def test_census_window_at_alpha_a_zero_is_all_or_nothing():
+    # tau = 0: the ratio is (1 - 2 eta^2)^2 at every theta, here 0.6724,
+    # 0.0784 and 0.3844, so the window holds all of the axis or none of it
+    tau, eta = np.zeros(3), np.array([0.3, 0.6, 0.9])
+    for alpha in (1e-3, 0.9, 1.0):
+        lo, hi = hom._census_window(tau, eta, alpha, 0.5)
+        assert np.all(np.isinf(lo) & np.isinf(hi))
+        assert ((lo <= -1.0) & (hi >= 1.0)).tolist() == [False, True, True]
+        assert ((lo <= 1.0) & (hi >= -1.0)).tolist() == [False, True, True]
+    # a NaN input keeps the whole axis
+    for args in ((np.array([math.nan]), np.array([0.5]), 0.9, 1e-3),
+                 (np.array([0.5]), np.array([0.5]), 0.9, math.nan)):
+        (lo,), (hi,) = hom._census_window(*args)
+        assert (lo, hi) == (-math.inf, math.inf)
 
 
 def test_hom_region_is_the_whole_grid_census(monkeypatch):
     # Small random grids, at the real chunk size and at one that cuts the
-    # pairs into many blocks: the screened census keeps what one
+    # pairs into many blocks: the windowed census keeps what one
     # whole-grid kernel call keeps, bit for bit.
     rng = np.random.default_rng(1709)
     alphas = (5e-324, 1e-3, 0.5, 0.9, 1.0 - 1e-12, 1.0)
@@ -557,9 +580,40 @@ def test_hom_region_is_the_whole_grid_census(monkeypatch):
         assert region.points.tobytes() == np.column_stack([t, e, th])[keep].tobytes()
         assert region.values.tobytes() == ratio[keep].tobytes()
         assert region.points.shape == (keep.sum(), 3)
-        pair_t, pair_e = (g.ravel() for g in np.meshgrid(*axes[:2], indexing="ij"))
-        screened += (~hom._census_screen(pair_t, pair_e, alpha, threshold)).sum()
+        lo, hi = hom._census_window(t, e, alpha, threshold)
+        screened += (~((np.cos(th) >= lo) & (np.cos(th) <= hi))).sum()
     assert screened > 0
+
+
+@pytest.mark.parametrize("threshold", [0.25, 1.5, math.inf])
+@pytest.mark.parametrize("counts", [(1, 7, 33), (6, 1, 33), (1, 1, 9)])
+def test_hom_region_on_a_zero_tau_or_eta_axis_is_the_whole_grid_census(counts, threshold):
+    # An axis of one value is [0.0], so alpha A = 0 on every pair and the
+    # ratio (1 - 2 eta^2)^2 or (1 - 2 tau^2)^2 is at most 1: thresholds 1.5
+    # and inf keep every point, 0.25 some of them (none at tau = eta = 0).
+    # At alpha 5e-324 |det|^2 underflows, and every ratio is NaN.
+    t, e, th = (g.ravel() for g in np.meshgrid(*hom._grid_axes(*counts), indexing="ij"))
+    for alpha in (5e-324, 1e-3, 0.5, 1.0):
+        region = hom_region(alpha, threshold, *counts)
+        ratio = coincidence_ratio_grid(t, e, th, alpha)
+        keep = ratio <= threshold
+        assert region.points.tobytes() == np.column_stack([t, e, th])[keep].tobytes()
+        assert region.values.tobytes() == ratio[keep].tobytes()
+
+
+def test_hom_region_on_a_sliced_theta_axis_is_the_whole_grid_census(monkeypatch):
+    # _CHUNK 16 cuts 41 phases into slices of 14, 14 and 13, so each pair's
+    # window is matched against each slice's own cosines in turn
+    monkeypatch.setattr(hom, "_CHUNK", 16)
+    counts = (5, 5, 41)
+    t, e, th = (g.ravel() for g in np.meshgrid(*hom._grid_axes(*counts), indexing="ij"))
+    for alpha, threshold in ((0.9, 0.05), (0.5, 0.3)):
+        region = hom_region(alpha, threshold, *counts)
+        ratio = coincidence_ratio_grid(t, e, th, alpha)
+        keep = ratio <= threshold
+        assert 0 < keep.sum() < keep.size
+        assert region.points.tobytes() == np.column_stack([t, e, th])[keep].tobytes()
+        assert region.values.tobytes() == ratio[keep].tobytes()
 
 
 def test_hom_region_with_no_pair_left_is_empty():
