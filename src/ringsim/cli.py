@@ -7,12 +7,13 @@ output is written chunk by chunk as the chunks are evaluated, so no sweep
 holds more than the chunks in flight, and no chunk or cell table holds
 more than `hom._CHUNK` points, however long an axis.  A sweep along one
 axis evaluates and renders its chunks one at a time in the main thread.
-So does a census, serially, in kernel calls of at most `hom._TILE` points
-whose cos theta lies in their (tau, eta) pair's window, each rendered as one
-chunk.  An entropy-grid chunk (a longer theta axis runs in even slices) is
-evaluated and rendered in a forked worker process (``x log x`` and cell text
-hold the GIL) with its own kernel arrays, about 20 MB.  ``RINGSIM_THREADS``
-caps those processes; at most one runs per usable CPU and per chunk.
+So does a census, serially: it gathers the points whose cos theta lies in
+their (tau, eta) pair's window and evaluates them in kernel calls of at most
+`hom._TILE` points, each rendered as one chunk.  An entropy-grid chunk (a
+longer theta axis runs in even slices) is evaluated and rendered in a forked
+worker process (``x log x`` and cell text hold the GIL) with its own kernel
+arrays, about 20 MB.  ``RINGSIM_THREADS`` caps those processes; at most one
+runs per usable CPU and per chunk.
 """
 
 from __future__ import annotations
@@ -491,13 +492,13 @@ def _sweep_add_drop(p: dict):
     return columns, _rows(thetas, values), None
 
 
-def _grid_rows(p: dict, evaluate=None):
+def _grid_rows(p: dict, walk):
     """The chunks of a (tau, eta, theta) grid sweep: ``chunks(piece,
     workers)`` yields ``piece`` of each chunk's `Rows`, in grid order.
 
-    The chunks are those of `hom._walk_grid` with the chunk kernel
-    ``evaluate``, or of the serial `hom._census` without one.  Each passes
-    its kept points through ``piece``, so only the chunks in flight exist
+    ``walk(axes, reduce, workers)`` is the grid walk, `hom._census` or
+    `hom._walk_grid`, that yields ``reduce`` of each chunk's kept points.
+    Each chunk passes through ``piece``, so only the chunks in flight exist
     at once.  An axis of at most `hom._CHUNK` values is formatted once, into
     a table the chunks index; a longer one is formatted in each chunk, at
     its distinct indices, so no cell table outgrows a chunk.
@@ -509,9 +510,7 @@ def _grid_rows(p: dict, evaluate=None):
         def reduce(ti, ei, hi, values):
             return piece(Rows(tau_cells(ti), eta_cells(ei), theta_cells(hi), _cells(values)))
 
-        if evaluate is None:
-            return hom._census(axes, p["alpha"], p["threshold"], reduce)
-        return hom._walk_grid(axes, evaluate, reduce, workers)
+        return walk(axes, reduce, workers)
 
     return chunks
 
@@ -526,8 +525,11 @@ def _sweep_homm_grid(p: dict):
             "grid": "x".join(str(n) for n in shape),
         }
 
+    def census(axes, reduce, workers):
+        return hom._census(axes, p["alpha"], p["threshold"], reduce)
+
     columns = ["tau", "eta", "theta_rad", "coincidence_ratio"]
-    return columns, _grid_rows(p), summary
+    return columns, _grid_rows(p, census), summary
 
 
 def _sweep_critical_dip(p: dict):
@@ -550,10 +552,13 @@ def _sweep_entropy_grid(p: dict):
                 f"alpha, p1_threshold: {exc}; lower alpha or raise p1_threshold "
                 f"(got {p['alpha']!r}, {p['p1_threshold']!r})"
             ) from exc
-        return bits, np.ones(bits.shape, dtype=bool)
+        return bits
+
+    def walk(axes, reduce, workers):
+        return hom._walk_grid(axes, evaluate, reduce, workers)
 
     columns = ["tau", "eta", "theta_rad", "entropy_bits"]
-    return columns, _grid_rows(p, evaluate), None
+    return columns, _grid_rows(p, walk), None
 
 
 _SWEEPS = {

@@ -22,6 +22,7 @@ where the generalized two-photon dip survives loss (`hom_region`).
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from collections import deque
@@ -65,9 +66,10 @@ _CHUNK = 65536
 #: every worker busy while the caller consumes a chunk.  Each worker process
 #: allocates its own kernel arrays (about 20 MB) and sends back the result.
 _WINDOW = 2
-#: Most points in one tile of `coincidence_ratio_grid` or census batch.  A
-#: tile's complex temporaries then take 64 KiB each, under glibc's 128 KiB
-#: mmap threshold, so they are recycled through the heap, not fresh pages.
+#: Most points in one tile of `coincidence_ratio_grid`, or in one search
+#: block or kernel call of a census.  A tile's complex temporaries then take
+#: 64 KiB each, under glibc's 128 KiB mmap threshold, so they are recycled
+#: through the heap, not fresh pages.
 _TILE = 4096
 #: Slack of the census window (`_census_window`): an absolute bound on the
 #: rounding of |Perm| and |det| numerators, in the kernel and the window,
@@ -339,14 +341,13 @@ def coincidence_ratio_grid(
     its array loop fuses.  Within arrays every step is elementwise, so a
     point's value does not depend on the other points of the call; a census
     (`hom_region`) evaluates only the points inside its windows, gathered
-    flat or in blocks, and still gives the whole grid's bits.  The grid is
-    evaluated in tiles of whole rows along its leading axis, at most `_TILE`
-    points each (a longer row is one tile), and the call keeps nothing.
+    flat, and still gives the whole grid's bits.  The grid is evaluated in
+    tiles of whole rows along its leading axis, at most `_TILE` points each
+    (a longer row is one tile), and the call keeps nothing.
     """
     _check_alpha(alpha)
     t, e = _real_couplers(tau, eta)
-    z = alpha * np.exp(1j * np.asarray(theta, dtype=float))
-    operands = t, e, z, t * e, (1.0 - t * t) * (1.0 - e * e)
+    operands = _operands(t, e, alpha * np.exp(1j * np.asarray(theta, dtype=float)))
     shape = np.broadcast_shapes(*(x.shape for x in operands))
     with np.errstate(divide="ignore", invalid="ignore"):
         if not shape:
@@ -359,6 +360,11 @@ def coincidence_ratio_grid(
             tile = slice(lo, lo + rows)
             out[tile] = _ratio(*(x[tile] if c else x for x, c in zip(operands, cut)))
     return out
+
+
+def _operands(t, e, z):
+    """The `_ratio` operands of real couplers t, e and z = alpha exp(i theta)."""
+    return t, e, z, t * e, (1.0 - t * t) * (1.0 - e * e)
 
 
 def _ratio(t, e, z, te, kk):
@@ -408,9 +414,9 @@ def hom_region(
     `coincidence_ratio` <= threshold.  Shrinking fractions with decreasing
     alpha quantify how loss erodes the interference manifold.
 
-    The ratio is evaluated only where cos theta lies in the (tau, eta)
-    pair's `_census_window`, outside which it exceeds the threshold, so the
-    result is what the whole grid gives, bit for bit.
+    The ratio is evaluated only at the points whose cos theta lies in their
+    (tau, eta) pair's `_census_window`, outside which it exceeds the
+    threshold, gathered flat, so the result is the whole grid's, bit for bit.
     """
     if not threshold > 0:  # NaN too
         raise ValueError(f"threshold must be > 0, got {threshold}")
@@ -444,53 +450,45 @@ def hom_region(
 
 def _census(axes, alpha: float, threshold: float, reduce):
     """Yield ``reduce(ti, ei, hi, values)`` of the grid points with ratio
-    <= ``threshold`` (never NaN), in grid order, serially, one kernel call
+    <= ``threshold`` (never NaN), in grid order, serially, one `_ratio` call
     of at most `_TILE` (and `_CHUNK`) points each.  Only points inside their
-    pair's `_census_window` are evaluated: runs of pairs whose window holds
-    [-1, 1] as (pairs, 1) x (1, thetas) blocks, the other pairs' candidates
-    found in `_plan`'s blocks and gathered as flat axis indices.  Alpha is
-    checked first: a census may call no kernel at all."""
+    pair's `_census_window` are evaluated: the live pairs' windows are
+    matched against cos theta in blocks of at most that many points, and
+    each candidate is gathered as flat axis indices with its z, computed
+    once per theta slice.  Alpha is checked first: a census may call no
+    kernel at all."""
     _check_alpha(alpha)
     taus, etas, thetas = axes
-    pairs, step, width = _plan(axes)
-    size = min(_TILE, _CHUNK)
-    rows, cos = max(1, size // len(thetas)), np.cos(thetas)
+    pairs, size = len(taus) * len(etas), min(_TILE, _CHUNK)
+    width = min(len(thetas), size)
+    step = max(1, size // width)  # a sliced axis, one pair a block: grid order
 
-    def flat(ti, ei, hi):
-        ratio = coincidence_ratio_grid(taus[ti], etas[ei], thetas[hi], alpha)
+    def flat(ti, ei, hi, z):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = _ratio(*_operands(taus[ti], etas[ei], z))
         keep = ratio <= threshold
         return reduce(ti[keep], ei[keep], hi[keep], ratio[keep])
 
-    def block(ti, ei, h):  # (pairs,) indices against thetas from h
-        ratio = coincidence_ratio_grid(taus[ti, None], etas[ei, None], thetas[None, h : h + size], alpha)
-        pair, ith = np.nonzero(ratio <= threshold)
-        return reduce(ti[pair], ei[pair], ith + h, ratio[pair, ith])
+    @functools.lru_cache(maxsize=1)  # an axis in one slice: once a census
+    def phases(h):  # cos theta and z = alpha exp(i theta) of a slice
+        theta = thetas[h : h + width]
+        return np.cos(theta), alpha * np.exp(1j * theta)
 
-    held = [np.empty(0, dtype=np.intp)] * 3  # gathered candidates not yet evaluated
+    held = [np.empty(0, dtype=np.intp)] * 3 + [np.empty(0, dtype=complex)]
     for start in range(0, pairs, size):
         it, ie = np.divmod(np.arange(start, min(start + size, pairs)), len(etas))
         lo, hi = _census_window(taus[it], etas[ie], alpha, threshold)
-        whole = (lo <= -1.0) & (hi >= 1.0)
         live = np.flatnonzero((lo <= 1.0) & (hi >= -1.0))  # NaN edges hold no u
-        for run in np.split(live, np.flatnonzero(np.diff(whole[live])) + 1):
-            if run.size and whole[run[0]]:
-                if len(held[0]):
-                    yield flat(*held)
-                    held = [x[:0] for x in held]
-                for k in range(0, run.size, rows):
-                    for h in range(0, len(thetas), size):
-                        yield block(it[run[k : k + rows]], ie[run[k : k + rows]], h)
-                continue
-            for k in range(0, run.size, step):
-                part = run[k : k + step, None]
-                for h in range(0, len(thetas), width):
-                    u = cos[h : h + width]
-                    pair, ith = np.nonzero((u >= lo[part]) & (u <= hi[part]))
-                    found = (it[part[pair, 0]], ie[part[pair, 0]], ith + h)
-                    held = [np.concatenate(x) for x in zip(held, found)]
-                    while len(held[0]) >= size:
-                        yield flat(*(x[:size] for x in held))
-                        held = [x[size:] for x in held]
+        for k in range(0, live.size, step):
+            part = live[k : k + step, None]
+            for h in range(0, len(thetas), width):
+                u, z = phases(h)
+                pair, ith = np.nonzero((u >= lo[part]) & (u <= hi[part]))
+                found = (it[part[pair, 0]], ie[part[pair, 0]], ith + h, z[ith])
+                held = [np.concatenate(x) for x in zip(held, found)]
+                while len(held[0]) >= size:
+                    yield flat(*(x[:size] for x in held))
+                    held = [x[size:] for x in held]
     if len(held[0]):
         yield flat(*held)
 
@@ -565,38 +563,32 @@ def _grid_axes(
     )
 
 
-def _plan(axes) -> tuple[int, int, int]:
-    """``(pairs, step, width)`` of a grid walk: chunks of at most ``step``
-    of the ``pairs`` (tau, eta) pairs, in grid order, against ``width``
-    thetas, at most `_CHUNK` points; a longer theta axis is cut evenly."""
-    taus, etas, thetas = axes
-    slices = -(-len(thetas) // _CHUNK)
-    width = -(-len(thetas) // slices)
-    return len(taus) * len(etas), max(1, _CHUNK // width), width
-
-
 def _walk_grid(axes, evaluate, reduce, workers: int = 1):
-    """Yield ``reduce`` of each of `_plan`'s chunks of a (tau, eta, theta)
-    grid, in grid order: the ``entropy-grid`` walk.
+    """Yield ``reduce`` of each chunk of a (tau, eta, theta) grid, in grid
+    order: the ``entropy-grid`` walk.  A chunk is a run of pairs against a
+    theta slice, at most `_CHUNK` points; a longer axis is cut evenly.
 
     ``evaluate(tau, eta, theta)`` receives (pairs, 1), (pairs, 1) and
-    (1, slice) arrays and returns the block's values and a mask of the
-    points to keep; ``reduce(ti, ei, hi, values)`` receives their axis
-    indices and values.  Both run in the chunk's task.  With more than one
-    of ``workers`` (capped per usable CPU and per chunk) and ``fork``, the
-    chunks run in forked processes (`_pool`), ``_WINDOW * workers`` at a
-    time, and ``reduce``'s result must pickle; closing the generator early
-    cancels the chunks not yet started.  Otherwise they run serially.
+    (1, slice) arrays and returns the block's values; ``reduce(ti, ei, hi,
+    values)`` receives every point's axis indices and value, in C order.
+    Both run in the chunk's task.  With more than one of ``workers``
+    (capped per usable CPU and per chunk) and ``fork``, the chunks run in
+    forked processes (`_pool`), ``_WINDOW * workers`` at a time, and
+    ``reduce``'s result must pickle; closing the generator early cancels
+    the chunks not yet started.  Otherwise they run serially.
     """
     taus, etas, thetas = axes
-    pairs, step, width = _plan(axes)
+    pairs = len(taus) * len(etas)
+    slices = -(-len(thetas) // _CHUNK)
+    width = -(-len(thetas) // slices)
+    step = max(1, _CHUNK // width)
 
     def chunk(start):
         lo, h = start
         it, ie = np.divmod(np.arange(lo, min(lo + step, pairs)), len(etas))
-        values, keep = evaluate(taus[it][:, None], etas[ie][:, None], thetas[None, h : h + width])
-        pair, ith = np.nonzero(keep)
-        return reduce(it[pair], ie[pair], ith + h, values[pair, ith])
+        values = evaluate(taus[it][:, None], etas[ie][:, None], thetas[None, h : h + width])
+        pair, ith = np.indices(values.shape).reshape(2, -1)
+        return reduce(it[pair], ie[pair], ith + h, values.ravel())
 
     starts = [(lo, h) for lo in range(0, pairs, step) for h in range(0, len(thetas), width)]
     workers = min(workers, _usable_cpus(), len(starts))

@@ -1052,16 +1052,15 @@ def test_the_census_builds_no_pool(monkeypatch):
 def test_census_evaluates_only_its_window_candidates(monkeypatch):
     # 81 pairs against 7 phases: the kernel sees only the 160 of 567 points
     # whose cos theta lies in their pair's window (96 are kept; the pair
-    # screen this replaced passed 364).  The four pairs whose window holds
-    # every phase go in (pairs, 1) x (1, 7) blocks; the others' candidates
-    # are gathered into calls of min(_TILE, _CHUNK) = 16 points at most
+    # screen this replaced passed 364), every one gathered, in calls of
+    # min(_TILE, _CHUNK) = 16 points
     monkeypatch.setattr(hom, "_CHUNK", 16)
     built = _record_pools(monkeypatch)
-    kernel, calls = hom.coincidence_ratio_grid, []
+    kernel, calls = hom._ratio, []
 
-    def counting(tau, eta, theta, alpha):
-        calls.append(np.broadcast(tau, theta).size)
-        return kernel(tau, eta, theta, alpha)
+    def counting(*operands):
+        calls.append(np.broadcast(*operands).size)
+        return kernel(*operands)
 
     sets = ("tau_count=9", "eta_count=9", "theta_count=7", "threshold=0.05")
     for fmt in ("csv", "json"):
@@ -1072,44 +1071,46 @@ def test_census_evaluates_only_its_window_candidates(monkeypatch):
             monkeypatch.setenv("RINGSIM_THREADS", str(threads))
             calls.clear()
             with monkeypatch.context() as patch:
-                patch.setattr(hom, "coincidence_ratio_grid", counting)
+                patch.setattr(hom, "_ratio", counting)
                 assert _sweep_text(config) == want
-            assert calls == [14, 16, 16, 16, 13, 7, 16, 10, 7, 16, 16, 13]
+            assert calls == [16] * 10
+    t, e, th = (g.ravel() for g in np.meshgrid(*hom._grid_axes(9, 9, 7), indexing="ij"))
+    lo, hi = hom._census_window(t, e, config.params["alpha"], 0.05)
+    assert ((np.cos(th) >= lo) & (np.cos(th) <= hi)).sum() == 160
     assert built == {"process": [], "thread": []}
 
 
 def test_no_census_kernel_call_or_chunk_exceeds_a_tile(monkeypatch):
-    # each kernel call is one rendered chunk of its kept rows: blocks of two
-    # whole 2001-phase axes, a 5000-phase axis in slices of a tile, and
-    # candidates gathered into full tiles between the whole axes
+    # each kernel call is one rendered chunk of its kept rows: the
+    # candidates of every pair, whole axes or windows, gathered into full
+    # tiles in grid order, a 5000-phase axis searched in slices of a tile
     monkeypatch.setenv("RINGSIM_THREADS", "2")
-    kernel, calls, render, rows = hom.coincidence_ratio_grid, [], cli.render_json, []
+    kernel, calls, render, rows = hom._ratio, [], cli.render_json, []
 
-    def counting(tau, eta, theta, alpha):
-        calls.append(np.broadcast(tau, theta).size)
-        return kernel(tau, eta, theta, alpha)
+    def counting(*operands):
+        calls.append(np.broadcast(*operands).size)
+        return kernel(*operands)
 
     def recording(*args):
         rows.append(len(args[2]))
         return render(*args)
 
-    monkeypatch.setattr(hom, "coincidence_ratio_grid", counting)
     monkeypatch.setattr(cli, "render_json", recording)
     tile = hom._TILE
     for grid, threshold, plan in (
-        ((3, 3, 2001), 1e300, [2 * 2001] * 4 + [2001]),
-        ((2, 1, 5000), 1e300, [tile, 5000 - tile] * 2),
-        ((7, 7, 2001), 0.05, [2001, tile, tile, 1553, 2001, tile, tile, tile, 576]),
+        ((3, 3, 2001), 1e300, [tile] * 4 + [9 * 2001 - 4 * tile]),
+        ((2, 1, 5000), 1e300, [tile] * 2 + [10000 - 2 * tile]),
+        ((7, 7, 2001), 0.05, [tile] * 6 + [26611 - 6 * tile]),
     ):
         counts = (f"{k}_count={n}" for k, n in zip(("tau", "eta", "theta"), grid))
         sets = (*counts, f"threshold={threshold}")
         config = cli.load_config("homm-grid", None, list(sets), None, "json")
-        with monkeypatch.context() as patch:
-            patch.setattr(hom, "coincidence_ratio_grid", kernel)
-            want = _reference_json(config, *_reference_table("homm-grid", config.params))
+        want = _reference_json(config, *_reference_table("homm-grid", config.params))
         calls.clear()
         rows.clear()
-        assert _sweep_text(config) == want
+        with monkeypatch.context() as patch:
+            patch.setattr(hom, "_ratio", counting)
+            assert _sweep_text(config) == want
         assert calls == plan
         assert len(rows) == len(plan) and max(rows) <= tile
 

@@ -561,17 +561,20 @@ def test_census_window_at_alpha_a_zero_is_all_or_nothing():
 
 
 def test_hom_region_is_the_whole_grid_census(monkeypatch):
-    # Small random grids, at the real chunk size and at one that cuts the
-    # pairs into many blocks: the windowed census keeps what one
-    # whole-grid kernel call keeps, bit for bit.
+    # Small random grids, at the real tile and chunk sizes and at ones that
+    # cut the pairs into many search blocks, or the gathered candidates and
+    # their z across search blocks and theta slices: the windowed census
+    # keeps what one whole-grid kernel call keeps, bit for bit.
     rng = np.random.default_rng(1709)
     alphas = (5e-324, 1e-3, 0.5, 0.9, 1.0 - 1e-12, 1.0)
     screened = 0
-    for case in range(20):
+    for case in range(60):
+        tile, chunk = ((4096, 65536), (4096, 16), (7, 65536))[case % 3]
+        monkeypatch.setattr(hom, "_TILE", tile)
+        monkeypatch.setattr(hom, "_CHUNK", chunk)
         counts = tuple(int(n) for n in rng.integers(1, 13, 2)) + (int(rng.integers(1, 40)),)
         alpha = float(rng.choice(alphas)) if case % 2 else float(rng.uniform(0.0, 1.0))
         threshold = 10.0 ** rng.uniform(-300.0, math.log10(1.5))
-        monkeypatch.setattr(hom, "_CHUNK", int(rng.choice([16, 65536])))
         region = hom_region(alpha, threshold, *counts)
         axes = hom._grid_axes(*counts)
         t, e, th = (g.ravel() for g in np.meshgrid(*axes, indexing="ij"))
@@ -583,6 +586,32 @@ def test_hom_region_is_the_whole_grid_census(monkeypatch):
         lo, hi = hom._census_window(t, e, alpha, threshold)
         screened += (~((np.cos(th) >= lo) & (np.cos(th) <= hi))).sum()
     assert screened > 0
+
+
+def test_census_working_memory_stays_within_a_few_tiles(monkeypatch):
+    # At threshold 1.5 every point is a candidate, so each search block is
+    # full and candidates are carried across blocks; with a reduce that
+    # keeps nothing, the census's own arrays (the windows of a block of
+    # pairs, one search block, the carried candidates and one kernel call)
+    # stay within a few tiles at any pair count or theta axis length.
+    kernel, evaluated = hom._ratio, [0]
+
+    def counting(*operands):
+        evaluated[0] += np.broadcast(*operands).size
+        return kernel(*operands)
+
+    monkeypatch.setattr(hom, "_ratio", counting)
+    for counts in ((20, 20, 401), (80, 80, 401), (1, 1, 200001)):
+        axes = hom._grid_axes(*counts)
+        evaluated[0] = 0
+        tracemalloc.start()
+        try:
+            kept = sum(hom._census(axes, 0.9, 1.5, lambda ti, ei, hi, values: values.size))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert evaluated[0] == math.prod(counts) and 0 < kept <= evaluated[0]
+        assert peak < 24 * hom._TILE * 16, counts
 
 
 @pytest.mark.parametrize("threshold", [0.25, 1.5, math.inf])
@@ -824,17 +853,13 @@ def test_split_theta_axis_keeps_the_whole_axis_bits(kernel):
     )
     got = np.full((2, len(thetas)), -1.0)
 
-    def evaluate(t, e, th):
-        values = kernel(t, e, th)
-        return values, np.ones(values.shape, dtype=bool)
-
     def reduce(ti, ei, hi, values):
         got[ti * len(etas) + ei, hi] = values
         return hi.size
 
-    sizes = list(hom._walk_grid(axes, evaluate, reduce))
+    sizes = list(hom._walk_grid(axes, kernel, reduce))
     assert max(sizes) <= hom._CHUNK and sum(sizes) == got.size
     # one pair against each of two even slices, pair by pair
     assert sizes == [35001, 35000] * 2
-    whole, _ = evaluate(taus[:, None], etas[:, None], thetas[None, :])
+    whole = kernel(taus[:, None], etas[:, None], thetas[None, :])
     assert got.tobytes() == whole.tobytes()
