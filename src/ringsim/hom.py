@@ -22,7 +22,6 @@ where the generalized two-photon dip survives loss (`hom_region`).
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from collections import deque
@@ -66,10 +65,9 @@ _CHUNK = 65536
 #: every worker busy while the caller consumes a chunk.  Each worker process
 #: allocates its own kernel arrays (about 20 MB) and sends back the result.
 _WINDOW = 2
-#: Most points in one tile of `coincidence_ratio_grid`, or in one search
-#: block or kernel call of a census.  A tile's complex temporaries then take
-#: 64 KiB each, under glibc's 128 KiB mmap threshold, so they are recycled
-#: through the heap, not fresh pages.
+#: Most points in one tile of `coincidence_ratio_grid` or census batch.  A
+#: tile's complex temporaries then take 64 KiB each, under glibc's 128 KiB
+#: mmap threshold, so they are recycled through the heap, not fresh pages.
 _TILE = 4096
 #: Slack of the census window (`_census_window`): an absolute bound on the
 #: rounding of |Perm| and |det| numerators, in the kernel and the window,
@@ -451,46 +449,44 @@ def hom_region(
 def _census(axes, alpha: float, threshold: float, reduce):
     """Yield ``reduce(ti, ei, hi, values)`` of the grid points with ratio
     <= ``threshold`` (never NaN), in grid order, serially, one `_ratio` call
-    of at most `_TILE` (and `_CHUNK`) points each.  Only points inside their
-    pair's `_census_window` are evaluated: the live pairs' windows are
-    matched against cos theta in blocks of at most that many points, and
-    each candidate is gathered as flat axis indices with its z, computed
-    once per theta slice.  Alpha is checked first: a census may call no
-    kernel at all."""
+    of at most `_TILE` (and `_CHUNK`) points each, on only the points whose
+    cos theta lies in their pair's `_census_window`: found in `_plan`'s
+    blocks, gathered into one tile of flat axis indices.  Cos theta, and
+    z = alpha exp(i theta) of an unsliced axis, are computed once per census
+    (a sliced axis takes z at its candidates).  Alpha is checked first."""
     _check_alpha(alpha)
     taus, etas, thetas = axes
-    pairs, size = len(taus) * len(etas), min(_TILE, _CHUNK)
-    width = min(len(thetas), size)
-    step = max(1, size // width)  # a sliced axis, one pair a block: grid order
+    pairs, step, width = _plan(axes)  # a sliced axis: one pair a block, so grid order
+    size, cos = min(_TILE, _CHUNK), np.cos(thetas)
+    z = alpha * np.exp(1j * thetas) if width == len(thetas) else None
 
-    def flat(ti, ei, hi, z):
+    def flat(ti, ei, hi):
+        phase = z[hi] if z is not None else alpha * np.exp(1j * thetas[hi])
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = _ratio(*_operands(taus[ti], etas[ei], z))
+            ratio = _ratio(*_operands(taus[ti], etas[ei], phase))
         keep = ratio <= threshold
         return reduce(ti[keep], ei[keep], hi[keep], ratio[keep])
 
-    @functools.lru_cache(maxsize=1)  # an axis in one slice: once a census
-    def phases(h):  # cos theta and z = alpha exp(i theta) of a slice
-        theta = thetas[h : h + width]
-        return np.cos(theta), alpha * np.exp(1j * theta)
-
-    held = [np.empty(0, dtype=np.intp)] * 3 + [np.empty(0, dtype=complex)]
+    held, fill = np.empty((3, size), dtype=np.intp), 0  # (ti, ei, hi) not yet evaluated
     for start in range(0, pairs, size):
         it, ie = np.divmod(np.arange(start, min(start + size, pairs)), len(etas))
         lo, hi = _census_window(taus[it], etas[ie], alpha, threshold)
         live = np.flatnonzero((lo <= 1.0) & (hi >= -1.0))  # NaN edges hold no u
         for k in range(0, live.size, step):
-            part = live[k : k + step, None]
+            part = live[k : k + step]
             for h in range(0, len(thetas), width):
-                u, z = phases(h)
-                pair, ith = np.nonzero((u >= lo[part]) & (u <= hi[part]))
-                found = (it[part[pair, 0]], ie[part[pair, 0]], ith + h, z[ith])
-                held = [np.concatenate(x) for x in zip(held, found)]
-                while len(held[0]) >= size:
-                    yield flat(*(x[:size] for x in held))
-                    held = [x[size:] for x in held]
-    if len(held[0]):
-        yield flat(*held)
+                u = cos[h : h + width]
+                found = np.flatnonzero((u >= lo[part, None]) & (u <= hi[part, None]))
+                while found.size:
+                    pair, ith = np.divmod(found[: size - fill], len(u))
+                    pair, n = part[pair], len(ith)
+                    held[:, fill : fill + n] = it[pair], ie[pair], ith + h
+                    found, fill = found[n:], fill + n
+                    if fill == size:
+                        yield flat(*held)
+                        fill = 0
+    if fill:
+        yield flat(*held[:, :fill])
 
 
 def _census_window(tau, eta, alpha: float, threshold: float):
@@ -563,10 +559,19 @@ def _grid_axes(
     )
 
 
+def _plan(axes) -> tuple[int, int, int]:
+    """``(pairs, step, width)`` of a grid walk: chunks of at most ``step``
+    of the ``pairs`` (tau, eta) pairs, in grid order, against ``width``
+    thetas, at most `_CHUNK` points; a longer theta axis is cut evenly."""
+    taus, etas, thetas = axes
+    slices = -(-len(thetas) // _CHUNK)
+    width = -(-len(thetas) // slices)
+    return len(taus) * len(etas), max(1, _CHUNK // width), width
+
+
 def _walk_grid(axes, evaluate, reduce, workers: int = 1):
-    """Yield ``reduce`` of each chunk of a (tau, eta, theta) grid, in grid
-    order: the ``entropy-grid`` walk.  A chunk is a run of pairs against a
-    theta slice, at most `_CHUNK` points; a longer axis is cut evenly.
+    """Yield ``reduce`` of each of `_plan`'s chunks of a (tau, eta, theta)
+    grid, in grid order: the ``entropy-grid`` walk.
 
     ``evaluate(tau, eta, theta)`` receives (pairs, 1), (pairs, 1) and
     (1, slice) arrays and returns the block's values; ``reduce(ti, ei, hi,
@@ -578,10 +583,7 @@ def _walk_grid(axes, evaluate, reduce, workers: int = 1):
     the chunks not yet started.  Otherwise they run serially.
     """
     taus, etas, thetas = axes
-    pairs = len(taus) * len(etas)
-    slices = -(-len(thetas) // _CHUNK)
-    width = -(-len(thetas) // slices)
-    step = max(1, _CHUNK // width)
+    pairs, step, width = _plan(axes)
 
     def chunk(start):
         lo, h = start

@@ -588,12 +588,13 @@ def test_hom_region_is_the_whole_grid_census(monkeypatch):
     assert screened > 0
 
 
-def test_census_working_memory_stays_within_a_few_tiles(monkeypatch):
+def test_census_working_memory_stays_bounded(monkeypatch):
     # At threshold 1.5 every point is a candidate, so each search block is
     # full and candidates are carried across blocks; with a reduce that
-    # keeps nothing, the census's own arrays (the windows of a block of
-    # pairs, one search block, the carried candidates and one kernel call)
-    # stay within a few tiles at any pair count or theta axis length.
+    # keeps nothing, the census holds its per-theta tables (the cosines, and
+    # z of an unsliced axis) and, at any pair count or axis length, one
+    # search block's mask and candidate indices (9 bytes a point of at most
+    # `_CHUNK`), the carried tile and one kernel call's arrays.
     kernel, evaluated = hom._ratio, [0]
 
     def counting(*operands):
@@ -611,7 +612,9 @@ def test_census_working_memory_stays_within_a_few_tiles(monkeypatch):
         finally:
             tracemalloc.stop()
         assert evaluated[0] == math.prod(counts) and 0 < kept <= evaluated[0]
-        assert peak < 24 * hom._TILE * 16, counts
+        thetas = counts[2]
+        tables = 8 * thetas + (16 * thetas if thetas <= hom._CHUNK else 0)
+        assert peak - tables < 9 * hom._CHUNK + 24 * hom._TILE * 16, counts
 
 
 @pytest.mark.parametrize("threshold", [0.25, 1.5, math.inf])
