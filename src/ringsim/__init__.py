@@ -16,7 +16,10 @@ hom
     Two-photon interference with loss: sectored output state, reduced
     density matrices, coincidence figures, interference-manifold census.
 cli
-    ``ringsim`` command-line sweeps and the identity audit.
+    ``ringsim`` command-line sweeps; ``ringsim audit`` runs `audit`.
+audit
+    The identity audit: 12 bookkeeping identities re-derived on seeded
+    random draws, each by two routes.
 
 The package root imports nothing up front: each public name, and each
 module above, is imported on first use (PEP 562).  So ``import ringsim``
@@ -52,7 +55,7 @@ _EXPORTS = {
     "reduce_density": "hom",
 }
 
-_MODULES = ("add_drop", "attenuation", "cli", "core", "hom", "single_bus")
+_MODULES = ("add_drop", "attenuation", "audit", "cli", "core", "hom", "single_bus")
 
 __all__ = sorted([*_EXPORTS, "__version__"])
 

@@ -65,7 +65,8 @@ class BeamSplitterChain:
         _check_line(self.gamma, self.length)
         if not math.isfinite(self.beta * self.length):  # NaN or infinite beta too
             raise ValueError(f"beta * length must be finite, got beta = {self.beta}")
-        if not (isinstance(self.n_splitters, (int, np.integer)) and self.n_splitters >= 1):
+        count = self.n_splitters
+        if isinstance(count, bool) or not (isinstance(count, (int, np.integer)) and count >= 1):
             raise ValueError(f"n_splitters must be an integer >= 1, got {self.n_splitters}")
         if self.n_splitters > _MAX_SPLITTERS:
             raise ValueError(f"n_splitters must be <= {_MAX_SPLITTERS}, got {self.n_splitters}")

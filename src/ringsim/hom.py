@@ -423,7 +423,7 @@ def hom_region(
         ("eta_count", eta_count),
         ("theta_count", theta_count),
     ):
-        if not (isinstance(count, (int, np.integer)) and count >= 1):
+        if isinstance(count, bool) or not (isinstance(count, (int, np.integer)) and count >= 1):
             raise ValueError(f"{name} must be an integer >= 1, got {count}")
 
     axes = _grid_axes(tau_count, eta_count, theta_count)

@@ -279,7 +279,10 @@ def commutator_sum_series(
     TruncationError
         If the (n_max + 1)^2 terms exceed `_MAX_SUM_ENTRIES`.
     """
-    if not (isinstance(n_max, (int, np.integer)) and n_max == m_max >= 0):
+    integers = all(
+        isinstance(n, (int, np.integer)) and not isinstance(n, bool) for n in (n_max, m_max)
+    )
+    if not (integers and n_max == m_max >= 0):
         raise ValueError(
             f"truncation orders must be one integer >= 0, got n_max={n_max!r}, m_max={m_max!r}"
         )

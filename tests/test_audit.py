@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from ringsim import add_drop, attenuation, cli, hom, single_bus
+from ringsim import add_drop, attenuation, audit, cli, hom, single_bus
 from ringsim.core import (
     CouplerParams,
     ResonantDivergenceError,
@@ -177,9 +177,9 @@ def test_batched_audit_matches_the_draw_by_draw_reference(seed):
 
 
 def test_audit_blocks_draw_like_scalar_calls(monkeypatch):
-    monkeypatch.setattr(cli, "_AUDIT_BLOCK", 7)
-    variates = cli._IDENTITIES[0][3]
-    blocks = list(cli._draw_blocks(np.random.default_rng(3), variates, 20))
+    monkeypatch.setattr(audit, "_AUDIT_BLOCK", 7)
+    variates = audit._IDENTITIES[0][3]
+    blocks = list(audit._draw_blocks(np.random.default_rng(3), variates, 20))
     assert [(start, len(block)) for start, block in blocks] == [(0, 7), (7, 7), (14, 6)]
     rng = np.random.default_rng(3)
     scalar = [[rng.uniform(lo, hi) for _, lo, hi in variates] for _ in range(20)]
@@ -188,25 +188,25 @@ def test_audit_blocks_draw_like_scalar_calls(monkeypatch):
 
 def test_block_size_never_changes_the_report(monkeypatch):
     whole = cli.run_audit(5, 40)
-    monkeypatch.setattr(cli, "_AUDIT_BLOCK", 7)
+    monkeypatch.setattr(audit, "_AUDIT_BLOCK", 7)
     assert cli.run_audit(5, 40) == whole
 
 
 def test_worst_draw_reproduces_the_worst_residual():
     report = cli.run_audit(9, 50)
-    for record, (name, _, most, variates, residuals) in zip(report.records, cli._IDENTITIES):
+    for record, (name, _, most, variates, residuals) in zip(report.records, audit._IDENTITIES):
         draw = record.worst_draw
         assert record.name == name
         assert 0 <= draw["index"] < min(50, most or 50)
         assert list(draw["params"]) == [v[0] for v in variates]
         columns = [np.array([draw["params"][v[0]]]) for v in variates]
         assert residuals(*columns)[0][0] == record.max_residual, name
-    doc = json.loads(cli.render_audit_json(report, 50))
+    doc = json.loads(audit.render_audit_json(report, 50))
     assert [item["worst_draw"] for item in doc["identities"]] == [
         record.worst_draw for record in report.records
     ]
     # the text report names no draw
-    assert "index" not in cli.render_audit_text(report, 50)
+    assert "index" not in audit.render_audit_text(report, 50)
 
 
 def test_batched_guards_raise_on_one_bad_draw():
@@ -256,6 +256,39 @@ def test_run_audit_checks_its_inputs_like_the_command_line():
     with pytest.raises(cli.ConfigError) as info:
         cli.run_audit(5, 0)
     assert str(info.value) == "samples: must be >= 1 (got 0)"
+    # a non-integer reached numpy or range() with an unnamed TypeError, and
+    # True ran as seed 1
+    for seed, samples, message in (
+        (1.5, 5, "seed: expected an integer, got 1.5"),
+        (1, 2.5, "samples: expected an integer, got 2.5"),
+        ("3", 5, "seed: expected an integer, got '3'"),
+        (True, 5, "seed: expected an integer, got True"),
+    ):
+        with pytest.raises(cli.ConfigError) as info:
+            cli.run_audit(seed, samples)
+        assert str(info.value) == message
+
+
+def test_audit_json_writes_a_nan_residual_as_null(monkeypatch, tmp_path):
+    # json.dumps wrote a bare NaN, which strict JSON parsers reject
+    name, tolerance, most, variates, residuals = audit._IDENTITIES[0]
+
+    def nan(*columns):
+        res, entries = residuals(*columns)
+        return np.full_like(res, math.nan), entries
+
+    monkeypatch.setattr(
+        audit, "_IDENTITIES", ((name, tolerance, most, variates, nan), *audit._IDENTITIES[1:])
+    )
+    out = tmp_path / "audit.json"
+    assert cli.main(["audit", "--samples", "20", "--out", str(out)]) == cli.EXIT_AUDIT
+
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    first, *rest = json.loads(out.read_text(), parse_constant=reject)["identities"]
+    assert (first["name"], first["max_residual"], first["pass"]) == (name, None, False)
+    assert all(isinstance(item["max_residual"], float) and item["pass"] for item in rest)
 
 
 # SHA-256 of the text report and of the ``--out`` JSON report of

@@ -27,6 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ringsim
 from ringsim import add_drop, attenuation, cli, hom, single_bus
 from ringsim.core import CouplerParams, RingParams, TruncationError, UnitarityError
 from ringsim.single_bus import transfer_amplitude
@@ -447,16 +448,17 @@ def _probe(code, **env):
 
 def test_cli_import_loads_no_scipy():
     # nor the pool modules (concurrent.futures, with logging, about 10 ms),
-    # which only grid sweeps use: not for an axis sweep and not for the audit
+    # which only grid sweeps use: not for an axis sweep and not for the
+    # audit; and only the audit loads ringsim.audit
     probe = (
         "import os, sys, ringsim.cli; "
-        "loaded = lambda: 'concurrent.futures' in sys.modules; "
-        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'), loaded()); "
-        "ringsim.cli.main(['single-bus', '--out', os.devnull]); print(loaded()); "
+        "loaded = lambda: ('concurrent.futures' in sys.modules, 'ringsim.audit' in sys.modules); "
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'), *loaded()); "
+        "ringsim.cli.main(['single-bus', '--out', os.devnull]); print(*loaded()); "
         "sys.stdout = open(os.devnull, 'w'); ringsim.cli.main(['audit', '--samples', '20']); "
-        "sys.stdout = sys.__stdout__; print(loaded())"
+        "sys.stdout = sys.__stdout__; print(*loaded())"
     )
-    assert _probe(probe) == "[] False\nFalse\nFalse\n"
+    assert _probe(probe) == "[] False False\nFalse False\nFalse True\n"
 
 
 def test_package_import_loads_no_numpy_and_leaves_blas_alone():
@@ -491,8 +493,6 @@ def test_the_package_root_resolves_its_names_lazily():
         "ringsim.hom.__name__, ringsim.RingParams.__module__)"
     )
     assert _probe(probe) == "[] [] ringsim.hom ringsim.core\n"
-    import ringsim
-
     with pytest.raises(AttributeError, match="'no_such_name'"):
         ringsim.no_such_name
 
@@ -1535,10 +1535,7 @@ def _traced_names():
     raise AssertionError("bench/tracing.py defines no TRACED")
 
 
-_MODULES = ("add_drop", "attenuation", "cli", "core", "hom", "single_bus")
-
-
-@pytest.mark.parametrize("name", ["ringsim", *(f"ringsim.{m}" for m in _MODULES)])
+@pytest.mark.parametrize("name", ["ringsim", *(f"ringsim.{m}" for m in ringsim._MODULES)])
 def test_exported_names_resolve(name):
     module = importlib.import_module(name)
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from ringsim import hom, single_bus
 from ringsim.attenuation import BeamSplitterChain, LossSegment, piecewise_commutator
 from ringsim.core import (
     CouplerParams,
@@ -108,6 +109,27 @@ def test_nan_and_infinite_fields_are_rejected_by_name(case):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
+
+
+# The library's integer arguments reject bool, as the command line's config
+# check does.
+_BOOL_COUNTS = {
+    "hom_region": (lambda: hom.hom_region(0.9, 1e-3, True, 3, 3), "tau_count"),
+    "commutator_sum_series": (
+        lambda: single_bus.commutator_sum_series(
+            CouplerParams.from_magnitude(0.5), RingParams.from_alpha(0.9, theta=0.1), True, True
+        ),
+        "truncation orders",
+    ),
+    "beam_splitter_chain": (lambda: BeamSplitterChain(0.1, 1.0, 0.0, True), "n_splitters"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BOOL_COUNTS))
+def test_integer_arguments_reject_bool(case):
+    call, name = _BOOL_COUNTS[case]
+    with pytest.raises(ValueError, match=f"^{name} must be .*integer.*True"):
+        call()
 
 
 def test_ring_lossless_alpha_is_exactly_one():
