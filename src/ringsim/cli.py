@@ -11,9 +11,10 @@ So does a census, serially: it gathers the points whose cos theta lies in
 their (tau, eta) pair's window and evaluates them in kernel calls of at most
 `hom._TILE` points, each rendered as one chunk.  An entropy-grid chunk (a
 longer theta axis runs in even slices) is evaluated and rendered in a forked
-worker process (``x log x`` and cell text hold the GIL) with its own kernel
-arrays, about 20 MB.  ``RINGSIM_THREADS`` caps those processes; at most one
-runs per usable CPU and per chunk.
+worker process (``x log x`` and cell text hold the GIL), in tiles of at most
+`hom._TILE` points and rows, so its kernel arrays take about 2 MB.
+``RINGSIM_THREADS`` caps those processes; at most one runs per usable CPU
+and per chunk.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ _MIN_ENTROPY_ALPHA = 1e-100
 
 #: Most workers (``RINGSIM_THREADS``): the entropy-grid worker processes, the
 #: only pool; every other sweep, the census too, runs in the main thread.  At
-#: most one runs per usable CPU and per chunk, with about 20 MB of kernel
+#: most one runs per usable CPU and per chunk, with about 2 MB of kernel
 #: arrays and `hom._WINDOW` chunks in flight each, so the cap bounds memory;
 #: two already give all the speedup measured on entropy-grid.
 _MAX_THREADS = 64
@@ -378,16 +379,16 @@ def _cells(values) -> list[str]:
 
 def _rows(axis, values):
     """The chunks of a sweep along one axis, in the form `_grid_rows`
-    returns: ``chunks(piece, workers)`` yields ``piece`` of the `Rows` of
-    ``values(part)``, the value columns on each slice ``part`` of at most
-    `hom._CHUNK` axis values, in axis order.  A slice is evaluated when its
-    chunk is taken, in the main thread, so one chunk of cells exists at a
-    time, whatever ``workers`` is.
+    returns: ``chunks(piece, workers)`` yields ``piece`` of a list of one
+    `Rows`, that of ``values(part)``, the value columns on each slice
+    ``part`` of at most `hom._CHUNK` axis values, in axis order.  A slice is
+    evaluated when its chunk is taken, in the main thread, so one chunk of
+    cells exists at a time, whatever ``workers`` is.
     """
 
     def chunks(piece, workers):
         for lo in range(0, len(axis), hom._CHUNK):
-            yield piece(Rows(*map(_cells, values(axis[lo : lo + hom._CHUNK]))))
+            yield piece([Rows(*map(_cells, values(axis[lo : lo + hom._CHUNK])))])
 
     return chunks
 
@@ -483,21 +484,30 @@ def _sweep_add_drop(p: dict):
 
 def _grid_rows(p: dict, walk):
     """The chunks of a (tau, eta, theta) grid sweep: ``chunks(piece,
-    workers)`` yields ``piece`` of each chunk's `Rows`, in grid order.
+    workers)`` yields ``piece`` of each chunk's `Rows` tiles, in grid order.
 
     ``walk(axes, reduce, workers)`` is the grid walk, `hom._census` or
     `hom._walk_grid`, that yields ``reduce`` of each chunk's kept points.
     Each chunk passes through ``piece``, so only the chunks in flight exist
-    at once.  An axis of at most `hom._CHUNK` values is formatted once, into
-    a table the chunks index; a longer one is formatted in each chunk, at
-    its distinct indices, so no cell table outgrows a chunk.
+    at once, and ``piece`` takes its `Rows` one tile of at most `hom._TILE`
+    rows at a time, so no list of cells outgrows a tile.  An axis of at most
+    `hom._CHUNK` values is formatted once, into a table the chunks index; a
+    longer one is formatted in each tile, at its distinct indices, so no
+    cell table outgrows a tile.
     """
     axes = hom._grid_axes(p["tau_count"], p["eta_count"], p["theta_count"])
     tau_cells, eta_cells, theta_cells = map(_axis_cells, axes)
 
     def chunks(piece, workers):
         def reduce(ti, ei, hi, values):
-            return piece(Rows(tau_cells(ti), eta_cells(ei), theta_cells(hi), _cells(values)))
+            def tiles():
+                # a chunk with no rows is one empty tile, rendered once
+                for lo in range(0, len(values) or 1, hom._TILE):
+                    t = slice(lo, lo + hom._TILE)
+                    cells = tau_cells(ti[t]), eta_cells(ei[t]), theta_cells(hi[t])
+                    yield Rows(*cells, _cells(values[t]))
+
+            return piece(tiles())
 
         return walk(axes, reduce, workers)
 
@@ -618,11 +628,11 @@ def run_sweep(config: SweepConfig, sink) -> None:
     """Evaluate one sweep and write its output text to ``sink``.
 
     Every chunk is rendered in the task that evaluates it, wherever that
-    runs, and comes back as its text and row count.  Each chunk that has
-    rows is written as soon as it is taken, in grid order, holding no other
-    chunk; the head of `_frame` goes with the first of them, so a sweep
-    that fails before its first rows writes nothing.  The tail, which holds
-    a census summary (it counts the rows), goes last.
+    runs, one `Rows` at a time, and comes back as its text and row count.
+    Each chunk that has rows is written as soon as it is taken, in grid
+    order, holding no other chunk; the head of `_frame` goes with the first
+    of them, so a sweep that fails before its first rows writes nothing.
+    The tail, which holds a census summary (it counts the rows), goes last.
     """
     if config.mode not in _SWEEPS:
         raise ConfigError(f"mode: unknown sweep mode {config.mode!r}")
@@ -631,8 +641,12 @@ def run_sweep(config: SweepConfig, sink) -> None:
     render = render_csv if config.fmt == "csv" else render_json
     between = "" if config.fmt == "csv" else ","
 
-    def piece(rows: Rows) -> tuple[str, int]:
-        return render(config, columns, rows), len(rows)
+    def piece(parts) -> tuple[str, int]:
+        texts, count = [], 0
+        for rows in parts:
+            texts.append(render(config, columns, rows))
+            count += len(rows)
+        return between.join(texts), count
 
     head, _ = _frame(config, columns, None, 0)
     count = 0

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import add_drop
-from .core import UnitarityError, _as_2x2, _check_alpha, _real_couplers
+from .core import UnitarityError, _as_2x2, _check_alpha, _elementwise, _real_couplers
 
 __all__ = [
     "HomRegion",
@@ -54,21 +54,29 @@ P1_THRESHOLD = 1e-12
 _EIG_SLACK = 1e-10
 #: Most points, or axis values, in one chunk of any sweep.  Fixed, so the
 #: chunks never depend on the worker count.  It also pins output bytes:
-#: numpy computes ``a * conj(b)`` as ``conj(b) * a`` once the temporary
-#: holds at least 16384 complex points (256 KiB), and its complex multiply
-#: is not bitwise commutative; at 16384 points 67,376 of the 450,241 cells
-#: of a 61x61x121 entropy grid change in the last digit.  So a longer theta
-#: axis is cut into even slices, each of at least 32,768 points, which stay
-#: on the whole axis's side of that size.
+#: `entropy_grid` writes its ``c12`` products with the operand order of
+#: the call's size (see `_ELIDE`), and numpy's complex multiply is not
+#: bitwise commutative; at 16384 points 67,376 of the 450,241 cells of a
+#: 61x61x121 entropy grid change in the last digit.  So a longer theta axis
+#: is cut into even slices, each of at least 32,768 points, which stay on
+#: the whole axis's side of that size.
 _CHUNK = 65536
 #: Chunks a pooled grid walk keeps in flight, per worker: enough to keep
 #: every worker busy while the caller consumes a chunk.  Each worker process
-#: allocates its own kernel arrays (about 20 MB) and sends back the result.
+#: evaluates a chunk in `_TILE`-point tiles (about 2 MB of kernel arrays,
+#: reused through the heap) and sends back its rendered text.
 _WINDOW = 2
-#: Most points in one tile of `coincidence_ratio_grid` or census batch.  A
-#: tile's complex temporaries then take 64 KiB each, under glibc's 128 KiB
-#: mmap threshold, so they are recycled through the heap, not fresh pages.
+#: Most points in one tile of a grid kernel or census batch, unless one row
+#: is longer.  A tile's complex temporaries then take 64 KiB each, under
+#: glibc's 128 KiB mmap threshold, so they are recycled through the heap,
+#: not fresh pages.
 _TILE = 4096
+#: Fewest complex points (256 KiB) at which numpy's temporary elision
+#: computes ``a * conj(b)`` in place as ``conj(b) * a``.  The output bytes
+#: of `entropy_grid` were fixed with that order on calls of at least this
+#: size and with the written one below it.  `_grid_state` writes out the
+#: order of the call's size, so no numpy build or tiling can move them.
+_ELIDE = 16384
 #: Slack of the census window (`_census_window`): an absolute bound on the
 #: rounding of |Perm| and |det| numerators, in the kernel and the window,
 #: and a relative one on their squares and the ratio, each many times over.
@@ -345,18 +353,28 @@ def coincidence_ratio_grid(
     """
     _check_alpha(alpha)
     t, e = _real_couplers(tau, eta)
-    operands = _operands(t, e, alpha * np.exp(1j * np.asarray(theta, dtype=float)))
+    return _tiled(_ratio, _operands(t, e, alpha * np.exp(1j * np.asarray(theta, dtype=float))))
+
+
+def _tiled(kernel, operands):
+    """``kernel(*part)`` over tiles of the broadcast ``operands``, written
+    into one fresh float array, or a numpy scalar for 0-d operands.
+
+    A tile is whole rows along the leading axis, at most `_TILE` points (a
+    longer row is one tile); an operand without that axis, or of extent 1
+    on it, broadcasts whole into every tile.  Division by zero and invalid
+    operations give inf or NaN without a warning.
+    """
     shape = np.broadcast_shapes(*(x.shape for x in operands))
     with np.errstate(divide="ignore", invalid="ignore"):
         if not shape:
-            return _ratio(*operands)
+            return np.float64(kernel(*operands))
         out = np.empty(shape)
         rows = max(1, _TILE // max(1, math.prod(shape[1:])))
-        # an operand without the leading axis broadcasts whole into every tile
         cut = [x.ndim == len(shape) and len(x) > 1 for x in operands]
         for lo in range(0, shape[0], rows):
             tile = slice(lo, lo + rows)
-            out[tile] = _ratio(*(x[tile] if c else x for x, c in zip(operands, cut)))
+            out[tile] = kernel(*(x[tile] if c else x for x, c in zip(operands, cut)))
     return out
 
 
@@ -695,7 +713,7 @@ def _xlogx(x):
     out = np.where(x == 0.0, 0.0, math.nan)
     pos = x > 0.0
     vals = x[pos]
-    out[pos] = vals * np.fromiter(map(math.log, vals.tolist()), float, vals.size)
+    out[pos] = vals * _elementwise(math.log, vals)
     return out
 
 
@@ -713,25 +731,36 @@ def entropy_grid(
     `entropy_one_photon`.  Entries where the normalized one-photon weight
     does not exceed ``p1_threshold`` (e.g. the decoupled tau = eta = 1
     line, or alpha = 1 everywhere) are NaN.
+
+    The result is a fresh array (a numpy scalar for 0-d inputs), evaluated
+    in `_TILE`-point tiles as `coincidence_ratio_grid` is.  A point's bits
+    depend on the rest of the call only through its size: a call of at
+    least `_ELIDE` points takes the other operand order in `_grid_state`.
+    A negative eigenvalue anywhere raises `UnitarityError` with the call's
+    count of such points.
     """
     _check_alpha(alpha)
     if not p1_threshold >= 0:  # NaN too
         raise ValueError(f"p1_threshold must be >= 0, got {p1_threshold}")
-    t, e = _real_couplers(tau, eta)
-    th = np.asarray(theta, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p1, a, d, off = _one_photon_sector(t, e, th, alpha)
+    operands = (*_real_couplers(tau, eta), np.asarray(theta, dtype=float))
+    conj_first = np.broadcast(*operands).size >= _ELIDE
+    bad = 0
+
+    def tile(t, e, th):
+        nonlocal bad
+        p1, a, d, off = _one_photon_sector(t, e, th, alpha, conj_first)
         bits, low = _entropy_bits(a, d, off)
-    defined = p1 > p1_threshold
-    bad = defined & (low < -_EIG_SLACK)  # NaN compares False
-    if np.any(bad):
-        raise UnitarityError(
-            f"negative one-photon eigenvalue at {int(bad.sum())} grid points"
-        )
-    return np.where(defined, bits, math.nan)
+        defined = p1 > p1_threshold
+        bad += int(np.count_nonzero(defined & (low < -_EIG_SLACK)))  # NaN compares False
+        return np.where(defined, bits, math.nan)
+
+    out = _tiled(tile, operands)
+    if bad:
+        raise UnitarityError(f"negative one-photon eigenvalue at {bad} grid points")
+    return out
 
 
-def _one_photon_sector(t, e, th, alpha):
+def _one_photon_sector(t, e, th, alpha, conj_first):
     """``(p1, a, d, off)`` on a broadcast grid of real couplers: the
     normalized one-photon weight and the entries of the normalized one-photon
     matrix [[a, off], [conj(off), d]].
@@ -741,15 +770,17 @@ def _one_photon_sector(t, e, th, alpha):
     uses it last: M and G before the sector sums, the other sector norms
     before the entropy.
     """
-    p2_raw, p1_raw, p0_raw, r00, r11, r01 = _sectors(*_grid_state(t, e, th, alpha))
+    p2_raw, p1_raw, p0_raw, r00, r11, r01 = _sectors(*_grid_state(t, e, th, alpha, conj_first))
     p1 = p1_raw / (p2_raw + p1_raw + p0_raw)
     return p1, r00.real / p1_raw, r11.real / p1_raw, r01 / p1_raw
 
 
-def _grid_state(t, e, th, alpha):
+def _grid_state(t, e, th, alpha, conj_first):
     """The arguments of `_sectors` on a broadcast grid of real couplers: the
     pair products of G = conj(M^{-1}) and the noise commutators I - M M†,
-    entry by entry."""
+    entry by entry.  ``conj_first`` puts the conjugates on the left of the
+    ``c12`` products (see `_ELIDE`); each conjugate is named first, so no
+    temporary elision can swap the operands."""
     z = alpha * np.exp(1j * th)
     s = math.sqrt(alpha) * np.exp(0.5j * th)
     kap = np.sqrt(1.0 - t * t)
@@ -760,6 +791,10 @@ def _grid_state(t, e, th, alpha):
     m22 = (e - t * z) / denom
     c11 = 1.0 - np.abs(m11) ** 2 - np.abs(m12) ** 2
     c22 = 1.0 - np.abs(m21) ** 2 - np.abs(m22) ** 2
-    c12 = -(m11 * np.conj(m21) + m12 * np.conj(m22))
+    cm21, cm22 = np.conj(m21), np.conj(m22)
+    if conj_first:
+        c12 = -(cm21 * m11 + cm22 * m12)
+    else:
+        c12 = -(m11 * cm21 + m12 * cm22)
     pairs = _pairs(*add_drop._inverse_conjugate(m11, m12, m21, m22))
     return (*pairs, ((c11, c12), (np.conj(c12), c22)))

@@ -866,3 +866,118 @@ def test_split_theta_axis_keeps_the_whole_axis_bits(kernel):
     assert sizes == [35001, 35000] * 2
     whole = kernel(taus[:, None], etas[:, None], thetas[None, :])
     assert got.tobytes() == whole.tobytes()
+
+
+# --- the tiled entropy kernel -------------------------------------------------
+
+
+def _former_grid_state(t, e, th, alpha):
+    """`hom._grid_state` as first written: ``c12`` as one expression, whose
+    operand order numpy's temporary elision chose from the call's size."""
+    z = alpha * np.exp(1j * th)
+    s = math.sqrt(alpha) * np.exp(0.5j * th)
+    kap = np.sqrt(1.0 - t * t)
+    gam = np.sqrt(1.0 - e * e)
+    denom = 1.0 - t * e * z
+    m11 = (t - e * z) / denom
+    m12 = m21 = -gam * kap * s / denom
+    m22 = (e - t * z) / denom
+    c11 = 1.0 - np.abs(m11) ** 2 - np.abs(m12) ** 2
+    c22 = 1.0 - np.abs(m21) ** 2 - np.abs(m22) ** 2
+    c12 = -(m11 * np.conj(m21) + m12 * np.conj(m22))
+    pairs = hom._pairs(*hom.add_drop._inverse_conjugate(m11, m12, m21, m22))
+    return (*pairs, ((c11, c12), (np.conj(c12), c22)))
+
+
+def _former_entropy_grid(tau, eta, theta, alpha):
+    """`entropy_grid` as one whole-call evaluation through
+    `_former_grid_state`, at the default ``p1_threshold``."""
+    t, e = hom._real_couplers(tau, eta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        state = _former_grid_state(t, e, np.asarray(theta, dtype=float), alpha)
+        p2, p1, p0, r00, r11, r01 = hom._sectors(*state)
+        bits, _ = hom._entropy_bits(r00.real / p1, r11.real / p1, r01 / p1)
+        return np.where(p1 / (p2 + p1 + p0) > hom.P1_THRESHOLD, bits, math.nan)
+
+
+def _entropy_block():
+    """A 541 x 121 `entropy-grid` chunk of the 61x61x121 benchmark grid."""
+    return _census_block(0, alpha=0.75, counts=(61, 61, 121))
+
+
+def _row(points):
+    """One (tau, eta) pair against ``points`` phases."""
+    return np.array([[0.5]]), np.array([[0.3]]), np.linspace(-np.pi, np.pi, points)[None, :]
+
+
+def test_grid_state_orders_match_the_former_expression_at_their_sizes():
+    # numpy elides a temporary of at least 256 KiB (16384 complex points),
+    # computing m11 * conj(m21) as conj(m21) * m11; the kernel writes the
+    # order of each size out, so it gives the former bits on either side.
+    taus, etas, _ = hom._grid_axes(5, 5, 1)
+    cases = [
+        (_entropy_block()[:3], True),
+        (_row(hom._ELIDE), True),
+        (_row(hom._ELIDE - 1), False),
+        ((taus[:, None], etas[None, :], np.float64(0.4)), False),
+    ]
+
+    def flat(state):
+        pairs, (top, bottom) = state[:3], state[3]
+        return (*pairs, *top, *bottom)
+
+    for (tau, eta, theta), conj_first in cases:
+        assert (np.broadcast(tau, eta, theta).size >= hom._ELIDE) is conj_first
+        th = np.asarray(theta)
+        got = flat(hom._grid_state(tau, eta, th, 0.75, conj_first))
+        want = flat(_former_grid_state(tau, eta, th, 0.75))
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want], th.size
+
+
+def test_entropy_grid_tiles_never_change_bits(monkeypatch):
+    taus, etas, _ = hom._grid_axes(5, 5, 1)
+    cases = [
+        _entropy_block(),  # above the elision size
+        (taus[:, None], etas[None, :], 0.4, 0.75),  # below it
+        (*_row(70001), 0.9),  # a row longer than a tile, as a sliced axis gives
+    ]
+    for case, shape in zip(cases, [(541, 121), (5, 5), (1, 70001)]):
+        want = _former_entropy_grid(*case)
+        assert want.shape == shape
+        for tile in (1, 7, 4096, 10**9):
+            monkeypatch.setattr(hom, "_TILE", tile)
+            assert entropy_grid(*case).tobytes() == want.tobytes(), (shape, tile)
+
+
+def test_entropy_grid_counts_the_negative_eigenvalues_of_the_whole_call(monkeypatch):
+    # the first chunk of the default entropy-grid at alpha = 1, p1_threshold = 0
+    block = _census_block(0, alpha=1.0, counts=(41, 41, 81))
+    for tile in (7, 4096, 10**9):
+        monkeypatch.setattr(hom, "_TILE", tile)
+        with pytest.raises(UnitarityError, match=r"eigenvalue at 9609 grid points$"):
+            entropy_grid(*block, p1_threshold=0.0)
+
+
+def test_grid_kernels_return_a_numpy_scalar_for_0d_inputs():
+    point = np.float64(0.5), np.float64(0.3), np.float64(0.4), 0.75
+    for kernel in (entropy_grid, coincidence_ratio_grid):
+        value = kernel(*point)
+        assert type(value) is np.float64
+        grid = kernel(np.array([0.5, 0.6]), 0.3, 0.4, 0.75)
+        assert value == pytest.approx(grid[0], rel=1e-12)
+
+
+def test_entropy_chunk_working_memory_scales_with_the_tile(monkeypatch):
+    # An entropy chunk evaluated at once holds about 19 complex arrays of its
+    # size (about 20 MB at 65,461 points); in tiles it holds its result and
+    # one tile's arrays, at any chunk size.
+    block = _entropy_block()
+    for tile in (1024, 4096):
+        monkeypatch.setattr(hom, "_TILE", tile)
+        shape, nbytes, peak, held = _traced(lambda: entropy_grid(*block))
+        assert shape == (541, 121) and held < 2**16
+        assert peak < nbytes + 32 * tile * 16
+    # the bound bites: the whole chunk as one tile
+    monkeypatch.setattr(hom, "_TILE", 10**9)
+    _, nbytes, peak, _ = _traced(lambda: entropy_grid(*block))
+    assert peak > nbytes + 10 * 541 * 121 * 16
