@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_line, _elementwise
+from .core import _check_line, _elementwise, _shaped
 
 __all__ = [
     "BeamSplitterChain",
@@ -37,9 +37,10 @@ QUADRATURE_TOL = 1e-12
 #: audit's Gamma*L <= 5 needs about 2,000; the cap is reached near
 #: Gamma*L = 710, where the transmitted weight exp(-Gamma*L) underflows.
 _MAX_PANELS = 1_000_000
-#: Most quadrature nodes `_continuum` evaluates at once.  Bounds the pass's
-#: temporaries to a few hundred kB whatever the number of draws; one pass
-#: over a whole 1024-draw audit block raised the audit's peak memory by 30%.
+#: Most quadrature nodes `continuum_commutator` evaluates at once.  Bounds
+#: the pass's temporaries to a few hundred kB whatever the number of draws;
+#: one pass over a whole 1024-draw audit block raised the audit's peak
+#: memory by 30%.
 _PASS_NODES = 8192
 #: Most beam splitters in a chain.  Beyond it the step transmission
 #: 1 - gamma*L/N rounds before its N-th power is taken, so the chain error
@@ -109,33 +110,26 @@ def _simpson_panels(gamma_l: float) -> int:
     return n + (n % 2)  # Simpson needs an even panel count
 
 
-def continuum_commutator(gamma: float, length: float) -> float:
+def continuum_commutator(gamma, length) -> float | np.ndarray:
     """Transmitted power plus integrated noise weight for a uniform line.
 
     Evaluates ``exp(-Gamma*L) + Gamma * int_0^L exp(-Gamma*z) dz`` with the
     integral done by Simpson quadrature on an error-bound-sized grid.
     Equals 1 for any Gamma, L when the noise bookkeeping is consistent.
-    """
-    return float(_continuum(gamma, length))
-
-
-def _continuum(gamma, length):
-    """`continuum_commutator`, broadcast over arrays of loss rates and lengths.
+    Broadcasts over arrays of loss rates and lengths: scalars give a float,
+    arrays an array of their broadcast shape.
 
     Each draw keeps its own `_simpson_panels` grid of n + 1 nodes
     z_j = j * (L/n), with z_n = L, as ``np.linspace`` spaces them.  The
-    draws' grids are laid end to end in one array, one pass of at most
-    `_PASS_NODES` nodes at a time (a larger single grid takes a pass of its
-    own), and ``exp`` is evaluated once per pass; `_simpson` reduces each
-    draw to the value of the draw-by-draw Simpson rule, bit for bit.
+    grids are laid end to end, `_PASS_NODES` nodes a pass (a larger grid
+    takes a pass of its own), and `_simpson` reduces each draw to the value
+    of the draw-by-draw Simpson rule, bit for bit.
     """
-    gamma, length = np.broadcast_arrays(
-        np.asarray(gamma, dtype=float), np.asarray(length, dtype=float)
-    )
+    gamma, length = np.broadcast_arrays(np.asarray(gamma, float), np.asarray(length, float))
     _check_line(gamma, length)
-    gl = gamma * length
     g, ell = gamma.ravel(), length.ravel()
-    panels = np.array(list(map(_simpson_panels, gl.ravel().tolist())), dtype=np.int64)
+    gl = g * ell
+    panels = np.array(list(map(_simpson_panels, gl.tolist())), dtype=np.int64)
     size = panels + 2  # a draw's entries in `_simpson`
     ends = np.cumsum(size)
     integral = np.empty(g.size)
@@ -146,7 +140,7 @@ def _continuum(gamma, length):
         part = slice(start, max(stop, start + 1))
         integral[part] = _simpson(g[part], ell[part], panels[part])
         start = part.stop
-    return _elementwise(math.exp, -gl) + integral.reshape(gl.shape)
+    return _shaped(_elementwise(math.exp, -gl) + integral, gamma.shape)
 
 
 def _simpson(gamma, length, panels):

@@ -89,7 +89,7 @@ def _double_sum(tau, alpha, theta):
 
 
 def _uniform_line(gamma, length):
-    return np.abs(attenuation._continuum(gamma, length) - 1.0), gamma.size
+    return np.abs(attenuation.continuum_commutator(gamma, length) - 1.0), gamma.size
 
 
 def _piecewise_line(*variates):
@@ -153,21 +153,21 @@ def _sector_weights_and_psd(tau, eta, alpha, theta):
 
 def _sector_norm(tau, eta, alpha, theta):
     m, (_, _, _, total, _, _) = _sector_state(tau, eta, alpha, theta)
-    closed = hom._sector_normalizer(m)
+    closed = hom.sector_normalizer(m)
     return np.abs(total - closed) / np.maximum(1.0, np.abs(closed)), tau.size
 
 
 def _ratio_inversion(tau, eta, alpha, theta):
     m = _add_drop_matrices(tau, eta, _survival(alpha), theta)
-    direct = hom._coincidence_ratio(m)
-    inverted = hom._coincidence_ratio(add_drop.inverse_conjugate(m))
+    direct = hom.coincidence_ratio(m)
+    inverted = hom.coincidence_ratio(add_drop.inverse_conjugate(m))
     return np.abs(direct - inverted) / (1.0 + direct), tau.size
 
 
 def _lossless_routes(tau, eta, theta):
     m = _add_drop_matrices(tau, eta, 1.0, theta)
     amps = hom._amplitudes(*hom._stack_pairs(add_drop.inverse_conjugate(m)))
-    return np.abs(hom._coincidence_ratio(m) - hom._coincidence_probability(amps)), tau.size
+    return np.abs(hom.coincidence_ratio(m) - hom._coincidence_probability(amps)), tau.size
 
 
 # (name, tolerance, most draws or None for all, variates, residuals).  Each

@@ -57,7 +57,8 @@ EXIT_IO = 3
 EXIT_INTERNAL = 4
 
 #: Most points a sweep may have: the product of its counts (critical-dip
-#: also counts its curves).  Six times a 201x201x401 census grid.
+#: also counts its curves, langevin-compare both signs of its detunings).
+#: Six times a 201x201x401 census grid.
 _MAX_POINTS = 100_000_000
 
 #: Most audit draws per identity.  Memory stays bounded by the draw block
@@ -254,6 +255,8 @@ def _validate(mode: str, params: dict) -> None:
     order("theta_min", "theta_max")
     axes = [key for key in (*_COUNT_KEYS, "alphas") if key in params]
     points = math.prod(len(params[k]) if k == "alphas" else params[k] for k in axes)
+    if mode == "langevin-compare":  # a row each side of zero detuning
+        axes, points = ["2", *axes], 2 * points
     if points > _MAX_POINTS:
         raise ConfigError(f"{' * '.join(axes)}: must not exceed {_MAX_POINTS} points")
     order("delta_tr_min", "delta_tr_max")

@@ -206,6 +206,12 @@ def _as_2x2_stack(matrix) -> np.ndarray:
     return m
 
 
+def _shaped(values, shape: tuple[int, ...]) -> float | np.ndarray:
+    """``values`` in ``shape``: a Python float for shape (), else an array."""
+    out = np.reshape(values, shape)
+    return float(out) if out.ndim == 0 else out
+
+
 def _abs(z):
     """|z| rounded as Python's ``abs(complex)``; ``np.abs`` rounds differently."""
     return np.hypot(np.real(z), np.imag(z))

@@ -30,7 +30,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import add_drop
-from .core import UnitarityError, _as_2x2, _check_alpha, _elementwise, _real_couplers
+from .core import (
+    UnitarityError,
+    _as_2x2,
+    _as_2x2_stack,
+    _check_alpha,
+    _elementwise,
+    _real_couplers,
+    _shaped,
+)
 
 __all__ = [
     "HomRegion",
@@ -279,39 +287,37 @@ def _weights(p2_raw, p1_raw, p0_raw):
     return (*weights, total)
 
 
-def sector_normalizer(matrix: np.ndarray) -> float:
+def sector_normalizer(matrix: np.ndarray) -> float | np.ndarray:
     """Closed form of the total sector norm: Perm(2 (M M†)^{-1} - I).
 
     Independent cross-check for ``SectorDensity.normalizer``: it involves
-    only the forward transfer matrix M, not the sectored state.
+    only the forward transfer matrix M, not the sectored state.  Broadcasts
+    over a (..., 2, 2) stack: one matrix gives a float, a stack an array of
+    its shape.  One matrix is evaluated as a stack of one, so it rounds as
+    it would within a stack: numpy's product of two complex scalars does not
+    fuse the multiply-add that its array loop fuses.
     """
-    return float(_sector_normalizer(_as_2x2(matrix)))
-
-
-def _sector_normalizer(m):
-    """`sector_normalizer` over a (..., 2, 2) stack of transfer matrices."""
+    m = _as_2x2_stack(matrix).reshape(-1, 2, 2)
     w = 2.0 * np.linalg.inv(m @ np.conj(m).swapaxes(-1, -2)) - np.eye(2)
-    return (w[..., 0, 0] * w[..., 1, 1] + w[..., 0, 1] * w[..., 1, 0]).real
+    return _shaped((w[:, 0, 0] * w[:, 1, 1] + w[:, 0, 1] * w[:, 1, 0]).real, np.shape(matrix)[:-2])
 
 
-def coincidence_ratio(matrix: np.ndarray) -> float:
+def coincidence_ratio(matrix: np.ndarray) -> float | np.ndarray:
     """Coincidence figure |Perm|^2 / |det|^2 of a 2x2 transfer matrix.
 
     Invariant under matrix inversion and conjugation, so M and
     conj(M^{-1}) give the same value.  Equals the coincidence probability
     for unitary (lossless) M; under loss it can exceed 1 and only its
-    zero set (Perm = 0) retains the dip interpretation.
+    zero set (Perm = 0) retains the dip interpretation.  Broadcasts over a
+    (..., 2, 2) stack as `sector_normalizer` does; any singular matrix
+    raises `ValueError`.
     """
-    return float(_coincidence_ratio(_as_2x2(matrix)))
-
-
-def _coincidence_ratio(m):
-    """`coincidence_ratio` over a (..., 2, 2) stack of matrices."""
-    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    m00, m01, m10, m11 = np.moveaxis(_as_2x2_stack(matrix).reshape(-1, 4), -1, 0)
+    det = m00 * m11 - m01 * m10
     if np.any(det == 0):
         raise ValueError("transfer matrix is singular; ratio undefined")
-    perm = m[..., 0, 0] * m[..., 1, 1] + m[..., 0, 1] * m[..., 1, 0]
-    return np.abs(perm) ** 2 / np.abs(det) ** 2
+    perm = m00 * m11 + m01 * m10
+    return _shaped(np.abs(perm) ** 2 / np.abs(det) ** 2, np.shape(matrix)[:-2])
 
 
 def coincidence_probability(state: TwoPhotonOutputState) -> float:
@@ -345,15 +351,16 @@ def coincidence_ratio_grid(
     A 0-d call can differ in the last bit from the same point inside a
     grid: numpy's 0-d complex multiply does not fuse the multiply-add that
     its array loop fuses.  Within arrays every step is elementwise, so a
-    point's value does not depend on the other points of the call; a census
-    (`hom_region`) evaluates only the points inside its windows, gathered
-    flat, and still gives the whole grid's bits.  The grid is evaluated in
-    tiles of whole rows along its leading axis, at most `_TILE` points each
-    (a longer row is one tile), and the call keeps nothing.
+    point's value does not depend on the other points of the call: the
+    census (`hom_region`) calls this on flat tiles of its window candidates
+    and gets the whole grid's bits.  The grid is evaluated in tiles of whole
+    rows along its leading axis, at most `_TILE` points each (a longer row
+    is one tile), and the call keeps nothing.
     """
     _check_alpha(alpha)
     t, e = _real_couplers(tau, eta)
-    return _tiled(_ratio, _operands(t, e, alpha * np.exp(1j * np.asarray(theta, dtype=float))))
+    z = alpha * np.exp(1j * np.asarray(theta, dtype=float))
+    return _tiled(_ratio, (t, e, z, t * e, (1.0 - t * t) * (1.0 - e * e)))
 
 
 def _tiled(kernel, operands):
@@ -378,13 +385,8 @@ def _tiled(kernel, operands):
     return out
 
 
-def _operands(t, e, z):
-    """The `_ratio` operands of real couplers t, e and z = alpha exp(i theta)."""
-    return t, e, z, t * e, (1.0 - t * t) * (1.0 - e * e)
-
-
 def _ratio(t, e, z, te, kk):
-    """|Perm|^2/|det|^2 of `coincidence_ratio_grid` on broadcast operands."""
+    """|Perm|^2/|det|^2 of `coincidence_ratio_grid` on its broadcast operands."""
     # Perm and det of M share the denominator D^2, so only the numerators
     # matter.  The factored forms avoid the cancellation the expanded
     # polynomials suffer near the decoupled corner tau = eta = 1, theta = 0:
@@ -430,21 +432,19 @@ def hom_region(
     `coincidence_ratio` <= threshold.  Shrinking fractions with decreasing
     alpha quantify how loss erodes the interference manifold.
 
-    The ratio is evaluated only at the points whose cos theta lies in their
-    (tau, eta) pair's `_census_window`, outside which it exceeds the
-    threshold, gathered flat, so the result is the whole grid's, bit for bit.
+    `coincidence_ratio_grid` is called only on the points whose cos theta
+    lies in their (tau, eta) pair's `_census_window`, outside which the
+    ratio exceeds the threshold, gathered flat in tiles of at most `_TILE`
+    points (`_census`), so the result is the whole grid's, bit for bit.
     """
     if not threshold > 0:  # NaN too
         raise ValueError(f"threshold must be > 0, got {threshold}")
-    for name, count in (
-        ("tau_count", tau_count),
-        ("eta_count", eta_count),
-        ("theta_count", theta_count),
-    ):
+    counts = (tau_count, eta_count, theta_count)
+    for name, count in zip(("tau_count", "eta_count", "theta_count"), counts):
         if isinstance(count, bool) or not (isinstance(count, (int, np.integer)) and count >= 1):
             raise ValueError(f"{name} must be an integer >= 1, got {count}")
 
-    axes = _grid_axes(tau_count, eta_count, theta_count)
+    axes = _grid_axes(*counts)
     taus, etas, thetas = axes
 
     def reduce(ti, ei, hi, values):
@@ -457,8 +457,8 @@ def hom_region(
         points=points,
         values=values,
         count=values.size,
-        fraction=values.size / (tau_count * eta_count * theta_count),
-        grid_shape=(tau_count, eta_count, theta_count),
+        fraction=values.size / math.prod(counts),
+        grid_shape=counts,
         threshold=threshold,
         alpha=alpha,
     )
@@ -466,22 +466,18 @@ def hom_region(
 
 def _census(axes, alpha: float, threshold: float, reduce):
     """Yield ``reduce(ti, ei, hi, values)`` of the grid points with ratio
-    <= ``threshold`` (never NaN), in grid order, serially, one `_ratio` call
-    of at most `_TILE` (and `_CHUNK`) points each, on only the points whose
-    cos theta lies in their pair's `_census_window`: found in `_plan`'s
-    blocks, gathered into one tile of flat axis indices.  Cos theta, and
-    z = alpha exp(i theta) of an unsliced axis, are computed once per census
-    (a sliced axis takes z at its candidates).  Alpha is checked first."""
+    <= ``threshold`` (never NaN), in grid order, serially: one
+    `coincidence_ratio_grid` call a tile of at most `_TILE` (and `_CHUNK`)
+    candidates, the points whose cos theta (computed once) lies in their
+    pair's `_census_window`, found in `_plan`'s blocks.  Alpha is checked
+    first, so a census with no candidates rejects it too."""
     _check_alpha(alpha)
     taus, etas, thetas = axes
     pairs, step, width = _plan(axes)  # a sliced axis: one pair a block, so grid order
     size, cos = min(_TILE, _CHUNK), np.cos(thetas)
-    z = alpha * np.exp(1j * thetas) if width == len(thetas) else None
 
     def flat(ti, ei, hi):
-        phase = z[hi] if z is not None else alpha * np.exp(1j * thetas[hi])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = _ratio(*_operands(taus[ti], etas[ei], phase))
+        ratio = coincidence_ratio_grid(taus[ti], etas[ei], thetas[hi], alpha)
         keep = ratio <= threshold
         return reduce(ti[keep], ei[keep], hi[keep], ratio[keep])
 

@@ -19,6 +19,7 @@ from ringsim.add_drop import (
     permanent2,
     transfer_matrix,
 )
+from ringsim.hom import coincidence_ratio, sector_normalizer
 from ringsim.single_bus import _transfer, commutator_sum_identity, transfer_amplitude
 
 
@@ -53,7 +54,9 @@ def test_matrix_entries_closed_form():
     assert m[1, 1] == pytest.approx((0.6 - 0.8 * z) / d)
 
 
-@pytest.mark.parametrize("function", [noise_commutators, inverse_conjugate])
+@pytest.mark.parametrize(
+    "function", [noise_commutators, inverse_conjugate, coincidence_ratio, sector_normalizer]
+)
 @pytest.mark.parametrize("shape", [(3, 3), (2,), (4, 2, 3)])
 def test_stack_functions_reject_non_2x2_shapes(function, shape):
     with pytest.raises(ValueError) as info:

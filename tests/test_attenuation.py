@@ -7,7 +7,6 @@ from ringsim import attenuation
 from ringsim.attenuation import (
     BeamSplitterChain,
     LossSegment,
-    _continuum,
     _simpson_panels,
     continuum_commutator,
     piecewise_commutator,
@@ -78,7 +77,7 @@ def test_batched_quadrature_matches_the_per_draw_rule(monkeypatch, pass_nodes):
     assert _simpson_panels(50.0) + 1 > attenuation._PASS_NODES
     reference = [_simpson_rule(g, ell) for g, ell in zip(gamma.tolist(), length.tolist())]
     # the same operations in the same order: equal, not only within 1e-15
-    assert _continuum(gamma, length).tolist() == reference
+    assert continuum_commutator(gamma, length).tolist() == reference
     assert continuum_commutator(25.0, 2.0) == _simpson_rule(25.0, 2.0)
 
 

@@ -209,6 +209,27 @@ def test_worst_draw_reproduces_the_worst_residual():
     assert "index" not in audit.render_audit_text(report, 50)
 
 
+def test_public_kernels_on_a_stack_equal_their_scalar_calls():
+    """The audit calls these on stacks: each value is the call on its own
+    matrix or line, bit for bit, a stack keeps its shape and one matrix or
+    line gives a Python float."""
+    rng = np.random.default_rng(25)
+    m = rng.normal(size=(2, 1000, 2, 2)) + 1j * rng.normal(size=(2, 1000, 2, 2))
+    for kernel in (hom.coincidence_ratio, hom.sector_normalizer):
+        stacked = kernel(m)
+        assert stacked.shape == (2, 1000)
+        assert stacked.ravel().tolist() == [kernel(x) for x in m.reshape(-1, 2, 2)]
+        assert type(kernel(m[0, 0])) is float
+    gamma, length = rng.uniform(0.0, 2.5, (2, 30)), rng.uniform(0.1, 2.0, (2, 30))
+    stacked = attenuation.continuum_commutator(gamma, length)
+    assert stacked.shape == (2, 30)
+    assert stacked.ravel().tolist() == [
+        attenuation.continuum_commutator(g, ell)
+        for g, ell in zip(gamma.ravel().tolist(), length.ravel().tolist())
+    ]
+    assert type(attenuation.continuum_commutator(0.5, 1.0)) is float
+
+
 def test_batched_guards_raise_on_one_bad_draw():
     """Each guard of the scalar route still raises when one draw of a
     block breaks it."""
@@ -229,7 +250,7 @@ def test_batched_guards_raise_on_one_bad_draw():
     with pytest.raises(ValueError, match="singular"):
         add_drop.inverse_conjugate(stack)
     with pytest.raises(ValueError, match="singular"):
-        hom._coincidence_ratio(stack)
+        hom.coincidence_ratio(stack)
     with pytest.raises(UnitarityError, match="outside"):
         add_drop.noise_commutators(2.0 * stack)
     with pytest.raises(UnitarityError, match="empty"):
@@ -237,11 +258,11 @@ def test_batched_guards_raise_on_one_bad_draw():
     with pytest.raises(UnitarityError, match="p1 = .* is negative"):
         hom._weights(good, np.array([0.5, -0.1, 0.5]), good)
     with pytest.raises(ValueError, match="loss rate"):
-        attenuation._continuum(np.array([0.5, math.nan, 0.5]), good)
+        attenuation.continuum_commutator(np.array([0.5, math.nan, 0.5]), good)
     with pytest.raises(ValueError, match="length"):
-        attenuation._continuum(good, np.array([0.5, 0.0, 0.5]))
+        attenuation.continuum_commutator(good, np.array([0.5, 0.0, 0.5]))
     with pytest.raises(ValueError, match="Simpson panels"):
-        attenuation._continuum(np.array([0.5, 1e6, 0.5]), good)
+        attenuation.continuum_commutator(np.array([0.5, 1e6, 0.5]), good)
     amps = np.ones((3, 3), dtype=complex)
     amps[1] = 0.0
     with pytest.raises(ValueError, match="empty"):

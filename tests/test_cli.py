@@ -233,6 +233,19 @@ _BAD_INPUTS = [
 ]
 
 
+def test_langevin_compare_cap_counts_both_signs_of_detuning(capsys, monkeypatch):
+    # each delta_count value is written twice, at -delta and at +delta; a
+    # config that passed would fail here instead of writing 10^8 rows
+    monkeypatch.setattr(cli, "run_sweep", lambda *args: pytest.fail("sweep ran"))
+    half = cli._MAX_POINTS // 2
+    cli.load_config("langevin-compare", None, [f"delta_count={half}"], None, None)
+    code, err = _main(capsys, "langevin-compare", "--set", f"delta_count={half + 1}")
+    assert code == 1
+    assert err == (
+        f"ringsim: config error: 2 * delta_count: must not exceed {cli._MAX_POINTS} points\n"
+    )
+
+
 def test_every_config_key_has_one_range_row():
     keys = {key for defaults in cli._DEFAULTS.values() for key in defaults}
     assert set(cli._RANGES) == keys
@@ -1078,6 +1091,31 @@ def test_census_evaluates_only_its_window_candidates(monkeypatch):
     lo, hi = hom._census_window(t, e, config.params["alpha"], 0.05)
     assert ((np.cos(th) >= lo) & (np.cos(th) <= hi)).sum() == 160
     assert built == {"process": [], "thread": []}
+
+
+def test_census_evaluates_through_the_public_grid_kernel(monkeypatch):
+    # every census point goes through `hom.coincidence_ratio_grid`, where a
+    # wrapper of the module attribute (as the benchmark tracer is) sees it:
+    # the summed points are the window candidates, in more than one call
+    kernel, points = hom.coincidence_ratio_grid, []
+
+    def counting(tau, eta, theta, alpha):
+        out = kernel(tau, eta, theta, alpha)
+        points.append(out.size)
+        return out
+
+    monkeypatch.setattr(hom, "_CHUNK", 64)
+    sets = ["tau_count=15", "eta_count=13", "theta_count=41", "threshold=0.05"]
+    config = cli.load_config("homm-grid", None, sets, None, "json")
+    want = _reference_json(config, *_reference_table("homm-grid", config.params))
+    monkeypatch.setattr(hom, "coincidence_ratio_grid", counting)
+    assert _sweep_text(config) == want
+    axes = hom._grid_axes(15, 13, 41)
+    t, e, th = (g.ravel() for g in np.meshgrid(*axes, indexing="ij"))
+    lo, hi = hom._census_window(t, e, config.params["alpha"], 0.05)
+    candidates = int(((np.cos(th) >= lo) & (np.cos(th) <= hi)).sum())
+    assert len(points) > 1 and sum(points) == candidates
+    assert 0 < candidates < t.size
 
 
 def test_no_census_kernel_call_or_chunk_exceeds_a_tile(monkeypatch):
