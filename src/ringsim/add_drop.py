@@ -126,7 +126,7 @@ def noise_commutators(matrix: np.ndarray) -> np.ndarray:
     if outside.size:
         label = "cd"[outside[0] % 2]
         raise UnitarityError(
-            f"[F_{label}, F_{label}†] = {diag.flat[outside[0]]!r} outside [0, 1]; "
+            f"[F_{label}, F_{label}†] = {float(diag.flat[outside[0]])!r} outside [0, 1]; "
             "transfer matrix is not a passive contraction"
         )
     return comm

@@ -171,35 +171,34 @@ def _simpson(gamma, length, panels):
 
 @dataclass(frozen=True)
 class LossSegment:
-    """One uniform piece of a piecewise-lossy line."""
+    """One uniform piece of a piecewise-lossy line.  ``gamma`` and
+    ``length`` may be broadcast arrays, one piece of each of many lines."""
 
-    gamma: float
-    length: float
+    gamma: float | np.ndarray
+    length: float | np.ndarray
 
     def __post_init__(self) -> None:
         _check_line(self.gamma, self.length)
 
 
-def piecewise_commutator(segments: list[LossSegment] | tuple[LossSegment, ...]) -> float:
+def piecewise_commutator(
+    segments: list[LossSegment] | tuple[LossSegment, ...],
+) -> float | np.ndarray:
     """Commutator coefficient for a chain of uniform lossy segments.
 
     The field transmitted through all segments keeps weight
     ``prod_i exp(-Gamma_i L_i)``; noise injected in segment i is attenuated
     by every later segment, contributing
     ``(prod_{j>i} exp(-Gamma_j L_j)) * (1 - exp(-Gamma_i L_i))``.
-    The total is identically 1.
+    The total is identically 1.  Each segment power is the C library's
+    ``exp``.  Segments of array ``gamma`` and ``length`` are many lines at
+    once: the result has their broadcast shape, each value the call on its
+    line's scalar segments (a float), bit for bit.
     """
     if not segments:
         raise ValueError("need at least one segment")
-    gammas = np.array([seg.gamma for seg in segments])
-    lengths = np.array([seg.length for seg in segments])
-    return float(_piecewise(gammas, lengths))
-
-
-def _piecewise(gamma, length):
-    """`piecewise_commutator` with the segments along the leading axis of
-    broadcast ``gamma`` and ``length`` arrays.  Each segment power
-    exp(-Gamma_i L_i) is the C library's ``exp``."""
+    lines = np.broadcast_arrays(*(x for seg in segments for x in (seg.gamma, seg.length)))
+    gamma, length = (np.array(lines[k::2], dtype=float) for k in (0, 1))
     power = _elementwise(math.exp, -gamma * length)
     total = 1.0
     for p in power:
@@ -208,4 +207,4 @@ def _piecewise(gamma, length):
     for p in power[::-1]:
         total = total + tail * (1.0 - p)
         tail = tail * p
-    return total
+    return _shaped(total, power.shape[1:])

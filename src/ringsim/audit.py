@@ -93,8 +93,8 @@ def _uniform_line(gamma, length):
 
 
 def _piecewise_line(*variates):
-    gammas, lengths = np.array(variates[0::2]), np.array(variates[1::2])
-    return np.abs(attenuation._piecewise(gammas, lengths) - 1.0), gammas.shape[1]
+    segments = list(map(attenuation.LossSegment, variates[0::2], variates[1::2]))
+    return np.abs(attenuation.piecewise_commutator(segments) - 1.0), variates[0].size
 
 
 def _lorentzian_unity(coupling, intrinsic, delta):
@@ -132,29 +132,30 @@ def _lossless_unitarity(tau, eta, theta):
 
 
 def _sector_state(tau, eta, alpha, theta):
-    """M and ``(p2, p1, p0, total, rho2, rho1)`` of the route `reduce_density` wraps."""
+    """M and its stack of `hom.SectorDensity`."""
     m = _add_drop_matrices(tau, eta, _survival(alpha), theta)
-    pairs = hom._stack_pairs(add_drop.inverse_conjugate(m))
-    return m, hom._reduce(*pairs, np.moveaxis(add_drop.noise_commutators(m), 0, -1))
+    state = hom.output_state(add_drop.inverse_conjugate(m))
+    return m, hom.reduce_density(state, add_drop.noise_commutators(m))
 
 
 def _sector_weights_and_psd(tau, eta, alpha, theta):
-    _, (p2, p1, p0, _, rho2, rho1) = _sector_state(tau, eta, alpha, theta)
-    defined = p1 > hom.P1_THRESHOLD
-    rho1_low = np.zeros_like(p1)
-    rho1_low[defined] = np.linalg.eigvalsh(rho1[defined]).min(axis=-1)
+    _, density = _sector_state(tau, eta, alpha, theta)
+    defined = density.p1 > hom.P1_THRESHOLD
+    rho1_low = np.zeros_like(density.p1)
+    if density.rho1 is not None:
+        rho1_low[defined] = np.linalg.eigvalsh(density.rho1[defined]).min(axis=-1)
     residuals = (
-        np.abs(p0 + p1 + p2 - 1.0),
-        np.maximum(0.0, -np.linalg.eigvalsh(rho2).min(axis=-1)),
+        np.abs(density.p0 + density.p1 + density.p2 - 1.0),
+        np.maximum(0.0, -np.linalg.eigvalsh(density.rho2).min(axis=-1)),
         np.maximum(0.0, -rho1_low),
     )
     return np.max(residuals, axis=0), 2 * tau.size + int(defined.sum())
 
 
 def _sector_norm(tau, eta, alpha, theta):
-    m, (_, _, _, total, _, _) = _sector_state(tau, eta, alpha, theta)
+    m, density = _sector_state(tau, eta, alpha, theta)
     closed = hom.sector_normalizer(m)
-    return np.abs(total - closed) / np.maximum(1.0, np.abs(closed)), tau.size
+    return np.abs(density.normalizer - closed) / np.maximum(1.0, np.abs(closed)), tau.size
 
 
 def _ratio_inversion(tau, eta, alpha, theta):
@@ -166,8 +167,8 @@ def _ratio_inversion(tau, eta, alpha, theta):
 
 def _lossless_routes(tau, eta, theta):
     m = _add_drop_matrices(tau, eta, 1.0, theta)
-    amps = hom._amplitudes(*hom._stack_pairs(add_drop.inverse_conjugate(m)))
-    return np.abs(hom.coincidence_ratio(m) - hom._coincidence_probability(amps)), tau.size
+    state = hom.output_state(add_drop.inverse_conjugate(m))
+    return np.abs(hom.coincidence_ratio(m) - hom.coincidence_probability(state)), tau.size
 
 
 # (name, tolerance, most draws or None for all, variates, residuals).  Each

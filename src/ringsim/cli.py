@@ -55,6 +55,7 @@ EXIT_CONFIG = 1
 EXIT_AUDIT = 2
 EXIT_IO = 3
 EXIT_INTERNAL = 4
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 #: Most points a sweep may have: the product of its counts (critical-dip
 #: also counts its curves, langevin-compare both signs of its detunings).
@@ -788,6 +789,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         sys.stderr.write(f"ringsim: i/o error: {exc}\n")
         return EXIT_IO
+    except KeyboardInterrupt:  # the sink has removed its partial file
+        sys.stderr.write("ringsim: interrupted\n")
+        return EXIT_INTERRUPTED
     except Exception as exc:  # a bug, a dead worker or exhausted memory
         # a pool raises BrokenExecutor, so its module is loaded by then
         futures = sys.modules.get("concurrent.futures")

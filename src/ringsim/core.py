@@ -190,11 +190,11 @@ def _real_couplers(tau, eta) -> tuple[np.ndarray, np.ndarray]:
     return t, e
 
 
-def _as_2x2(matrix, noun: str = "matrix") -> np.ndarray:
+def _as_2x2(matrix) -> np.ndarray:
     """``matrix`` as a complex 2x2 array; raise naming its shape otherwise."""
     m = np.asarray(matrix, dtype=complex)
     if m.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 {noun}, got shape {m.shape}")
+        raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
     return m
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import os
+import signal
 from collections import deque
 from dataclasses import dataclass
 
@@ -32,7 +33,6 @@ import numpy as np
 from . import add_drop
 from .core import (
     UnitarityError,
-    _as_2x2,
     _as_2x2_stack,
     _check_alpha,
     _elementwise,
@@ -98,16 +98,17 @@ class TwoPhotonOutputState:
 
     Attributes
     ----------
-    two_photon : (3,) complex ndarray
+    two_photon : (..., 3) complex ndarray
         Amplitudes on (|2,0>, |1,1>, |0,2>) in the (c, d) output modes:
         (sqrt(2) G11 G21, Perm G, sqrt(2) G12 G22) for G the
         inverse-conjugate transfer matrix.
-    branch_c, branch_d : (2,) complex ndarray
+    branch_c, branch_d : (..., 2) complex ndarray
         One-photon amplitudes on (c, d) multiplying the noise excitations
         F_c†|0> and F_d†|0> respectively.
-    env_pair : (2, 2) complex ndarray
+    env_pair : (..., 2, 2) complex ndarray
         Symmetric table E with the both-photons-lost component
-        sum_ij E[i, j] F_i† F_j† |0>.
+        sum_ij E[i, j] F_i† F_j† |0>.  Each ``...`` is the leading axes of
+        a stack, none for one matrix.
     """
 
     two_photon: np.ndarray
@@ -124,14 +125,19 @@ def output_state(minv: np.ndarray) -> TwoPhotonOutputState:
     operators through output and noise creation operators,
     a† = G11(c† - F_c†) + G12(d† - F_d†) and likewise b† with row 2.
     Expanding a†b†|0> and collecting terms by noise content gives the
-    three sectors.
+    three sectors.  Broadcasts over a (..., 2, 2) stack, whose entries may
+    differ in the last bits from one G's: numpy's array loop fuses the
+    complex multiply-add that the numpy scalars of one G do not.
     """
-    perm, pair_c, pair_d = _stack_pairs(_as_2x2(minv))
+    # unpacked rows keep one G's entries numpy scalars, not 0-d arrays
+    (g00, g01), (g10, g11) = np.moveaxis(_as_2x2_stack(minv), (-2, -1), (0, 1))
+    perm, pair_c, pair_d = _pairs(g00, g01, g10, g11)
+    half = perm / 2.0
     return TwoPhotonOutputState(
         two_photon=_amplitudes(perm, pair_c, pair_d),
-        branch_c=np.array([-2.0 * pair_c, -perm]),
-        branch_d=np.array([-perm, -2.0 * pair_d]),
-        env_pair=np.array([[pair_c, perm / 2.0], [perm / 2.0, pair_d]]),
+        branch_c=_stacked(-2.0 * pair_c, -perm),
+        branch_d=_stacked(-perm, -2.0 * pair_d),
+        env_pair=_stacked(pair_c, half, half, pair_d).reshape(np.shape(perm) + (2, 2)),
     )
 
 
@@ -141,16 +147,15 @@ def _pairs(g00, g01, g10, g11):
     return g00 * g11 + g01 * g10, g00 * g10, g01 * g11
 
 
-def _stack_pairs(g):
-    """`_pairs` of each G of a (..., 2, 2) stack.  One G's entries stay numpy
-    scalars, whose product rounds unlike numpy's array product."""
-    return _pairs(*np.moveaxis(g.reshape(g.shape[:-2] + (4,)), -1, 0))
-
-
 def _amplitudes(perm, pair_c, pair_d):
     """Two-photon amplitudes on (|2,0>, |1,1>, |0,2>), stacked on a last axis."""
     root2 = math.sqrt(2.0)
-    return np.stack(np.broadcast_arrays(root2 * pair_c, perm, root2 * pair_d), axis=-1)
+    return _stacked(root2 * pair_c, perm, root2 * pair_d)
+
+
+def _stacked(*entries):
+    """The broadcast ``entries`` stacked on a new last axis."""
+    return np.stack(np.broadcast_arrays(*entries), axis=-1)
 
 
 def _sectors(perm, pair_c, pair_d, c):
@@ -209,14 +214,17 @@ class SectorDensity:
     ``None`` when the one-photon weight is below ``P1_THRESHOLD`` (then no
     single photon ever survives and the matrix is undefined); the zero-
     photon sector is the vacuum, so only its weight ``p0`` is reported.
+    A stack's weights are arrays and its matrices gain its leading axes;
+    ``rho1`` is ``None`` only if every weight is at or below the threshold,
+    and holds inf, NaN or junk at each entry that is.
     """
 
-    p2: float
-    p1: float
-    p0: float
+    p2: float | np.ndarray
+    p1: float | np.ndarray
+    p0: float | np.ndarray
     rho2: np.ndarray
     rho1: np.ndarray | None
-    normalizer: float
+    normalizer: float | np.ndarray
 
 
 def reduce_density(state: TwoPhotonOutputState, comms: np.ndarray) -> SectorDensity:
@@ -228,41 +236,28 @@ def reduce_density(state: TwoPhotonOutputState, comms: np.ndarray) -> SectorDens
     the norm of the two-noise sector.  Every sector, ``rho2`` included,
     comes from the pair table ``env_pair``; `output_state` fills
     ``two_photon`` from the same products, so for a state it built ``rho2``
-    is what ``two_photon`` would give, bit for bit.
+    is what ``two_photon`` would give, bit for bit.  Broadcasts over
+    stacks of both, in the last bits as `output_state` does.
 
     Raises
     ------
     UnitarityError
         If any sector weight comes out below -1e-10 (inconsistent C) .
     """
-    c = _as_2x2(comms, "commutator matrix")
-    # the pair table E = [[pair_c, perm/2], [perm/2, pair_d]] holds all three
-    e = state.env_pair
-    p2, p1, p0, total, rho2, rho1 = _reduce(2.0 * e[0, 1], e[0, 0], e[1, 1], c)
-    rho1 = rho1 if p1 > P1_THRESHOLD else None
-    return SectorDensity(float(p2), float(p1), float(p0), rho2, rho1, float(total))
-
-
-def _reduce(perm, pair_c, pair_d, c):
-    """`reduce_density` over array entries of the `_pairs` products and of C.
-
-    Returns ``(p2, p1, p0, total, rho2, rho1)``: `_weights` of the
-    `_sectors` norms, and (..., 3, 3) and (..., 2, 2) stacks of the two- and
-    one-photon matrices over their raw norms (a zero norm gives inf or NaN
-    entries, no error).
-    """
+    c = np.moveaxis(_as_2x2_stack(comms), (-2, -1), (0, 1))
+    (pair_c, half), (_, pair_d) = np.moveaxis(state.env_pair, (-2, -1), (0, 1))
+    perm = 2.0 * half  # exact: E = [[pair_c, perm/2], [perm/2, pair_d]]
     p2_raw, p1_raw, p0_raw, r00, r11, r01 = _sectors(perm, pair_c, pair_d, c)
-    weights = _weights(p2_raw, p1_raw, p0_raw)
+    p2, p1, p0, total = _weights(p2_raw, p1_raw, p0_raw)
     amps = _amplitudes(perm, pair_c, pair_d)
-    rho1 = np.stack(np.broadcast_arrays(r00, r01, np.conj(r01), r11), axis=-1)
+    rho1 = _stacked(r00, r01, np.conj(r01), r11)
     rho1 = rho1.reshape(rho1.shape[:-1] + (2, 2))
     with np.errstate(divide="ignore", invalid="ignore"):
         rho2 = amps[..., :, None] * np.conj(amps[..., None, :])
-        return (
-            *weights,
-            rho2 / np.asarray(p2_raw)[..., None, None],
-            rho1 / np.asarray(p1_raw)[..., None, None],
-        )
+        rho2 = rho2 / np.asarray(p2_raw)[..., None, None]
+        rho1 = rho1 / np.asarray(p1_raw)[..., None, None]
+    rho1 = rho1 if np.any(p1 > P1_THRESHOLD) else None
+    return SectorDensity(p2, p1, p0, rho2, rho1, total)
 
 
 def _weights(p2_raw, p1_raw, p0_raw):
@@ -284,7 +279,7 @@ def _weights(p2_raw, p1_raw, p0_raw):
                 f"sector weight {name} = {float(value[negative].flat[0])!r} is negative; "
                 "commutator matrix is inconsistent with the state"
             )
-    return (*weights, total)
+    return tuple(_shaped(x, x.shape) for x in (*weights, total))
 
 
 def sector_normalizer(matrix: np.ndarray) -> float | np.ndarray:
@@ -320,21 +315,16 @@ def coincidence_ratio(matrix: np.ndarray) -> float | np.ndarray:
     return _shaped(np.abs(perm) ** 2 / np.abs(det) ** 2, np.shape(matrix)[:-2])
 
 
-def coincidence_probability(state: TwoPhotonOutputState) -> float:
+def coincidence_probability(state: TwoPhotonOutputState) -> float | np.ndarray:
     """Probability of a c-d coincidence given both photons exit the buses.
 
     |<1,1|Psi2>|^2 / <Psi2|Psi2> — exact at any loss level, unlike
-    `coincidence_ratio`, but requires the sectored state.
+    `coincidence_ratio`, but requires the sectored state, one or stacked.
     """
-    return float(_coincidence_probability(state.two_photon))
-
-
-def _coincidence_probability(amps):
-    """`coincidence_probability` over a (..., 3) stack of two-photon amplitudes."""
-    norm = np.sum(np.abs(amps) ** 2, axis=-1)
+    norm = np.sum(np.abs(state.two_photon) ** 2, axis=-1)
     if np.any(norm == 0):
         raise ValueError("two-photon sector is empty")
-    return np.abs(amps[..., 1]) ** 2 / norm
+    return _shaped(np.abs(state.two_photon[..., 1]) ** 2 / norm, np.shape(norm))
 
 
 def coincidence_ratio_grid(
@@ -658,30 +648,35 @@ _adopted = None
 
 
 def _adopt(chunk) -> None:
+    """Run ``chunk`` in this worker, and leave SIGINT to the parent."""
     global _adopted
     _adopted = chunk
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
 def _run_adopted(start):
     return _adopted(start)
 
 
-def entropy_one_photon(density: SectorDensity) -> float:
+def entropy_one_photon(density: SectorDensity) -> float | np.ndarray:
     """Von Neumann entropy (bits) of the one-photon reduced density matrix.
 
     Ranges over [0, 1] for the two-mode photon: 0 when the surviving
     photon's path is pure, 1 bit when it is maximally mixed with its lost
     partner's which-path record.  Returns NaN when the one-photon sector
-    is empty (``rho1 is None``) — that point has no surviving photon to
-    ascribe an entropy to.
+    is empty (weight ``p1`` at or below ``P1_THRESHOLD``) — that point has
+    no surviving photon to ascribe an entropy to.  Broadcasts over a stack.
     """
+    p1 = np.asarray(density.p1)
     if density.rho1 is None:
-        return math.nan
-    rho = density.rho1
-    bits, low = _entropy_bits(rho[0, 0].real, rho[1, 1].real, rho[0, 1])
-    if low < -_EIG_SLACK:
-        raise UnitarityError(f"density matrix eigenvalue {float(low)!r} < 0")
-    return float(bits)
+        return _shaped(np.full(p1.shape, math.nan), p1.shape)
+    (a, off), (_, d) = np.moveaxis(density.rho1, (-2, -1), (0, 1))
+    bits, low = _entropy_bits(a.real, d.real, off)
+    defined = p1 > P1_THRESHOLD
+    negative = defined & (low < -_EIG_SLACK)
+    if np.any(negative):
+        raise UnitarityError(f"density matrix eigenvalue {float(low[negative].flat[0])!r} < 0")
+    return _shaped(np.where(defined, bits, math.nan), p1.shape)
 
 
 def _entropy_bits(a, d, off):

@@ -148,6 +148,10 @@ def test_noise_commutators_reject_amplifying_matrix():
     stack = np.array([np.diag([0.5, 0.5]), np.diag([0.5, np.nan])])
     with pytest.raises(UnitarityError, match="F_d"):
         noise_commutators(stack)
+    # the value prints as a plain number, not as numpy's repr of its scalar
+    with pytest.raises(UnitarityError) as info:
+        noise_commutators(2.0 * np.eye(2))
+    assert str(info.value).startswith("[F_c, F_c†] = -3.0 outside [0, 1]; ")
 
 
 def test_inverse_conjugate_round_trip():

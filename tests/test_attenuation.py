@@ -89,6 +89,17 @@ def test_piecewise_commutator_is_one():
             for _ in range(rng.integers(1, 8))
         ]
         assert abs(piecewise_commutator(segments) - 1.0) < 1e-10
+    # segments of arrays are many lines at once, and a scalar segment is in
+    # every line: each value is the call on its own line, bit for bit
+    gamma, length = rng.uniform(0.0, 2.0, (4, 2, 30)), rng.uniform(0.05, 1.0, (4, 2, 30))
+    shared = LossSegment(0.7, 0.4)
+    lines = piecewise_commutator([*map(LossSegment, gamma, length), shared])
+    assert lines.shape == (2, 30)
+    columns = zip(gamma.reshape(4, -1).T.tolist(), length.reshape(4, -1).T.tolist())
+    assert lines.ravel().tolist() == [
+        piecewise_commutator([*map(LossSegment, g, ell), shared]) for g, ell in columns
+    ]
+    assert type(piecewise_commutator([shared])) is float
 
 
 def test_piecewise_matches_uniform_split():

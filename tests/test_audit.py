@@ -263,10 +263,8 @@ def test_batched_guards_raise_on_one_bad_draw():
         attenuation.continuum_commutator(good, np.array([0.5, 0.0, 0.5]))
     with pytest.raises(ValueError, match="Simpson panels"):
         attenuation.continuum_commutator(np.array([0.5, 1e6, 0.5]), good)
-    amps = np.ones((3, 3), dtype=complex)
-    amps[1] = 0.0
     with pytest.raises(ValueError, match="empty"):
-        hom._coincidence_probability(amps)
+        hom.coincidence_probability(hom.output_state(stack))
 
 
 def test_run_audit_checks_its_inputs_like_the_command_line():

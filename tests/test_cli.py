@@ -20,6 +20,7 @@ import signal
 import stat
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -956,6 +957,56 @@ def test_no_worker_process_outlives_a_sweep(monkeypatch, tmp_path):
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("threads, sink", [("1", "file"), ("2", "file"), ("2", "fifo")])
+def test_an_interrupt_ends_the_run_in_one_line(tmp_path, threads, sink):
+    # Ctrl-C on a terminal sends SIGINT to the whole process group: the
+    # workers ignore it, and the parent removes its partial file, shuts its
+    # pool down and prints one line.  The run takes seconds, so it is still
+    # writing when the signal comes.  A fifo that is not read blocks the
+    # parent, so its workers fill their window and wait for tasks: a waiting
+    # worker that took the signal printed a traceback
+    out = tmp_path / "table.csv"
+    if sink == "fifo":
+        os.mkfifo(out)
+        reader = os.open(out, os.O_RDONLY | os.O_NONBLOCK)
+    args = (
+        "entropy-grid", "--set", "tau_count=201", "--set", "eta_count=201",
+        "--set", "theta_count=401", "--out", str(out),
+    )
+    env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning", RINGSIM_THREADS=threads)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ringsim", *args],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env, start_new_session=True,
+    )
+    try:
+        with _deadline(60):
+            if sink == "fifo":
+                select.select([reader], [], [])
+                time.sleep(1.0)  # the workers finish their window
+            else:
+                while proc.poll() is None and not any(
+                    tmp.stat().st_size for tmp in tmp_path.glob(".*.tmp")
+                ):
+                    time.sleep(0.01)
+            os.killpg(proc.pid, signal.SIGINT)
+            if sink == "fifo":  # the parent flushes what it holds as it closes the fifo
+                os.set_blocking(reader, True)
+                while os.read(reader, 1 << 20):
+                    pass
+            _, err = proc.communicate()
+        assert proc.returncode == cli.EXIT_INTERRUPTED == 130
+        assert err == b"ringsim: interrupted\n"
+        assert list(tmp_path.iterdir()) == ([out] if sink == "fifo" else [])
+        with pytest.raises(ProcessLookupError):  # no worker is left
+            os.killpg(proc.pid, 0)
+    finally:
+        if sink == "fifo":
+            os.close(reader)
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait(timeout=60)
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_worker_processes_never_change_entropy_grid_bytes(monkeypatch, tmp_path, capfd, fmt):
     # ten chunks of two pairs: every chunk after the first starts with the
@@ -996,7 +1047,10 @@ class _RecordingPool:
     def __init__(self, built, max_workers, mp_context=None, initializer=None, initargs=()):
         built.append(max_workers)
         if initializer is not None:
+            # it sets up a worker process: keep this one's SIGINT handler
+            saved = signal.getsignal(signal.SIGINT)
             initializer(*initargs)
+            signal.signal(signal.SIGINT, saved)
 
     def submit(self, fn, *args):
         future = concurrent.futures.Future()

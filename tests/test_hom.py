@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import sys
@@ -53,6 +54,10 @@ def _random_matrix(rng):
 
 def _state_and_comms(matrix):
     return output_state(inverse_conjugate(matrix)), noise_commutators(matrix)
+
+
+def _fields(instance):
+    return [getattr(instance, field.name) for field in dataclasses.fields(instance)]
 
 
 # --- independent oracle: unitary dilation of the contraction -----------------
@@ -124,9 +129,25 @@ def test_output_state_rejects_wrong_shape():
 
 def test_sector_weights_sum_to_one_and_matrices_are_states():
     rng = np.random.default_rng(404)
-    for _ in range(50):
-        state, comms = _state_and_comms(_random_matrix(rng))
+    matrices = np.array([_random_matrix(rng) for _ in range(50)]).reshape(5, 10, 2, 2)
+    # the stack's chain gains its leading axes, and each entry is the chain
+    # of its own matrix within a few ulp: numpy's array loop fuses the
+    # complex multiply-add that one matrix's scalar products do not
+    state = output_state(inverse_conjugate(matrices))
+    density = reduce_density(state, noise_commutators(matrices))
+    assert state.env_pair.shape == (5, 10, 2, 2) and density.rho2.shape == (5, 10, 3, 3)
+    stacks = [*_fields(state), *_fields(density)]
+    stacks += [coincidence_probability(state), entropy_one_photon(density)]
+    for k, m in enumerate(matrices.reshape(-1, 2, 2)):
+        state, comms = _state_and_comms(m)
         density = reduce_density(state, comms)
+        figures = (coincidence_probability(state), entropy_one_photon(density))
+        weights = (density.p2, density.p1, density.p0, density.normalizer)
+        assert all(type(value) is float for value in figures + weights)
+        for stack, one in zip(stacks, [*_fields(state), *_fields(density), *figures]):
+            np.testing.assert_allclose(
+                stack.reshape(50, *np.shape(one))[k], one, rtol=2e-14, atol=1e-14
+            )
         assert density.p2 + density.p1 + density.p0 == pytest.approx(1.0, abs=1e-12)
         assert density.p2 >= 0 and density.p1 >= 0 and density.p0 >= 0
         assert np.trace(density.rho2).real == pytest.approx(1.0, abs=1e-12)
@@ -155,6 +176,12 @@ def test_lossless_state_has_no_loss_sectors():
     assert density.p1 == pytest.approx(0.0, abs=1e-12)
     assert density.rho1 is None
     assert density.normalizer == pytest.approx(1.0, abs=1e-10)
+    # a lossless stack has no one-photon matrix in any entry
+    stack = np.array([m, _matrix(0.3, 0.7, 1.0, -2.0), _matrix(0.6, 0.6, 1.0, 0.0)])
+    density = reduce_density(*_state_and_comms(stack))
+    assert density.rho1 is None
+    entropy = entropy_one_photon(density)
+    assert entropy.shape == (3,) and np.isnan(entropy).all()
 
 
 def test_reduce_density_rejects_inconsistent_commutators():
@@ -703,8 +730,15 @@ def test_entropy_bounds_on_random_draws():
 
 
 def test_entropy_nan_when_no_photon_is_lost():
-    state, comms = _state_and_comms(_matrix(0.8, 0.55, 1.0, 0.9))
+    lossless, lossy = _matrix(0.8, 0.55, 1.0, 0.9), _matrix(0.8, 0.55, 0.9, 0.9)
+    state, comms = _state_and_comms(lossless)
     assert math.isnan(entropy_one_photon(reduce_density(state, comms)))
+    # in a mixed stack, only the lossless entries are NaN
+    stack = np.array([[lossless, lossy], [lossy, lossless]])
+    entropy = entropy_one_photon(reduce_density(*_state_and_comms(stack)))
+    assert np.isnan(entropy).tolist() == [[True, False], [False, True]]
+    lone = entropy_one_photon(reduce_density(*_state_and_comms(lossy)))
+    assert entropy[0, 1] == entropy[1, 0] == pytest.approx(lone, abs=1e-14)
 
 
 def test_entropy_zero_when_which_path_is_certain():
