@@ -2,28 +2,31 @@
 
 Every sweep writes a deterministic table (CSV or JSON): the same config
 produces byte-identical output regardless of how many workers evaluate the
-grid.  Every sweep hands `run_sweep` a stream of chunks of rows, and its
-output is written chunk by chunk as the chunks are evaluated, so no sweep
-holds more than the chunks in flight, and no chunk or cell table holds
-more than `hom._CHUNK` points, however long an axis.  A sweep along one
-axis evaluates and renders its chunks one at a time in the main thread.
-So does a census, serially: it gathers the points whose cos theta lies in
-their (tau, eta) pair's window and evaluates them in kernel calls of at most
-`hom._TILE` points, each rendered as one chunk.  An entropy-grid chunk (a
-longer theta axis runs in even slices) is evaluated and rendered in a forked
-worker process (``x log x`` and cell text hold the GIL), in tiles of at most
-`hom._TILE` points and rows, so its kernel arrays take about 2 MB.
-``RINGSIM_THREADS`` caps those processes; at most one runs per usable CPU
-and per chunk.
+grid.  Every sweep is a stream of chunks of rows, each rendered and written
+in sweep order by the task that evaluates it, so no process holds more
+than one chunk of text, and no chunk or cell table holds more than
+`hom._CHUNK` points (see `hom._ELIDE`), however long an axis.  A sweep
+along one axis writes its chunks one at a time in the main thread.  So
+does a census, serially: it gathers the points whose cos theta lies in
+their (tau, eta) pair's window and evaluates them in kernel calls of at
+most `hom._TILE` points, each one chunk.  An entropy-grid chunk (a longer
+theta axis runs in even slices) runs in a forked worker process (``x log
+x`` and cell text hold the GIL), in tiles of at most `hom._TILE` points
+and rows, so its kernel arrays take about 2 MB; the worker writes it to
+the sink's file descriptor in its turn, and only its row count comes back.
+``RINGSIM_THREADS`` caps those processes: at most one runs per usable CPU
+and per chunk, and none for a sink without a file descriptor.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
+import signal
 import stat
 import sys
 from dataclasses import dataclass
@@ -56,6 +59,7 @@ EXIT_AUDIT = 2
 EXIT_IO = 3
 EXIT_INTERNAL = 4
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
+EXIT_TERMINATED = 143  # 128 + SIGTERM
 
 #: Most points a sweep may have: the product of its counts (critical-dip
 #: also counts its curves, langevin-compare both signs of its detunings).
@@ -76,8 +80,8 @@ _MIN_ENTROPY_ALPHA = 1e-100
 #: Most workers (``RINGSIM_THREADS``): the entropy-grid worker processes, the
 #: only pool; every other sweep, the census too, runs in the main thread.  At
 #: most one runs per usable CPU and per chunk, with about 2 MB of kernel
-#: arrays and `hom._WINDOW` chunks in flight each, so the cap bounds memory;
-#: two already give all the speedup measured on entropy-grid.
+#: arrays and one chunk of text each, so the cap bounds memory; two already
+#: give all the speedup measured on entropy-grid.
 _MAX_THREADS = 64
 
 #: Largest detuning or matched rate (rad/s) of a langevin-compare sweep,
@@ -491,9 +495,10 @@ def _grid_rows(p: dict, walk):
     workers)`` yields ``piece`` of each chunk's `Rows` tiles, in grid order.
 
     ``walk(axes, reduce, workers)`` is the grid walk, `hom._census` or
-    `hom._walk_grid`, that yields ``reduce`` of each chunk's kept points.
-    Each chunk passes through ``piece``, so only the chunks in flight exist
-    at once, and ``piece`` takes its `Rows` one tile of at most `hom._TILE`
+    `hom._walk_grid`, that yields ``reduce`` of each chunk's kept points;
+    ``reduce`` passes a pooled walk's ``turn`` on to ``piece``.  Each chunk
+    passes through ``piece``, so only the chunks in flight exist at once,
+    and ``piece`` takes its `Rows` one tile of at most `hom._TILE`
     rows at a time, so no list of cells outgrows a tile.  An axis of at most
     `hom._CHUNK` values is formatted once, into a table the chunks index; a
     longer one is formatted in each tile, at its distinct indices, so no
@@ -503,7 +508,7 @@ def _grid_rows(p: dict, walk):
     tau_cells, eta_cells, theta_cells = map(_axis_cells, axes)
 
     def chunks(piece, workers):
-        def reduce(ti, ei, hi, values):
+        def reduce(ti, ei, hi, values, *turn):
             def tiles():
                 # a chunk with no rows is one empty tile, rendered once
                 for lo in range(0, len(values) or 1, hom._TILE):
@@ -511,7 +516,7 @@ def _grid_rows(p: dict, walk):
                     cells = tau_cells(ti[t]), eta_cells(ei[t]), theta_cells(hi[t])
                     yield Rows(*cells, _cells(values[t]))
 
-            return piece(tiles())
+            return piece(tiles(), *turn)
 
         return walk(axes, reduce, workers)
 
@@ -623,7 +628,7 @@ def render_json(config: SweepConfig, columns, rows: Rows) -> str:
     """The ``"rows"`` entries of one chunk of rows, laid out as
     ``json.dumps(indent=2)`` lays them out, with undefined cells as
     ``null``.  `run_sweep` writes the payload around them and the ``,``
-    between chunks.  Takes every renderer's arguments."""
+    between pieces.  Takes every renderer's arguments."""
     entries = map(",\n      ".join, zip(*map(_json_cells, rows.columns)))
     return ",".join(map("\n    [\n      {}\n    ]".format, entries))
 
@@ -631,12 +636,15 @@ def render_json(config: SweepConfig, columns, rows: Rows) -> str:
 def run_sweep(config: SweepConfig, sink) -> None:
     """Evaluate one sweep and write its output text to ``sink``.
 
-    Every chunk is rendered in the task that evaluates it, wherever that
-    runs, one `Rows` at a time, and comes back as its text and row count.
-    Each chunk that has rows is written as soon as it is taken, in grid
-    order, holding no other chunk; the head of `_frame` goes with the first
-    of them, so a sweep that fails before its first rows writes nothing.
-    The tail, which holds a census summary (it counts the rows), goes last.
+    Every chunk is rendered, one `Rows` tile at a time, and written by the
+    task that evaluates it, and only its row count comes back.  A sink with
+    a file descriptor is flushed once, and the text then goes straight to
+    the descriptor: from this process, each tile as it is rendered, or from
+    the `hom._walk_grid` worker whose turn it is, its whole chunk.  A sink
+    without one, such as a ``StringIO``, runs its sweep serially.  The head
+    of `_frame` goes with the first rows, so a sweep that fails before its
+    first rows writes nothing.  The tail, which holds a census summary (it
+    counts the rows), goes last.
     """
     if config.mode not in _SWEEPS:
         raise ConfigError(f"mode: unknown sweep mode {config.mode!r}")
@@ -644,23 +652,36 @@ def run_sweep(config: SweepConfig, sink) -> None:
     columns, chunks, summary = _SWEEPS[config.mode](config.params)
     render = render_csv if config.fmt == "csv" else render_json
     between = "" if config.fmt == "csv" else ","
-
-    def piece(parts) -> tuple[str, int]:
-        texts, count = [], 0
-        for rows in parts:
-            texts.append(render(config, columns, rows))
-            count += len(rows)
-        return between.join(texts), count
-
     head, _ = _frame(config, columns, None, 0)
+    try:
+        out = _Descriptor(sink.fileno())
+    except (AttributeError, OSError, ValueError):  # io.UnsupportedOperation is both
+        out, workers = sink, 1
+    else:
+        sink.flush()
     count = 0
-    with contextlib.closing(chunks(piece, workers)) as pieces:
-        for text, rows in pieces:
-            if rows:
-                _write_output((between if count else head) + text, sink)
-                count += rows
+
+    def write(texts, before: int) -> int:
+        """Write one chunk's tile texts after ``before`` rows; return its rows."""
+        rows = 0
+        for text, tile_rows in texts:
+            if tile_rows:
+                _write_output((between if before + rows else head) + text, out)
+                rows += tile_rows
+        return rows
+
+    def piece(tiles, turn=None) -> int:
+        # rendered as taken, and in a pooled worker all before the turn
+        texts = ((render(config, columns, rows), len(rows)) for rows in tiles)
+        if turn is None:
+            return write(texts, count)
+        return turn(functools.partial(write, list(texts)))
+
+    with contextlib.closing(chunks(piece, workers)) as counts:
+        for rows in counts:
+            count += rows
     _, tail = _frame(config, columns, summary(count) if summary else None, count)
-    _write_output(tail if count else head + tail, sink)
+    _write_output(tail if count else head + tail, out)
 
 
 def run_audit(seed: int, samples: int):
@@ -676,8 +697,23 @@ def run_audit(seed: int, samples: int):
 
 def _write_output(text: str, sink) -> None:
     """Write one piece of output text to an open sink.  Every output write
-    goes through here, so ``bench/tracing.py`` can time them."""
+    of the main process goes through here, so ``bench/tracing.py`` can time
+    them."""
     sink.write(text)
+
+
+class _Descriptor:
+    """A sink that writes text straight to the file descriptor ``fd``, as
+    UTF-8 (the output is ASCII), in as many writes as it takes: a pipe can
+    take part of one."""
+
+    def __init__(self, fd: int) -> None:
+        self.fd = fd
+
+    def write(self, text: str) -> None:
+        view = memoryview(text.encode())
+        while view:
+            view = view[os.write(self.fd, view) :]
 
 
 @contextlib.contextmanager
@@ -767,8 +803,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _Terminated(BaseException):
+    """A SIGTERM: raised by the handler `main` installs, so that the run
+    unwinds as an interrupted one does."""
+
+
+def _terminate(signum, frame):
+    raise _Terminated
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    saved = signal.signal(signal.SIGTERM, _terminate)
     try:
         if args.mode == "audit":
             report = run_audit(args.seed, args.samples)
@@ -792,6 +838,9 @@ def main(argv: list[str] | None = None) -> int:
     except KeyboardInterrupt:  # the sink has removed its partial file
         sys.stderr.write("ringsim: interrupted\n")
         return EXIT_INTERRUPTED
+    except _Terminated:
+        sys.stderr.write("ringsim: terminated\n")
+        return EXIT_TERMINATED
     except Exception as exc:  # a bug, a dead worker or exhausted memory
         # a pool raises BrokenExecutor, so its module is loaded by then
         futures = sys.modules.get("concurrent.futures")
@@ -801,6 +850,8 @@ def main(argv: list[str] | None = None) -> int:
             reason = f"{type(exc).__name__}: {exc}"
         sys.stderr.write(f"ringsim: internal error: {reason}\n")
         return EXIT_INTERNAL
+    finally:
+        signal.signal(signal.SIGTERM, saved)
     return EXIT_OK
 
 

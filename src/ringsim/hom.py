@@ -22,10 +22,10 @@ where the generalized two-photon dip survives loss (`hom_region`).
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import signal
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,29 +61,26 @@ P1_THRESHOLD = 1e-12
 #: Eigenvalues of a reduced density matrix may undershoot 0 by at most this.
 _EIG_SLACK = 1e-10
 #: Most points, or axis values, in one chunk of any sweep.  Fixed, so the
-#: chunks never depend on the worker count.  It also pins output bytes:
-#: `entropy_grid` writes its ``c12`` products with the operand order of
-#: the call's size (see `_ELIDE`), and numpy's complex multiply is not
-#: bitwise commutative; at 16384 points 67,376 of the 450,241 cells of a
-#: 61x61x121 entropy grid change in the last digit.  So a longer theta axis
-#: is cut into even slices, each of at least 32,768 points, which stay on
-#: the whole axis's side of that size.
+#: chunks never depend on the worker count; it also pins the entropy-grid
+#: bytes (see `_ELIDE`).
 _CHUNK = 65536
-#: Chunks a pooled grid walk keeps in flight, per worker: enough to keep
-#: every worker busy while the caller consumes a chunk.  Each worker process
-#: evaluates a chunk in `_TILE`-point tiles (about 2 MB of kernel arrays,
-#: reused through the heap) and sends back its rendered text.
-_WINDOW = 2
 #: Most points in one tile of a grid kernel or census batch, unless one row
 #: is longer.  A tile's complex temporaries then take 64 KiB each, under
 #: glibc's 128 KiB mmap threshold, so they are recycled through the heap,
 #: not fresh pages.
 _TILE = 4096
-#: Fewest complex points (256 KiB) at which numpy's temporary elision
-#: computes ``a * conj(b)`` in place as ``conj(b) * a``.  The output bytes
-#: of `entropy_grid` were fixed with that order on calls of at least this
-#: size and with the written one below it.  `_grid_state` writes out the
-#: order of the call's size, so no numpy build or tiling can move them.
+#: Fewest points of an `entropy_grid` call whose ``c12`` products
+#: `_grid_state` writes as ``conj(b) * a``; a smaller call writes
+#: ``a * conj(b)``.  This is the size (256 KiB of complex points) at which
+#: numpy's temporary elision computed ``a * conj(b)`` in place as
+#: ``conj(b) * a`` when the output bytes were fixed.  Numpy's complex
+#: multiply is not bitwise commutative (its SIMD loop fuses multiply-adds):
+#: in chunks of 16384 points, 67,376 of the 450,241 cells of a 61x61x121
+#: entropy grid change in the last digit.  Both orders are written out, so
+#: no numpy build or tiling moves the bytes, but a point's bits depend on
+#: its call's size.  So `_CHUNK` is fixed, and a longer theta axis is cut
+#: into even slices of at least 32,768 points, on the whole axis's side of
+#: this size.
 _ELIDE = 16384
 #: Slack of the census window (`_census_window`): an absolute bound on the
 #: rounding of |Perm| and |det| numerators, in the kernel and the window,
@@ -582,35 +579,39 @@ def _walk_grid(axes, evaluate, reduce, workers: int = 1):
     values)`` receives every point's axis indices and value, in C order.
     Both run in the chunk's task.  With more than one of ``workers``
     (capped per usable CPU and per chunk) and ``fork``, the chunks run in
-    forked processes (`_pool`), ``_WINDOW * workers`` at a time, and
-    ``reduce``'s result must pickle; closing the generator early cancels
-    the chunks not yet started.  Otherwise they run serially.
+    forked processes (`_pool`) and ``reduce`` gets a fifth argument,
+    ``turn``.  ``turn(write)`` waits until every chunk before its own has
+    been written, then returns ``write(before)``, with ``before`` the rows
+    they wrote; the result is the chunk's row count, and ``reduce`` must
+    return it.  Only these counts come back, and the walk yields them in
+    grid order.  A chunk task that raises, or a walk left early (an error,
+    an interrupt, a closed generator), stops every chunk not yet written.
+    Otherwise the chunks run serially, with no ``turn``.
     """
     taus, etas, thetas = axes
     pairs, step, width = _plan(axes)
 
-    def chunk(start):
+    def chunk(start, *turn):
         lo, h = start
         it, ie = np.divmod(np.arange(lo, min(lo + step, pairs)), len(etas))
         values = evaluate(taus[it][:, None], etas[ie][:, None], thetas[None, h : h + width])
         pair, ith = np.indices(values.shape).reshape(2, -1)
-        return reduce(it[pair], ie[pair], ith + h, values.ravel())
+        return reduce(it[pair], ie[pair], ith + h, values.ravel(), *turn)
 
     starts = [(lo, h) for lo in range(0, pairs, step) for h in range(0, len(thetas), width)]
     workers = min(workers, _usable_cpus(), len(starts))
-    pool = _pool(chunk, workers) if workers > 1 else None
-    if pool is None:
+    pooled = _pool(chunk, workers) if workers > 1 else None
+    if pooled is None:
         yield from map(chunk, starts)
         return
+    pool, turns = pooled
     try:
-        window = deque()
-        for start in starts:
-            if len(window) == _WINDOW * workers:
-                yield window.popleft().result()
-            window.append(pool.submit(_run_adopted, start))
-        while window:
-            yield window.popleft().result()
+        # each task holds at most its own chunk, so every start is submitted
+        counts = [pool.submit(_run_adopted, index, start) for index, start in enumerate(starts)]
+        for count in counts:
+            yield count.result()
     finally:
+        turns.fail()  # a walk left early stops the chunks not yet written
         pool.shutdown(cancel_futures=True)
 
 
@@ -622,40 +623,91 @@ def _usable_cpus() -> int:
 
 
 def _pool(chunk, workers: int):
-    """An executor of ``workers`` forked processes for `_run_adopted`, or
-    ``None`` without the ``fork`` start method.  Each inherits ``chunk``
-    through the initializer, so a task passes only its start and result;
-    the pool forks them all at its first submit, before it starts a thread."""
+    """``(executor, turns)``: an executor of ``workers`` forked processes
+    for `_run_adopted` and the `_Turns` they write in, or ``None`` without
+    the ``fork`` start method.  Each inherits both through the initializer,
+    so a task passes only its index and start, and a row count back; the pool
+    forks them all at its first submit, before it starts a thread."""
     import multiprocessing
 
     if "fork" not in multiprocessing.get_all_start_methods():
         return None
     from concurrent.futures.process import ProcessPoolExecutor
 
+    context = multiprocessing.get_context("fork")
+    turns = _Turns(context)
     # A worker flushes its copies of sys.stdout and sys.stderr when it
     # exits; multiprocessing flushes both before each fork, so no buffered
     # line is written twice.  A file sink is never flushed in a worker.
-    return ProcessPoolExecutor(
+    executor = ProcessPoolExecutor(
         max_workers=workers,
-        mp_context=multiprocessing.get_context("fork"),
+        mp_context=context,
         initializer=_adopt,
-        initargs=(chunk,),
+        initargs=(chunk, turns),
     )
+    return executor, turns
 
 
-# The chunk function a forked worker process runs, set in that process only.
+#: Seconds between a waiting chunk task's looks at the failure flag.
+_POLL = 0.05
+
+
+class _Turns:
+    """The order in which pooled chunk tasks write, in shared memory: the
+    chunk whose turn it is, the rows written before it, and a failure flag.
+    The flag is set with no lock and no wake-up, so no process can block on
+    a worker killed while it held the lock or slept on the condition
+    (``notify`` waits for each sleeper to wake); a waiting task reads it
+    every `_POLL` seconds."""
+
+    def __init__(self, context) -> None:
+        self._cond = context.Condition()
+        self._next, self._written = context.RawValue("q", 0), context.RawValue("q", 0)
+        self._failed = context.RawValue("b", 0)
+
+    def take(self, index: int, write) -> int:
+        """Wait for turn ``index``, then return ``write(rows written
+        before it)`` and pass the turn on; 0, without writing, once the
+        flag is set."""
+        with self._cond:
+            while self._next.value != index and not self._failed.value:
+                self._cond.wait(_POLL)
+        if self._failed.value:
+            return 0
+        rows = write(self._written.value)
+        with self._cond:
+            self._written.value += rows
+            self._next.value += 1
+            self._cond.notify_all()
+        return rows
+
+    def fail(self) -> None:
+        self._failed.value = 1
+
+
+# The chunk function a forked worker process runs and the turns it writes
+# in, set in that process only.
 _adopted = None
 
 
-def _adopt(chunk) -> None:
-    """Run ``chunk`` in this worker, and leave SIGINT to the parent."""
+def _adopt(chunk, turns) -> None:
+    """Run ``chunk`` in this worker and leave SIGINT to the parent.  SIGTERM
+    kills it, as the executor expects of a broken pool's workers, whatever
+    handler it inherited (``ringsim.cli.main`` installs one)."""
     global _adopted
-    _adopted = chunk
+    _adopted = chunk, turns
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
 
-def _run_adopted(start):
-    return _adopted(start)
+def _run_adopted(index, start):
+    """Run and write chunk ``index``; a failure stops those not yet written."""
+    chunk, turns = _adopted
+    try:
+        return chunk(start, functools.partial(turns.take, index))
+    except BaseException:
+        turns.fail()
+        raise
 
 
 def entropy_one_photon(density: SectorDensity) -> float | np.ndarray:
@@ -725,8 +777,7 @@ def entropy_grid(
 
     The result is a fresh array (a numpy scalar for 0-d inputs), evaluated
     in `_TILE`-point tiles as `coincidence_ratio_grid` is.  A point's bits
-    depend on the rest of the call only through its size: a call of at
-    least `_ELIDE` points takes the other operand order in `_grid_state`.
+    depend on the rest of the call only through its size (see `_ELIDE`).
     A negative eigenvalue anywhere raises `UnitarityError` with the call's
     count of such points.
     """
@@ -771,7 +822,7 @@ def _grid_state(t, e, th, alpha, conj_first):
     pair products of G = conj(M^{-1}) and the noise commutators I - M M†,
     entry by entry.  ``conj_first`` puts the conjugates on the left of the
     ``c12`` products (see `_ELIDE`); each conjugate is named first, so no
-    temporary elision can swap the operands."""
+    temporary elision can swap them."""
     z = alpha * np.exp(1j * th)
     s = math.sqrt(alpha) * np.exp(0.5j * th)
     kap = np.sqrt(1.0 - t * t)

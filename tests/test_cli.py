@@ -939,15 +939,14 @@ def test_no_worker_process_outlives_a_sweep(monkeypatch, tmp_path):
         assert cli.main([*_STREAMED, "--out", str(tmp_path / "table.csv")]) == 0
     assert multiprocessing.active_children() == []
 
-    # a reader that closes stdout before the first chunk is written
+    # a reader that closes stdout before the first chunk is written: the
+    # worker whose turn it is gets the broken pipe
     class ClosedStdout(io.StringIO):
-        def write(self, text):
-            raise BrokenPipeError(32, "Broken pipe")
-
         def fileno(self):
             return spare
 
-    spare = os.open(tmp_path / "spare", os.O_WRONLY | os.O_CREAT)
+    closed, spare = os.pipe()
+    os.close(closed)
     try:
         monkeypatch.setattr(sys, "stdout", ClosedStdout())
         with _deadline(60):
@@ -963,8 +962,8 @@ def test_an_interrupt_ends_the_run_in_one_line(tmp_path, threads, sink):
     # workers ignore it, and the parent removes its partial file, shuts its
     # pool down and prints one line.  The run takes seconds, so it is still
     # writing when the signal comes.  A fifo that is not read blocks the
-    # parent, so its workers fill their window and wait for tasks: a waiting
-    # worker that took the signal printed a traceback
+    # worker whose turn it is in its write, and the others wait for their
+    # turns: a waiting worker that took the signal printed a traceback
     out = tmp_path / "table.csv"
     if sink == "fifo":
         os.mkfifo(out)
@@ -989,7 +988,7 @@ def test_an_interrupt_ends_the_run_in_one_line(tmp_path, threads, sink):
                 ):
                     time.sleep(0.01)
             os.killpg(proc.pid, signal.SIGINT)
-            if sink == "fifo":  # the parent flushes what it holds as it closes the fifo
+            if sink == "fifo":  # the writing worker ends its chunk once the fifo is read
                 os.set_blocking(reader, True)
                 while os.read(reader, 1 << 20):
                     pass
@@ -1007,21 +1006,150 @@ def test_an_interrupt_ends_the_run_in_one_line(tmp_path, threads, sink):
         proc.wait(timeout=60)
 
 
+@pytest.mark.parametrize("target", ["main", "group"])
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_a_terminate_signal_ends_the_run_in_one_line(tmp_path, threads, target):
+    # SIGTERM, as kill and service managers send it, to the main process
+    # alone or to the whole group: the parent removes its partial file,
+    # stops and shuts down its pool, and prints one line.  Signalled alone,
+    # its workers are left to it; a worker signalled too dies at once
+    out = tmp_path / "table.csv"
+    args = (
+        "entropy-grid", "--set", "tau_count=201", "--set", "eta_count=201",
+        "--set", "theta_count=401", "--out", str(out),
+    )
+    env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning", RINGSIM_THREADS=threads)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ringsim", *args],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env, start_new_session=True,
+    )
+    try:
+        with _deadline(60):
+            while proc.poll() is None and not any(
+                tmp.stat().st_size for tmp in tmp_path.glob(".*.tmp")
+            ):
+                time.sleep(0.01)
+            if target == "main":
+                os.kill(proc.pid, signal.SIGTERM)
+            else:
+                os.killpg(proc.pid, signal.SIGTERM)
+            _, err = proc.communicate()
+        assert proc.returncode == cli.EXIT_TERMINATED == 143
+        assert err == b"ringsim: terminated\n"
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(ProcessLookupError):  # no worker is left
+            os.killpg(proc.pid, 0)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait(timeout=60)
+
+
+def test_an_interrupt_while_loading_ends_in_one_line(tmp_path):
+    # a Ctrl-C that comes while numpy loads, before cli.main runs, as a
+    # numpy whose import raises KeyboardInterrupt: through ``python -m`` and
+    # through the console script's entry alike
+    (tmp_path / "numpy").mkdir()
+    (tmp_path / "numpy" / "__init__.py").write_text("raise KeyboardInterrupt\n")
+    path = [str(tmp_path), str(_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    script = "import sys; from ringsim.__main__ import main; sys.exit(main())"
+    for command in (["-m", "ringsim"], ["-c", script]):
+        proc = subprocess.run(
+            [sys.executable, *command, "single-bus"], capture_output=True, env=env, timeout=120
+        )
+        assert proc.returncode == cli.EXIT_INTERRUPTED == 130, proc.stderr
+        assert (proc.stdout, proc.stderr) == (b"", b"ringsim: interrupted\n")
+
+
+def test_a_worker_leaves_sigint_to_the_parent_and_dies_of_sigterm(monkeypatch):
+    # the executor ends the workers of a broken pool with SIGTERM, so a
+    # worker must not keep the raising handler it inherits from cli.main
+    monkeypatch.setattr(hom, "_adopted", None)
+    signals = (signal.SIGINT, signal.SIGTERM)
+    saved = {sig: signal.getsignal(sig) for sig in signals}
+    try:
+        signal.signal(signal.SIGTERM, cli._terminate)
+        hom._adopt(None, None)
+        assert [signal.getsignal(sig) for sig in signals] == [signal.SIG_IGN, signal.SIG_DFL]
+    finally:
+        for sig, handler in saved.items():
+            signal.signal(sig, handler)
+
+
+# Runs cli.main on its arguments with two usable CPUs and prints the exit
+# code and how far the main process's own peak RSS rose above its value
+# after the import: the workers' memory is not counted.
+_MAIN_RSS = """import resource, sys
+from ringsim import cli, hom
+hom._usable_cpus = lambda: 2
+base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+code = cli.main(sys.argv[1:])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base)
+"""
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="no resource module or fork")
+def test_the_main_process_holds_no_chunk_text():
+    # workers write their own chunks of about 4.3 MB of text each: the main
+    # process receives only row counts
+    args = [sys.executable, "-c", _MAIN_RSS, "entropy-grid", "--out", os.devnull]
+    args += ["--set", "tau_count=61", "--set", "eta_count=61", "--set", "theta_count=121"]
+    env = dict(os.environ, RINGSIM_THREADS="2", PYTHONPATH=str(_ROOT / "src"))
+    done = subprocess.run(args, capture_output=True, text=True, env=env, timeout=120)
+    code, grown = map(int, done.stdout.split())
+    assert code == 0, done.stderr
+    grown_mb = grown / (2**20 if sys.platform == "darwin" else 2**10)
+    assert grown_mb < 8, grown_mb
+
+
+@pytest.mark.parametrize("threads", ["2", "3"])
+def test_a_chunk_that_fails_mid_run_leaves_whole_chunks(monkeypatch, capfd, threads):
+    # the sixth of ten chunks of 14 rows raises in its worker: stdout holds
+    # whole chunks before it, in order, and nothing after it
+    monkeypatch.setattr(hom, "_CHUNK", 16)
+    monkeypatch.setattr(hom, "_usable_cpus", lambda: 3)
+    _, want = _sweep_and_reference(monkeypatch, _STREAMED[0], _STREAMED[2::2], "csv", 1)
+    monkeypatch.setenv("RINGSIM_THREADS", threads)
+    taus, etas, _ = hom._grid_axes(4, 5, 7)
+    kernel = hom.entropy_grid
+
+    def failing(tau, eta, *args):
+        if (tau.flat[0], eta.flat[0]) == (taus[2], etas[0]):  # pairs 10 and 11
+            raise RuntimeError("chunk 6 failed")
+        return kernel(tau, eta, *args)
+
+    monkeypatch.setattr(hom, "entropy_grid", failing)
+    with _deadline(60):
+        code = cli.main(list(_STREAMED))
+    out, err = capfd.readouterr()
+    assert code == cli.EXIT_INTERNAL == 4
+    assert err == "ringsim: internal error: RuntimeError: chunk 6 failed\n"
+    lines = want.splitlines(keepends=True)
+    assert out in ["", *("".join(lines[: 2 + 14 * k]) for k in range(1, 6))]
+    assert multiprocessing.active_children() == []
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_worker_processes_never_change_entropy_grid_bytes(monkeypatch, tmp_path, capfd, fmt):
     # ten chunks of two pairs: every chunk after the first starts with the
-    # JSON separator, and the last holds the eight undefined cells (tau = 1)
+    # JSON separator, and the last holds the eight undefined cells (tau = 1).
+    # Workers write in turns kept in shared memory, four of them more than
+    # the CPUs of a small host: a lost update would misplace the head or a
+    # separator, or stall a turn
     monkeypatch.setattr(hom, "_CHUNK", 16)
-    monkeypatch.setattr(hom, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(hom, "_usable_cpus", lambda: 4)
     _, want = _sweep_and_reference(monkeypatch, _STREAMED[0], _STREAMED[2::2], fmt, 1)
     assert want.count("null" if fmt == "json" else ",nan\n") == 8
-    for threads in ("1", "2", "3"):
+    for threads in ("1", "2", "3", "4"):
         monkeypatch.setenv("RINGSIM_THREADS", threads)
         out = tmp_path / f"table.{fmt}"
-        assert cli.main([*_STREAMED, "--format", fmt, "--out", str(out)]) == 0
-        assert cli.main([*_STREAMED, "--format", fmt]) == 0
+        with _deadline(60):
+            assert cli.main([*_STREAMED, "--format", fmt, "--out", str(out)]) == 0
+            assert cli.main([*_STREAMED, "--format", fmt]) == 0
         assert capfd.readouterr() == (want, ""), threads
         assert out.read_text() == want, threads
+    assert multiprocessing.active_children() == []
 
 
 def test_forked_workers_do_not_repeat_buffered_stdout():
@@ -1047,10 +1175,11 @@ class _RecordingPool:
     def __init__(self, built, max_workers, mp_context=None, initializer=None, initargs=()):
         built.append(max_workers)
         if initializer is not None:
-            # it sets up a worker process: keep this one's SIGINT handler
-            saved = signal.getsignal(signal.SIGINT)
+            # it sets up a worker process: keep this one's signal handlers
+            saved = {sig: signal.getsignal(sig) for sig in (signal.SIGINT, signal.SIGTERM)}
             initializer(*initargs)
-            signal.signal(signal.SIGINT, saved)
+            for sig, handler in saved.items():
+                signal.signal(sig, handler)
 
     def submit(self, fn, *args):
         future = concurrent.futures.Future()
@@ -1080,26 +1209,47 @@ def _record_pools(monkeypatch):
     return built
 
 
-def test_worker_processes_are_capped_by_cpus_and_chunks(monkeypatch):
+def _file_sweep_text(config, path):
+    """`_sweep_text` through a file, a sink with a file descriptor, which a
+    pooled walk needs."""
+    with open(path, "w", encoding="utf-8", newline="") as sink:
+        cli.run_sweep(config, sink)
+    return path.read_text(encoding="utf-8")
+
+
+def test_worker_processes_are_capped_by_cpus_and_chunks(monkeypatch, tmp_path):
     monkeypatch.setattr(hom, "_CHUNK", 16)  # ten chunks
     built = _record_pools(monkeypatch)
     config = cli.load_config(_STREAMED[0], None, list(_STREAMED[2::2]), None, "csv")
     monkeypatch.setenv("RINGSIM_THREADS", "1")
     want = _sweep_text(config)
+    out = tmp_path / "table.csv"
     for threads, cpus in ((64, 3), (64, 64), (2, 64), (64, 1)):
         monkeypatch.setenv("RINGSIM_THREADS", str(threads))
         monkeypatch.setattr(
             os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)), raising=False
         )
-        assert _sweep_text(config) == want
+        assert _file_sweep_text(config, out) == want
     # one usable CPU walks the grid serially
     assert built == {"process": [3, 10, 2], "thread": []}
 
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 5)
     monkeypatch.setenv("RINGSIM_THREADS", "64")
-    assert _sweep_text(config) == want
+    assert _file_sweep_text(config, out) == want
     assert built["process"] == [3, 10, 2, 5]
+
+
+def test_a_sink_without_a_descriptor_builds_no_pool(monkeypatch):
+    # a StringIO has no file descriptor for workers to write to, so its
+    # entropy grid is walked in this process at any worker count
+    monkeypatch.setattr(hom, "_CHUNK", 16)
+    monkeypatch.setattr(hom, "_usable_cpus", lambda: 3)
+    built = _record_pools(monkeypatch)
+    for fmt in ("csv", "json"):
+        text, want = _sweep_and_reference(monkeypatch, _STREAMED[0], _STREAMED[2::2], fmt, 3)
+        assert text == want
+    assert built == {"process": [], "thread": []}
 
 
 def test_the_census_builds_no_pool(monkeypatch):
@@ -1276,12 +1426,17 @@ def test_out_dev_null_is_written_in_place(monkeypatch, capsys):
     assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
 
-def test_console_script_target_is_main():
+def test_console_script_target_is_main(monkeypatch, capsys):
+    # the script and ``python -m ringsim`` share one entry, which runs cli.main
     tomllib = pytest.importorskip("tomllib")
     with open(_ROOT / "pyproject.toml", "rb") as fh:
         target = tomllib.load(fh)["project"]["scripts"]["ringsim"]
     module, _, attr = target.partition(":")
-    assert getattr(importlib.import_module(module), attr) is cli.main
+    entry = importlib.import_module("ringsim.__main__")
+    assert getattr(importlib.import_module(module), attr) is entry.main
+    monkeypatch.setattr(sys, "argv", ["ringsim", "single-bus", "--set", "theta_count=3"])
+    assert entry.main() == 0
+    assert capsys.readouterr().out.startswith(CONFIG_PREFIX)
 
 
 @pytest.mark.skipif(shutil.which("ringsim") is None, reason="entry point not on PATH")
