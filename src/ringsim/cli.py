@@ -9,12 +9,13 @@ than one chunk of text, and no chunk or cell table holds more than
 along one axis writes its chunks one at a time in the main thread.  So
 does a census, serially: it gathers the points whose cos theta lies in
 their (tau, eta) pair's window and evaluates them in kernel calls of at
-most `hom._TILE` points, each one chunk.  An entropy-grid chunk (a longer
-theta axis runs in even slices) runs in a forked worker process (``x log
-x`` and cell text hold the GIL), in tiles of at most `hom._TILE` points
-and rows, so its kernel arrays take about 2 MB; the worker writes it to
-the sink's file descriptor in its turn, and only its row count comes back.
-``RINGSIM_THREADS`` caps those processes: at most one runs per usable CPU
+most `hom._TILE` points, each one chunk.  Entropy-grid chunk k (a longer
+theta axis runs in even slices) runs in forked worker process k mod W
+(``x log x`` and cell text hold the GIL), in tiles of at most `hom._TILE`
+points and rows, so its kernel arrays take about 2 MB; the worker writes
+it to the sink's file descriptor when the turn, passed round a ring of
+pipes (`hom._ring`), reaches it, and only the row total comes back.
+``RINGSIM_THREADS`` caps the W processes: at most one runs per usable CPU
 and per chunk, and none for a sink without a file descriptor.
 """
 
@@ -77,11 +78,11 @@ _MAX_SAMPLES = 1_000_000
 #: against dense eta, tau and theta axes); the floor keeps a margin.
 _MIN_ENTROPY_ALPHA = 1e-100
 
-#: Most workers (``RINGSIM_THREADS``): the entropy-grid worker processes, the
-#: only pool; every other sweep, the census too, runs in the main thread.  At
-#: most one runs per usable CPU and per chunk, with about 2 MB of kernel
-#: arrays and one chunk of text each, so the cap bounds memory; two already
-#: give all the speedup measured on entropy-grid.
+#: Most workers (``RINGSIM_THREADS``): the entropy-grid processes that
+#: `hom._ring` forks, the only ones; every other sweep, the census too, runs
+#: in the main thread.  At most one runs per usable CPU and per chunk, with
+#: about 2 MB of kernel arrays and one chunk of text each, so the cap bounds
+#: memory; two already give all the speedup measured on entropy-grid.
 _MAX_THREADS = 64
 
 #: Largest detuning or matched rate (rad/s) of a langevin-compare sweep,
@@ -496,7 +497,7 @@ def _grid_rows(p: dict, walk):
 
     ``walk(axes, reduce, workers)`` is the grid walk, `hom._census` or
     `hom._walk_grid`, that yields ``reduce`` of each chunk's kept points;
-    ``reduce`` passes a pooled walk's ``turn`` on to ``piece``.  Each chunk
+    ``reduce`` passes a forked walk's ``turn`` on to ``piece``.  Each chunk
     passes through ``piece``, so only the chunks in flight exist at once,
     and ``piece`` takes its `Rows` one tile of at most `hom._TILE`
     rows at a time, so no list of cells outgrows a tile.  An axis of at most
@@ -671,7 +672,7 @@ def run_sweep(config: SweepConfig, sink) -> None:
         return rows
 
     def piece(tiles, turn=None) -> int:
-        # rendered as taken, and in a pooled worker all before the turn
+        # rendered as taken, and in a forked worker all before the turn
         texts = ((render(config, columns, rows), len(rows)) for rows in tiles)
         if turn is None:
             return write(texts, count)
@@ -734,6 +735,8 @@ def _open_sink(out: str | None):
     when it flushes stdout at exit.
     """
     if out is None or out == "-":
+        if sys.stdout is None:  # the run was started with stdout closed
+            raise OSError("stdout is closed")
         try:
             yield sys.stdout
             sys.stdout.flush()
@@ -842,9 +845,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write("ringsim: terminated\n")
         return EXIT_TERMINATED
     except Exception as exc:  # a bug, a dead worker or exhausted memory
-        # a pool raises BrokenExecutor, so its module is loaded by then
-        futures = sys.modules.get("concurrent.futures")
-        if futures is not None and isinstance(exc, futures.BrokenExecutor):
+        if isinstance(exc, hom._WorkerDied):
             reason = "a worker process died"
         else:
             reason = f"{type(exc).__name__}: {exc}"

@@ -22,7 +22,6 @@ where the generalized two-photon dip survives loss (`hom_region`).
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import signal
@@ -579,13 +578,11 @@ def _walk_grid(axes, evaluate, reduce, workers: int = 1):
     values)`` receives every point's axis indices and value, in C order.
     Both run in the chunk's task.  With more than one of ``workers``
     (capped per usable CPU and per chunk) and ``fork``, the chunks run in
-    forked processes (`_pool`) and ``reduce`` gets a fifth argument,
+    forked processes (`_ring`) and ``reduce`` gets a fifth argument,
     ``turn``.  ``turn(write)`` waits until every chunk before its own has
     been written, then returns ``write(before)``, with ``before`` the rows
     they wrote; the result is the chunk's row count, and ``reduce`` must
-    return it.  Only these counts come back, and the walk yields them in
-    grid order.  A chunk task that raises, or a walk left early (an error,
-    an interrupt, a closed generator), stops every chunk not yet written.
+    return it.  Such a walk yields one number, the rows of all chunks.
     Otherwise the chunks run serially, with no ``turn``.
     """
     taus, etas, thetas = axes
@@ -600,19 +597,10 @@ def _walk_grid(axes, evaluate, reduce, workers: int = 1):
 
     starts = [(lo, h) for lo in range(0, pairs, step) for h in range(0, len(thetas), width)]
     workers = min(workers, _usable_cpus(), len(starts))
-    pooled = _pool(chunk, workers) if workers > 1 else None
-    if pooled is None:
+    if workers > 1 and hasattr(os, "fork"):
+        yield _ring(chunk, starts, workers)
+    else:
         yield from map(chunk, starts)
-        return
-    pool, turns = pooled
-    try:
-        # each task holds at most its own chunk, so every start is submitted
-        counts = [pool.submit(_run_adopted, index, start) for index, start in enumerate(starts)]
-        for count in counts:
-            yield count.result()
-    finally:
-        turns.fail()  # a walk left early stops the chunks not yet written
-        pool.shutdown(cancel_futures=True)
 
 
 def _usable_cpus() -> int:
@@ -622,92 +610,85 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _pool(chunk, workers: int):
-    """``(executor, turns)``: an executor of ``workers`` forked processes
-    for `_run_adopted` and the `_Turns` they write in, or ``None`` without
-    the ``fork`` start method.  Each inherits both through the initializer,
-    so a task passes only its index and start, and a row count back; the pool
-    forks them all at its first submit, before it starts a thread."""
+class _WorkerDied(RuntimeError):
+    """A `_ring` child ended without passing its turn on or reporting an error."""
+
+
+def _ring(chunk, starts, workers: int) -> int:
+    """Run ``chunk(start, turn)`` of each of ``starts`` in ``workers`` forked
+    children, chunk k in child k mod ``workers``; return the rows written.
+
+    The turn is a token, the rows written so far, passed round a ring of
+    one-way pipes: child w takes it from pipe w, writes, and sends the new
+    total on to pipe w + 1.  The last chunk's writer sends the total here
+    on a pipe of its own; a chunk that raises waits for its turn and sends
+    its exception there instead of writing, so the error is that of the
+    first failing chunk, after the whole chunks before it.  A child that
+    fails or dies sends nothing on, so every later one reads end of file
+    and exits unwritten, and so does this process's read: `_WorkerDied`.
+    A child stops before its next chunk once its parent is gone, and a walk
+    left early (an error, an interrupt, SIGTERM) ends every child.
+    """
     import multiprocessing
 
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return None
-    from concurrent.futures.process import ProcessPoolExecutor
-
     context = multiprocessing.get_context("fork")
-    turns = _Turns(context)
-    # A worker flushes its copies of sys.stdout and sys.stderr when it
-    # exits; multiprocessing flushes both before each fork, so no buffered
-    # line is written twice.  A file sink is never flushed in a worker.
-    executor = ProcessPoolExecutor(
-        max_workers=workers,
-        mp_context=context,
-        initializer=_adopt,
-        initargs=(chunk, turns),
-    )
-    return executor, turns
+    pipes = [context.Pipe(duplex=False) for _ in range(workers + 1)]  # (read, write)
+    ends = [end for pipe in pipes for end in pipe]
+    result, back = pipes[-1]
+    pipes[0][1].send(0)  # the first turn
+    parent = os.getpid()
 
+    def relay(w: int) -> None:
+        # A child that kept `ringsim.cli.main`'s raising SIGTERM handler
+        # would, once ended, leave its successor waiting for a token that
+        # never comes, and this process waiting in `join`.
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        inbox, outbox = pipes[w][0], pipes[(w + 1) % workers][1]
+        for end in set(ends) - {inbox, outbox, back}:
+            end.close()  # a pipe reads end of file only once all its writers are gone
 
-#: Seconds between a waiting chunk task's looks at the failure flag.
-_POLL = 0.05
+        def turn(write):
+            nonlocal token
+            token = inbox.recv()
+            return write(token)
 
+        try:
+            for index in range(w, len(starts), workers):
+                if os.getppid() != parent:
+                    return
+                token = None
+                try:
+                    rows = chunk(starts[index], turn)
+                except Exception as exc:
+                    if token is None:
+                        inbox.recv()
+                    back.send(exc)
+                    return
+                (back if index == len(starts) - 1 else outbox).send(token + rows)
+        except (EOFError, BrokenPipeError):  # the turn will not come, or its reader is gone
+            pass
 
-class _Turns:
-    """The order in which pooled chunk tasks write, in shared memory: the
-    chunk whose turn it is, the rows written before it, and a failure flag.
-    The flag is set with no lock and no wake-up, so no process can block on
-    a worker killed while it held the lock or slept on the condition
-    (``notify`` waits for each sleeper to wake); a waiting task reads it
-    every `_POLL` seconds."""
-
-    def __init__(self, context) -> None:
-        self._cond = context.Condition()
-        self._next, self._written = context.RawValue("q", 0), context.RawValue("q", 0)
-        self._failed = context.RawValue("b", 0)
-
-    def take(self, index: int, write) -> int:
-        """Wait for turn ``index``, then return ``write(rows written
-        before it)`` and pass the turn on; 0, without writing, once the
-        flag is set."""
-        with self._cond:
-            while self._next.value != index and not self._failed.value:
-                self._cond.wait(_POLL)
-        if self._failed.value:
-            return 0
-        rows = write(self._written.value)
-        with self._cond:
-            self._written.value += rows
-            self._next.value += 1
-            self._cond.notify_all()
-        return rows
-
-    def fail(self) -> None:
-        self._failed.value = 1
-
-
-# The chunk function a forked worker process runs and the turns it writes
-# in, set in that process only.
-_adopted = None
-
-
-def _adopt(chunk, turns) -> None:
-    """Run ``chunk`` in this worker and leave SIGINT to the parent.  SIGTERM
-    kills it, as the executor expects of a broken pool's workers, whatever
-    handler it inherited (``ringsim.cli.main`` installs one)."""
-    global _adopted
-    _adopted = chunk, turns
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-
-
-def _run_adopted(index, start):
-    """Run and write chunk ``index``; a failure stops those not yet written."""
-    chunk, turns = _adopted
+    children = [context.Process(target=relay, args=(w,)) for w in range(workers)]
     try:
-        return chunk(start, functools.partial(turns.take, index))
-    except BaseException:
-        turns.fail()
-        raise
+        for child in children:
+            child.start()
+        for end in set(ends) - {result}:
+            end.close()
+        try:
+            outcome = result.recv()
+        except EOFError:
+            raise _WorkerDied from None
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+    finally:
+        for end in ends:
+            end.close()
+        for child in children:
+            if child.pid is not None:
+                child.terminate()
+                child.join()
 
 
 def entropy_one_photon(density: SectorDensity) -> float | np.ndarray:

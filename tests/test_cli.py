@@ -1,9 +1,6 @@
 import ast
 import cmath
-import concurrent.futures
-import concurrent.futures.process
 import contextlib
-import functools
 import gc
 import hashlib
 import importlib
@@ -20,6 +17,7 @@ import signal
 import stat
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -398,11 +396,11 @@ def test_invalid_thread_env_is_a_config_error(monkeypatch, capsys):
         with pytest.raises(cli.ConfigError, match="RINGSIM_THREADS"):
             cli._worker_count()
 
-    # rejected before a pool could start a thread per chunk (32 chunks here)
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a worker pool was built")
+    # rejected before a walk could fork a process per chunk (32 chunks here)
+    def no_ring(*args, **kwargs):
+        raise AssertionError("worker processes were forked")
 
-    monkeypatch.setattr(hom, "_pool", no_pool)
+    monkeypatch.setattr(hom, "_ring", no_ring)
     for mode in ("homm-grid", "entropy-grid"):
         code, err = _main(capsys, mode)
         assert code == 1
@@ -461,9 +459,9 @@ def _probe(code, **env):
 
 
 def test_cli_import_loads_no_scipy():
-    # nor the pool modules (concurrent.futures, with logging, about 10 ms),
-    # which only grid sweeps use: not for an axis sweep and not for the
-    # audit; and only the audit loads ringsim.audit
+    # nor concurrent.futures (with logging, about 10 ms), which nothing
+    # uses: not an axis sweep and not the audit; and only the audit loads
+    # ringsim.audit
     probe = (
         "import os, sys, ringsim.cli; "
         "loaded = lambda: ('concurrent.futures' in sys.modules, 'ringsim.audit' in sys.modules); "
@@ -707,6 +705,24 @@ def test_a_reader_that_closes_stdout_ends_the_run_quietly(tmp_path):
     assert err == b"ringsim: i/o error: [Errno 32] Broken pipe\n"
 
 
+def test_a_closed_stdout_is_an_io_error():
+    # started with file descriptor 1 closed, as `ringsim single-bus >&-`
+    # runs it: Python sets sys.stdout to None
+    launcher = (
+        "import os, sys; os.close(1); "
+        "os.execv(sys.executable, [sys.executable, '-m', 'ringsim', *sys.argv[1:]])"
+    )
+    for args, threads in ((["single-bus"], "1"), (["entropy-grid"], "2"),
+                          (["audit", "--samples", "20"], "1")):
+        env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning", RINGSIM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-c", launcher, *args],
+            stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == cli.EXIT_IO == 3, args
+        assert proc.stderr == "ringsim: i/o error: stdout is closed\n", args
+
+
 # --- streamed output -----------------------------------------------------------
 
 # 4 x 5 pairs of 7 points: ten chunks of two pairs at a chunk size of 16
@@ -719,31 +735,46 @@ _STREAMED = (
 def test_rows_reach_the_sink_before_the_last_kernel_call(monkeypatch, threads):
     monkeypatch.setenv("RINGSIM_THREADS", str(threads))
     monkeypatch.setattr(hom, "_CHUNK", 16)
-    # counted in shared memory: entropy chunks run in forked worker processes
+    monkeypatch.setattr(hom, "_usable_cpus", lambda: 2)
+    rings = _record_rings(monkeypatch)
+    # The sink is a pipe that a thread of this process reads.  The last of
+    # the ten kernel calls waits until rows have reached that thread; the
+    # calls are counted in shared memory, since at 2 workers they run in
+    # forked worker processes
     kernel, calls = hom.entropy_grid, multiprocessing.Value("i", 0)
+    arrived, early = multiprocessing.Event(), multiprocessing.Value("b", 0)
 
     def counted(*args, **kwargs):
         with calls.get_lock():
             calls.value += 1
+            last = calls.value == 10
+        if last:
+            early.value = arrived.wait(10)
         return kernel(*args, **kwargs)
 
     monkeypatch.setattr(hom, "entropy_grid", counted)
+    read_end, write_end = os.pipe()
+    received = []
 
-    class Sink(io.StringIO):
-        first_row_after = None  # kernel calls made before the first row arrived
+    def read():
+        while data := os.read(read_end, 1 << 16):
+            received.append(data)
+            if b"".join(received).count(b"\n") > 2:  # past the config echo and header
+                arrived.set()
 
-        def write(self, text):
-            rows = any(line[:1].isdigit() for line in text.splitlines())
-            if rows and self.first_row_after is None:
-                self.first_row_after = calls.value
-            return super().write(text)
-
+    reader = threading.Thread(target=read)
+    reader.start()
     config = cli.load_config(_STREAMED[0], None, list(_STREAMED[2::2]), None, "csv")
-    sink = Sink()
-    cli.run_sweep(config, sink)
-    assert calls.value == 10
-    assert sink.first_row_after is not None and sink.first_row_after < calls.value
-    assert len(_parse_csv(sink.getvalue())[2]) == 4 * 5 * 7
+    try:
+        # closing the sink ends the reader
+        with _deadline(60), open(write_end, "w", encoding="utf-8") as sink:
+            cli.run_sweep(config, sink)
+    finally:
+        reader.join(60)
+        os.close(read_end)
+    assert calls.value == 10 and early.value
+    assert len(_parse_csv(b"".join(received).decode())[2]) == 4 * 5 * 7
+    assert rings == ([2] if threads == 2 else [])
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -959,8 +990,8 @@ def test_no_worker_process_outlives_a_sweep(monkeypatch, tmp_path):
 @pytest.mark.parametrize("threads, sink", [("1", "file"), ("2", "file"), ("2", "fifo")])
 def test_an_interrupt_ends_the_run_in_one_line(tmp_path, threads, sink):
     # Ctrl-C on a terminal sends SIGINT to the whole process group: the
-    # workers ignore it, and the parent removes its partial file, shuts its
-    # pool down and prints one line.  The run takes seconds, so it is still
+    # workers ignore it, and the parent removes its partial file, ends its
+    # workers and prints one line.  The run takes seconds, so it is still
     # writing when the signal comes.  A fifo that is not read blocks the
     # worker whose turn it is in its write, and the others wait for their
     # turns: a waiting worker that took the signal printed a traceback
@@ -1011,7 +1042,7 @@ def test_an_interrupt_ends_the_run_in_one_line(tmp_path, threads, sink):
 def test_a_terminate_signal_ends_the_run_in_one_line(tmp_path, threads, target):
     # SIGTERM, as kill and service managers send it, to the main process
     # alone or to the whole group: the parent removes its partial file,
-    # stops and shuts down its pool, and prints one line.  Signalled alone,
+    # ends its workers, and prints one line.  Signalled alone,
     # its workers are left to it; a worker signalled too dies at once
     out = tmp_path / "table.csv"
     args = (
@@ -1062,19 +1093,64 @@ def test_an_interrupt_while_loading_ends_in_one_line(tmp_path):
         assert (proc.stdout, proc.stderr) == (b"", b"ringsim: interrupted\n")
 
 
-def test_a_worker_leaves_sigint_to_the_parent_and_dies_of_sigterm(monkeypatch):
-    # the executor ends the workers of a broken pool with SIGTERM, so a
-    # worker must not keep the raising handler it inherits from cli.main
-    monkeypatch.setattr(hom, "_adopted", None)
+def test_a_worker_leaves_sigint_to_the_parent_and_dies_of_sigterm():
+    # the main process ends the workers of a walk it leaves with SIGTERM, so
+    # a worker must not keep the raising handler it inherits from cli.main:
+    # each chunk reports the handlers of the worker that runs it
     signals = (signal.SIGINT, signal.SIGTERM)
-    saved = {sig: signal.getsignal(sig) for sig in signals}
+
+    def chunk(start, turn):
+        raise LookupError([signal.getsignal(sig) for sig in signals])
+
+    saved = signal.signal(signal.SIGTERM, cli._terminate)
     try:
-        signal.signal(signal.SIGTERM, cli._terminate)
-        hom._adopt(None, None)
-        assert [signal.getsignal(sig) for sig in signals] == [signal.SIG_IGN, signal.SIG_DFL]
+        with _deadline(60), pytest.raises(LookupError) as caught:
+            hom._ring(chunk, [0, 1], 2)
     finally:
-        for sig, handler in saved.items():
-            signal.signal(sig, handler)
+        signal.signal(signal.SIGTERM, saved)
+    assert caught.value.args[0] == [signal.SIG_IGN, signal.SIG_DFL]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(not hasattr(os, "killpg"), reason="no process groups")
+def test_workers_stop_soon_after_the_main_process_is_killed(tmp_path):
+    # SIGKILL of the main process alone: its workers notice before their
+    # next chunk and exit, so the session empties; the temporary file stays.
+    # 61,206 chunks of at most 16 points: the run takes seconds
+    out = tmp_path / "table.csv"
+    script = (
+        "import sys; from ringsim import cli, hom; hom._CHUNK = 16; "
+        "hom._usable_cpus = lambda: 2; sys.exit(cli.main(sys.argv[1:]))"
+    )
+    args = (
+        "entropy-grid", "--set", "tau_count=101", "--set", "eta_count=101",
+        "--set", "theta_count=81", "--out", str(out),
+    )
+    env = dict(os.environ, RINGSIM_THREADS="2", PYTHONPATH=str(_ROOT / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script, *args],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env, start_new_session=True,
+    )
+    try:
+        with _deadline(60):
+            while proc.poll() is None and not any(
+                tmp.stat().st_size for tmp in tmp_path.glob(".*.tmp")
+            ):
+                time.sleep(0.01)
+            os.kill(proc.pid, signal.SIGKILL)
+            proc.wait()
+            with contextlib.suppress(ProcessLookupError):
+                while True:  # until no process of the session is left
+                    os.killpg(proc.pid, 0)
+                    time.sleep(0.05)
+        assert proc.returncode == -signal.SIGKILL
+        # the temporary file stays, and the workers stopped long before the
+        # last of its 826,281 rows
+        (tmp,) = tmp_path.glob(".*.tmp")
+        assert 0 < tmp.read_bytes().count(b"\n") < 101 * 101 * 81
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
 
 
 # Runs cli.main on its arguments with two usable CPUs and prints the exit
@@ -1134,9 +1210,9 @@ def test_a_chunk_that_fails_mid_run_leaves_whole_chunks(monkeypatch, capfd, thre
 def test_worker_processes_never_change_entropy_grid_bytes(monkeypatch, tmp_path, capfd, fmt):
     # ten chunks of two pairs: every chunk after the first starts with the
     # JSON separator, and the last holds the eight undefined cells (tau = 1).
-    # Workers write in turns kept in shared memory, four of them more than
-    # the CPUs of a small host: a lost update would misplace the head or a
-    # separator, or stall a turn
+    # Workers write in turns passed round a ring of pipes, four of them more
+    # than the CPUs of a small host: a wrong token would misplace the head
+    # or a separator, and a lost one would stall the ring
     monkeypatch.setattr(hom, "_CHUNK", 16)
     monkeypatch.setattr(hom, "_usable_cpus", lambda: 4)
     _, want = _sweep_and_reference(monkeypatch, _STREAMED[0], _STREAMED[2::2], fmt, 1)
@@ -1168,50 +1244,22 @@ def test_forked_workers_do_not_repeat_buffered_stdout():
     assert proc.stdout.startswith("before\n" + CONFIG_PREFIX)
 
 
-class _RecordingPool:
-    """Stands in for an executor: records the worker count it is built
-    with, runs its initializer, and runs each task at once, in this process."""
+def _record_rings(monkeypatch):
+    """Record the worker count of each forked walk, `hom._ring`, which
+    still runs; return the list of counts."""
+    rings, ring = [], hom._ring
 
-    def __init__(self, built, max_workers, mp_context=None, initializer=None, initargs=()):
-        built.append(max_workers)
-        if initializer is not None:
-            # it sets up a worker process: keep this one's signal handlers
-            saved = {sig: signal.getsignal(sig) for sig in (signal.SIGINT, signal.SIGTERM)}
-            initializer(*initargs)
-            for sig, handler in saved.items():
-                signal.signal(sig, handler)
+    def recording(chunk, starts, workers):
+        rings.append(workers)
+        return ring(chunk, starts, workers)
 
-    def submit(self, fn, *args):
-        future = concurrent.futures.Future()
-        try:
-            future.set_result(fn(*args))
-        except Exception as exc:
-            future.set_exception(exc)
-        return future
-
-    def shutdown(self, wait=True, cancel_futures=False):
-        pass
-
-
-def _record_pools(monkeypatch):
-    """Replace both worker pools by `_RecordingPool`; return the worker
-    counts each kind was built with."""
-    built = {"process": [], "thread": []}
-    monkeypatch.setattr(
-        concurrent.futures.process, "ProcessPoolExecutor",
-        functools.partial(_RecordingPool, built["process"]),
-    )
-    monkeypatch.setattr(
-        concurrent.futures, "ThreadPoolExecutor",
-        functools.partial(_RecordingPool, built["thread"]),
-    )
-    monkeypatch.setattr(hom, "_adopted", None)
-    return built
+    monkeypatch.setattr(hom, "_ring", recording)
+    return rings
 
 
 def _file_sweep_text(config, path):
     """`_sweep_text` through a file, a sink with a file descriptor, which a
-    pooled walk needs."""
+    forked walk needs."""
     with open(path, "w", encoding="utf-8", newline="") as sink:
         cli.run_sweep(config, sink)
     return path.read_text(encoding="utf-8")
@@ -1219,7 +1267,7 @@ def _file_sweep_text(config, path):
 
 def test_worker_processes_are_capped_by_cpus_and_chunks(monkeypatch, tmp_path):
     monkeypatch.setattr(hom, "_CHUNK", 16)  # ten chunks
-    built = _record_pools(monkeypatch)
+    rings = _record_rings(monkeypatch)
     config = cli.load_config(_STREAMED[0], None, list(_STREAMED[2::2]), None, "csv")
     monkeypatch.setenv("RINGSIM_THREADS", "1")
     want = _sweep_text(config)
@@ -1231,13 +1279,13 @@ def test_worker_processes_are_capped_by_cpus_and_chunks(monkeypatch, tmp_path):
         )
         assert _file_sweep_text(config, out) == want
     # one usable CPU walks the grid serially
-    assert built == {"process": [3, 10, 2], "thread": []}
+    assert rings == [3, 10, 2]
 
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 5)
     monkeypatch.setenv("RINGSIM_THREADS", "64")
     assert _file_sweep_text(config, out) == want
-    assert built["process"] == [3, 10, 2, 5]
+    assert rings == [3, 10, 2, 5]
 
 
 def test_a_sink_without_a_descriptor_builds_no_pool(monkeypatch):
@@ -1245,17 +1293,17 @@ def test_a_sink_without_a_descriptor_builds_no_pool(monkeypatch):
     # entropy grid is walked in this process at any worker count
     monkeypatch.setattr(hom, "_CHUNK", 16)
     monkeypatch.setattr(hom, "_usable_cpus", lambda: 3)
-    built = _record_pools(monkeypatch)
+    rings = _record_rings(monkeypatch)
     for fmt in ("csv", "json"):
         text, want = _sweep_and_reference(monkeypatch, _STREAMED[0], _STREAMED[2::2], fmt, 3)
         assert text == want
-    assert built == {"process": [], "thread": []}
+    assert rings == []
 
 
 def test_the_census_builds_no_pool(monkeypatch):
     # the census walks its grid in the main thread at any worker count
     monkeypatch.setattr(hom, "_CHUNK", 16)  # 72 blocks
-    built = _record_pools(monkeypatch)
+    rings = _record_rings(monkeypatch)
     sets = _SMALL["homm-grid"]
     for cpus in (3, 1):
         monkeypatch.setattr(
@@ -1263,7 +1311,7 @@ def test_the_census_builds_no_pool(monkeypatch):
         )
         text, want = _sweep_and_reference(monkeypatch, "homm-grid", sets, "csv", 64)
         assert text == want
-    assert built == {"process": [], "thread": []}
+    assert rings == []
 
 
 def test_census_evaluates_only_its_window_candidates(monkeypatch):
@@ -1272,7 +1320,7 @@ def test_census_evaluates_only_its_window_candidates(monkeypatch):
     # screen this replaced passed 364), every one gathered, in calls of
     # min(_TILE, _CHUNK) = 16 points
     monkeypatch.setattr(hom, "_CHUNK", 16)
-    built = _record_pools(monkeypatch)
+    rings = _record_rings(monkeypatch)
     kernel, calls = hom._ratio, []
 
     def counting(*operands):
@@ -1294,7 +1342,7 @@ def test_census_evaluates_only_its_window_candidates(monkeypatch):
     t, e, th = (g.ravel() for g in np.meshgrid(*hom._grid_axes(9, 9, 7), indexing="ij"))
     lo, hi = hom._census_window(t, e, config.params["alpha"], 0.05)
     assert ((np.cos(th) >= lo) & (np.cos(th) <= hi)).sum() == 160
-    assert built == {"process": [], "thread": []}
+    assert rings == []
 
 
 def test_census_evaluates_through_the_public_grid_kernel(monkeypatch):
@@ -1377,16 +1425,17 @@ def test_entropy_grid_evaluates_every_block(monkeypatch):
         assert shapes == plan
 
 
-def test_grid_sweeps_run_serially_without_fork(monkeypatch):
+def test_grid_sweeps_run_serially_without_fork(monkeypatch, tmp_path):
     monkeypatch.setattr(hom, "_CHUNK", 16)
     monkeypatch.setattr(hom, "_usable_cpus", lambda: 2)
     monkeypatch.setenv("RINGSIM_THREADS", "2")
-    built = _record_pools(monkeypatch)
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    rings = _record_rings(monkeypatch)
+    monkeypatch.delattr(os, "fork")
     for mode, sets in (("homm-grid", _SMALL["homm-grid"]), (_STREAMED[0], _STREAMED[2::2])):
-        text, want = _sweep_and_reference(monkeypatch, mode, sets, "json", 2)
-        assert text == want
-    assert built == {"process": [], "thread": []}
+        _, want = _sweep_and_reference(monkeypatch, mode, sets, "json", 2)
+        config = cli.load_config(mode, None, list(sets), None, "json")
+        assert _file_sweep_text(config, tmp_path / "table.json") == want
+    assert rings == []
 
 
 def test_output_file_mode_is_what_open_gives(tmp_path):
@@ -1665,11 +1714,18 @@ def test_no_chunk_exceeds_the_chunk_size(monkeypatch, fmt):
         ("homm-grid", ("tau_count=2", "eta_count=37", "theta_count=3", "threshold=0.5")),
     ],
 )
-def test_grid_chunking_never_changes_output_bytes(monkeypatch, mode, sets, fmt):
+def test_grid_chunking_never_changes_output_bytes(monkeypatch, tmp_path, mode, sets, fmt):
     monkeypatch.setattr(hom, "_CHUNK", 16)
-    for threads in (1, 3):
-        text, want = _sweep_and_reference(monkeypatch, mode, sets, fmt, threads)
-        assert text == want
+    monkeypatch.setattr(hom, "_usable_cpus", lambda: 3)
+    rings = _record_rings(monkeypatch)
+    text, want = _sweep_and_reference(monkeypatch, mode, sets, fmt, 1)
+    assert text == want
+    monkeypatch.setenv("RINGSIM_THREADS", "3")
+    config = cli.load_config(mode, None, list(sets), None, fmt)
+    assert _file_sweep_text(config, tmp_path / f"table.{fmt}") == want
+    # three forked workers walk every entropy grid of more than one chunk
+    forked = mode == "entropy-grid" and sets[0] != "tau_count=1"
+    assert rings == ([3] if forked else [])
 
 
 def test_empty_census_has_no_rows(monkeypatch):
