@@ -12,9 +12,12 @@ their (tau, eta) pair's window and evaluates them in kernel calls of at
 most `hom._TILE` points, each one chunk.  Entropy-grid chunk k (a longer
 theta axis runs in even slices) runs in forked worker process k mod W
 (``x log x`` and cell text hold the GIL), in tiles of at most `hom._TILE`
-points and rows, so its kernel arrays take about 2 MB; the worker writes
-it to the sink's file descriptor when the turn, passed round a ring of
-pipes (`hom._ring`), reaches it, and only the row total comes back.
+points and rows, so its kernel arrays take about 2 MB.  Both walks hand a
+chunk's points on as such tiles, ``(ti, ei, hi, values)``, whose axis
+indices are built as each is taken, so no index array outgrows a tile,
+and the tile bound lives in `hom` alone.  An entropy-grid worker writes
+its chunk to the sink's file descriptor when the turn, passed round a ring
+of pipes (`hom._ring`), reaches it, and only the row total comes back.
 ``RINGSIM_THREADS`` caps the W processes: at most one runs per usable CPU
 and per chunk, and none for a sink without a file descriptor.
 """
@@ -496,11 +499,12 @@ def _grid_rows(p: dict, walk):
     workers)`` yields ``piece`` of each chunk's `Rows` tiles, in grid order.
 
     ``walk(axes, reduce, workers)`` is the grid walk, `hom._census` or
-    `hom._walk_grid`, that yields ``reduce`` of each chunk's kept points;
-    ``reduce`` passes a forked walk's ``turn`` on to ``piece``.  Each chunk
-    passes through ``piece``, so only the chunks in flight exist at once,
-    and ``piece`` takes its `Rows` one tile of at most `hom._TILE`
-    rows at a time, so no list of cells outgrows a tile.  An axis of at most
+    `hom._walk_grid`, that yields ``reduce(tiles)`` of each chunk's kept
+    points, where ``tiles`` yields ``(ti, ei, hi, values)`` of at most
+    `hom._TILE` points each; ``reduce`` maps each tile to a `Rows` as
+    ``piece`` takes it and passes a forked walk's ``turn`` on to ``piece``.
+    Each chunk passes through ``piece``, so only the chunks in flight exist
+    at once, and no list of cells outgrows a tile.  An axis of at most
     `hom._CHUNK` values is formatted once, into a table the chunks index; a
     longer one is formatted in each tile, at its distinct indices, so no
     cell table outgrows a tile.
@@ -509,15 +513,12 @@ def _grid_rows(p: dict, walk):
     tau_cells, eta_cells, theta_cells = map(_axis_cells, axes)
 
     def chunks(piece, workers):
-        def reduce(ti, ei, hi, values, *turn):
-            def tiles():
-                # a chunk with no rows is one empty tile, rendered once
-                for lo in range(0, len(values) or 1, hom._TILE):
-                    t = slice(lo, lo + hom._TILE)
-                    cells = tau_cells(ti[t]), eta_cells(ei[t]), theta_cells(hi[t])
-                    yield Rows(*cells, _cells(values[t]))
-
-            return piece(tiles(), *turn)
+        def reduce(tiles, *turn):
+            rows = (
+                Rows(tau_cells(ti), eta_cells(ei), theta_cells(hi), _cells(values))
+                for ti, ei, hi, values in tiles
+            )
+            return piece(rows, *turn)
 
         return walk(axes, reduce, workers)
 
@@ -820,13 +821,15 @@ def main(argv: list[str] | None = None) -> int:
     saved = signal.signal(signal.SIGTERM, _terminate)
     try:
         if args.mode == "audit":
-            report = run_audit(args.seed, args.samples)
-            from . import audit  # loaded by run_audit, for the renderers
+            # a bad value or sink fails before the draws, not after them
+            _validate("audit", {"seed": args.seed, "samples": args.samples})
+            report_file = _open_sink(args.out) if args.out else contextlib.nullcontext()
+            with _open_sink(None) as stdout, report_file as sink:
+                report = run_audit(args.seed, args.samples)
+                from . import audit  # loaded by run_audit, for the renderers
 
-            with _open_sink(None) as stdout:
                 stdout.write(audit.render_audit_text(report, args.samples))
-            if args.out:
-                with _open_sink(args.out) as sink:
+                if sink is not None:
                     _write_output(audit.render_audit_json(report, args.samples), sink)
             return EXIT_OK if report.ok else EXIT_AUDIT
         config = load_config(args.mode, args.config, args.overrides, args.out, args.fmt)

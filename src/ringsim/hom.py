@@ -433,12 +433,12 @@ def hom_region(
     axes = _grid_axes(*counts)
     taus, etas, thetas = axes
 
-    def reduce(ti, ei, hi, values):
-        return np.column_stack([taus[ti], etas[ei], thetas[hi]]), values
+    def reduce(tiles):
+        return [(np.column_stack([taus[t], etas[e], thetas[h]]), v) for t, e, h, v in tiles]
 
-    chunks = _census(axes, alpha, threshold, reduce)
+    tiles = [tile for chunk in _census(axes, alpha, threshold, reduce) for tile in chunk]
     empty = (np.empty((0, 3)), np.empty(0))
-    points, values = (np.concatenate(part) for part in zip(empty, *chunks))
+    points, values = (np.concatenate(part) for part in zip(empty, *tiles))
     return HomRegion(
         points=points,
         values=values,
@@ -451,12 +451,14 @@ def hom_region(
 
 
 def _census(axes, alpha: float, threshold: float, reduce):
-    """Yield ``reduce(ti, ei, hi, values)`` of the grid points with ratio
-    <= ``threshold`` (never NaN), in grid order, serially: one
+    """Yield ``reduce(tiles)`` of the grid points with ratio <=
+    ``threshold`` (never NaN), in grid order, serially: one
     `coincidence_ratio_grid` call a tile of at most `_TILE` (and `_CHUNK`)
     candidates, the points whose cos theta (computed once) lies in their
-    pair's `_census_window`, found in `_plan`'s blocks.  Alpha is checked
-    first, so a census with no candidates rejects it too."""
+    pair's `_census_window`, found in `_plan`'s blocks.  ``tiles`` holds one
+    tile of `_walk_grid`'s form, ``(ti, ei, hi, values)``: the kept points
+    of one call, so a call that keeps no point still passes one empty tile.
+    Alpha is checked first, so a census with no candidates rejects it too."""
     _check_alpha(alpha)
     taus, etas, thetas = axes
     pairs, step, width = _plan(axes)  # a sliced axis: one pair a block, so grid order
@@ -465,7 +467,7 @@ def _census(axes, alpha: float, threshold: float, reduce):
     def flat(ti, ei, hi):
         ratio = coincidence_ratio_grid(taus[ti], etas[ei], thetas[hi], alpha)
         keep = ratio <= threshold
-        return reduce(ti[keep], ei[keep], hi[keep], ratio[keep])
+        return reduce([(ti[keep], ei[keep], hi[keep], ratio[keep])])
 
     held, fill = np.empty((3, size), dtype=np.intp), 0  # (ti, ei, hi) not yet evaluated
     for start in range(0, pairs, size):
@@ -574,11 +576,14 @@ def _walk_grid(axes, evaluate, reduce, workers: int = 1):
     grid, in grid order: the ``entropy-grid`` walk.
 
     ``evaluate(tau, eta, theta)`` receives (pairs, 1), (pairs, 1) and
-    (1, slice) arrays and returns the block's values; ``reduce(ti, ei, hi,
-    values)`` receives every point's axis indices and value, in C order.
-    Both run in the chunk's task.  With more than one of ``workers``
+    (1, slice) arrays and returns the block's values; ``reduce(tiles)``
+    receives an iterator of ``(ti, ei, hi, values)`` tiles, the axis indices
+    and values of at most `_TILE` consecutive points each, in C order.  A
+    tile's indices are built as it is taken, so the chunk holds only its
+    values and its pairs' indices, not chunk-sized index arrays.  Both run
+    in the chunk's task.  With more than one of ``workers``
     (capped per usable CPU and per chunk) and ``fork``, the chunks run in
-    forked processes (`_ring`) and ``reduce`` gets a fifth argument,
+    forked processes (`_ring`) and ``reduce`` gets a second argument,
     ``turn``.  ``turn(write)`` waits until every chunk before its own has
     been written, then returns ``write(before)``, with ``before`` the rows
     they wrote; the result is the chunk's row count, and ``reduce`` must
@@ -592,8 +597,14 @@ def _walk_grid(axes, evaluate, reduce, workers: int = 1):
         lo, h = start
         it, ie = np.divmod(np.arange(lo, min(lo + step, pairs)), len(etas))
         values = evaluate(taus[it][:, None], etas[ie][:, None], thetas[None, h : h + width])
-        pair, ith = np.indices(values.shape).reshape(2, -1)
-        return reduce(it[pair], ie[pair], ith + h, values.ravel(), *turn)
+        row, values = values.shape[-1], values.ravel()  # points a pair
+
+        def tiles():
+            for k in range(0, values.size, _TILE):
+                pair, ith = np.divmod(np.arange(k, min(k + _TILE, values.size)), row)
+                yield it[pair], ie[pair], ith + h, values[k : k + _TILE]
+
+        return reduce(tiles(), *turn)
 
     starts = [(lo, h) for lo in range(0, pairs, step) for h in range(0, len(thetas), width)]
     workers = min(workers, _usable_cpus(), len(starts))

@@ -723,6 +723,29 @@ def test_a_closed_stdout_is_an_io_error():
         assert proc.stderr == "ringsim: i/o error: stdout is closed\n", args
 
 
+def test_the_audit_checks_its_values_and_sinks_before_drawing(monkeypatch, capsys, tmp_path):
+    # a closed stdout or an --out that cannot be opened ends the audit
+    # before its first draw, and a bad value is still a config error
+    drawn = []
+    monkeypatch.setattr(cli, "run_audit", lambda *args: drawn.append(args))
+    gone = str(tmp_path / "no-such-dir")
+    missing = os.path.join(gone, "audit.json")
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", None)
+        assert _main(capsys, "audit", "--samples", "50000") == (
+            cli.EXIT_IO, "ringsim: i/o error: stdout is closed\n"
+        )
+        assert drawn == []
+        assert _main(capsys, "audit", "--samples", "0") == (
+            cli.EXIT_CONFIG, "ringsim: config error: samples: must be >= 1 (got 0)\n"
+        )
+    code, err = _main(capsys, "audit", "--samples", "50000", "--out", missing)
+    assert code == cli.EXIT_IO and err.startswith("ringsim: i/o error: ") and gone in err
+    code, err = _main(capsys, "audit", "--seed", "-1", "--out", missing)
+    assert code == cli.EXIT_CONFIG and err.startswith("ringsim: config error: seed:")
+    assert drawn == [] and list(tmp_path.iterdir()) == []
+
+
 # --- streamed output -----------------------------------------------------------
 
 # 4 x 5 pairs of 7 points: ten chunks of two pairs at a chunk size of 16
@@ -1300,8 +1323,9 @@ def test_a_sink_without_a_descriptor_builds_no_pool(monkeypatch):
     assert rings == []
 
 
-def test_the_census_builds_no_pool(monkeypatch):
-    # the census walks its grid in the main thread at any worker count
+def test_the_census_builds_no_pool(monkeypatch, tmp_path):
+    # the census walks its grid in the main thread at any worker count, even
+    # into a sink with a file descriptor, which a forked walk could write to
     monkeypatch.setattr(hom, "_CHUNK", 16)  # 72 blocks
     rings = _record_rings(monkeypatch)
     sets = _SMALL["homm-grid"]
@@ -1309,17 +1333,21 @@ def test_the_census_builds_no_pool(monkeypatch):
         monkeypatch.setattr(
             os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)), raising=False
         )
-        text, want = _sweep_and_reference(monkeypatch, "homm-grid", sets, "csv", 64)
+        text, want = _sweep_and_reference(
+            monkeypatch, "homm-grid", sets, "csv", 64, tmp_path / "census.csv"
+        )
         assert text == want
     assert rings == []
 
 
-def test_census_evaluates_only_its_window_candidates(monkeypatch):
+def test_census_evaluates_only_its_window_candidates(monkeypatch, tmp_path):
     # 81 pairs against 7 phases: the kernel sees only the 160 of 567 points
     # whose cos theta lies in their pair's window (96 are kept; the pair
     # screen this replaced passed 364), every one gathered, in calls of
-    # min(_TILE, _CHUNK) = 16 points
+    # min(_TILE, _CHUNK) = 16 points, all in this process, into a sink with
+    # a file descriptor too
     monkeypatch.setattr(hom, "_CHUNK", 16)
+    monkeypatch.setattr(hom, "_usable_cpus", lambda: 3)
     rings = _record_rings(monkeypatch)
     kernel, calls = hom._ratio, []
 
@@ -1337,7 +1365,7 @@ def test_census_evaluates_only_its_window_candidates(monkeypatch):
             calls.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(hom, "_ratio", counting)
-                assert _sweep_text(config) == want
+                assert _file_sweep_text(config, tmp_path / f"census.{fmt}") == want
             assert calls == [16] * 10
     t, e, th = (g.ravel() for g in np.meshgrid(*hom._grid_axes(9, 9, 7), indexing="ij"))
     lo, hi = hom._census_window(t, e, config.params["alpha"], 0.05)
@@ -1624,11 +1652,14 @@ def _sweep_text(config):
     return sink.getvalue()
 
 
-def _sweep_and_reference(monkeypatch, mode, sets, fmt, threads):
+def _sweep_and_reference(monkeypatch, mode, sets, fmt, threads, path=None):
+    """The sweep's text, into a ``StringIO`` or else through the file at
+    ``path``, and the row-by-row reference text."""
     monkeypatch.setenv("RINGSIM_THREADS", str(threads))
     config = cli.load_config(mode, None, list(sets), None, fmt)
     render = _reference_csv if fmt == "csv" else _reference_json
-    return _sweep_text(config), render(config, *_reference_table(mode, config.params))
+    text = _sweep_text(config) if path is None else _file_sweep_text(config, path)
+    return text, render(config, *_reference_table(mode, config.params))
 
 
 _SMALL = {

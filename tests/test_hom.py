@@ -615,6 +615,14 @@ def test_hom_region_is_the_whole_grid_census(monkeypatch):
     assert screened > 0
 
 
+def _tile_sizes(tiles):
+    """A grid walk's ``reduce`` that keeps nothing: the points of ``tiles``,
+    each checked to be at most `hom._TILE` points."""
+    sizes = [values.size for *_, values in tiles]
+    assert max(sizes, default=0) <= hom._TILE
+    return sum(sizes)
+
+
 def test_census_working_memory_stays_bounded(monkeypatch):
     # At threshold 1.5 every point is a candidate, so each search block is
     # full and candidates are carried across blocks; with a reduce that
@@ -634,7 +642,7 @@ def test_census_working_memory_stays_bounded(monkeypatch):
         evaluated[0] = 0
         tracemalloc.start()
         try:
-            kept = sum(hom._census(axes, 0.9, 1.5, lambda ti, ei, hi, values: values.size))
+            kept = sum(hom._census(axes, 0.9, 1.5, _tile_sizes))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -888,9 +896,14 @@ def test_split_theta_axis_keeps_the_whole_axis_bits(kernel):
     )
     got = np.full((2, len(thetas)), -1.0)
 
-    def reduce(ti, ei, hi, values):
-        got[ti * len(etas) + ei, hi] = values
-        return hi.size
+    def reduce(tiles):
+        sizes = []
+        for ti, ei, hi, values in tiles:
+            got[ti * len(etas) + ei, hi] = values
+            sizes.append(hi.size)
+        # tiles of `_TILE` points in C order, the last one what is left
+        assert sizes[:-1] == [hom._TILE] * (len(sizes) - 1) and 0 < sizes[-1] <= hom._TILE
+        return sum(sizes)
 
     sizes = list(hom._walk_grid(axes, kernel, reduce))
     assert max(sizes) <= hom._CHUNK and sum(sizes) == got.size
@@ -1013,3 +1026,20 @@ def test_entropy_chunk_working_memory_scales_with_the_tile(monkeypatch):
     monkeypatch.setattr(hom, "_TILE", 10**9)
     _, nbytes, peak, _ = _traced(lambda: entropy_grid(*block))
     assert peak > nbytes + 10 * 541 * 121 * 16
+
+
+def test_an_entropy_walk_chunk_holds_no_chunk_sized_indices():
+    # The first chunk of the 61x61x121 benchmark grid, 541 pairs against 121
+    # phases, walked with a reduce that takes its tiles: it peaks at its
+    # values, the kernel's tile arrays (as above) and four tile-sized index
+    # arrays, not at chunk-sized axis indices (five of 65,461 points, 2.6 MB).
+    axes = hom._grid_axes(61, 61, 121)
+    walk = hom._walk_grid(axes, lambda t, e, th: entropy_grid(t, e, th, 0.75), _tile_sizes)
+    tracemalloc.start()
+    try:
+        size = next(walk)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert size == 541 * 121
+    assert peak < 8 * size + 32 * hom._TILE * 16 + 4 * hom._TILE * 8
