@@ -3,21 +3,24 @@
 Every sweep writes a deterministic table (CSV or JSON): the same config
 produces byte-identical output regardless of how many workers evaluate the
 grid.  Every sweep is a stream of chunks of rows, each rendered and written
-in sweep order by the task that evaluates it, so no process holds more
-than one chunk of text, and no chunk or cell table holds more than
-`hom._CHUNK` points (see `hom._ELIDE`), however long an axis.  A sweep
-along one axis writes its chunks one at a time in the main thread.  So
-does a census, serially: it gathers the points whose cos theta lies in
-their (tau, eta) pair's window and evaluates them in kernel calls of at
-most `hom._TILE` points, each one chunk.  Entropy-grid chunk k (a longer
-theta axis runs in even slices) runs in forked worker process k mod W
-(``x log x`` and cell text hold the GIL), in tiles of at most `hom._TILE`
-points and rows, so its kernel arrays take about 2 MB.  Both walks hand a
-chunk's points on as such tiles, ``(ti, ei, hi, values)``, whose axis
+in sweep order by the task that evaluates it, and no chunk or cell table
+holds more than `hom._CHUNK` points (see `hom._ELIDE`), however long an
+axis.  Output text is made in slices of at most `_TEXT_SLICE` rows, a unit
+apart from the kernel's: the main process renders and writes one slice at
+a time, cells, text and encoded bytes, so it holds at most one slice of
+text.  A sweep along one axis writes its chunks one at a time in the main
+thread.  So does a census, serially: it gathers the points whose cos theta
+lies in their (tau, eta) pair's window and evaluates them in kernel calls
+of at most `hom._TILE` points, each one chunk.  Entropy-grid chunk k (a
+longer theta axis runs in even slices) runs in forked worker process k mod
+W (``x log x`` and cell text hold the GIL), in tiles of at most
+`hom._TILE` points, so its kernel arrays take about 2 MB.  Both walks hand
+a chunk's points on as such tiles, ``(ti, ei, hi, values)``, whose axis
 indices are built as each is taken, so no index array outgrows a tile,
-and the tile bound lives in `hom` alone.  An entropy-grid worker writes
-its chunk to the sink's file descriptor when the turn, passed round a ring
-of pipes (`hom._ring`), reaches it, and only the row total comes back.
+and the tile bound lives in `hom` alone.  An entropy-grid worker renders
+its whole chunk, slice by slice, and writes it to the sink's file
+descriptor when the turn, passed round a ring of pipes (`hom._ring`),
+reaches it, so it holds one chunk of text; only the row total comes back.
 ``RINGSIM_THREADS`` caps the W processes: at most one runs per usable CPU
 and per chunk, and none for a sink without a file descriptor.
 """
@@ -75,6 +78,13 @@ _MAX_POINTS = 100_000_000
 #: linearly with the draw count.
 _MAX_SAMPLES = 1_000_000
 
+#: Most rows of output text that exist at once: their cells, their rendered
+#: text and its encoded bytes.  A unit of its own, not `hom._TILE`: text
+#: takes some 100 bytes a cell against 16 for a complex kernel value, so a
+#: 4,096-row tile of text costs 2 MB of peak memory, and 512 rows render and
+#: encode as fast as 4,096.
+_TEXT_SLICE = 512
+
 #: Smallest entropy-grid alpha.  On the tau = 0 and eta = 0 edges the
 #: inverse transfer matrix grows like 1/alpha and the sector norms like
 #: alpha**-3, which overflow below alpha = 2.2e-103 (probed on those edges
@@ -84,8 +94,9 @@ _MIN_ENTROPY_ALPHA = 1e-100
 #: Most workers (``RINGSIM_THREADS``): the entropy-grid processes that
 #: `hom._ring` forks, the only ones; every other sweep, the census too, runs
 #: in the main thread.  At most one runs per usable CPU and per chunk, with
-#: about 2 MB of kernel arrays and one chunk of text each, so the cap bounds
-#: memory; two already give all the speedup measured on entropy-grid.
+#: about 2 MB of kernel arrays and one chunk of text (in `_TEXT_SLICE`-row
+#: slices) each, so the cap bounds memory; two already give all the speedup
+#: measured on entropy-grid.
 _MAX_THREADS = 64
 
 #: Largest detuning or matched rate (rad/s) of a langevin-compare sweep,
@@ -389,18 +400,27 @@ def _cells(values) -> list[str]:
     return list(map(repr, np.asarray(values).tolist()))
 
 
+def _text_slices(count: int):
+    """The slices of ``count`` rows that are rendered one at a time: at most
+    `_TEXT_SLICE` rows each, and one empty slice if ``count`` is 0."""
+    return (slice(k, k + _TEXT_SLICE) for k in range(0, max(count, 1), _TEXT_SLICE))
+
+
 def _rows(axis, values):
     """The chunks of a sweep along one axis, in the form `_grid_rows`
-    returns: ``chunks(piece, workers)`` yields ``piece`` of a list of one
-    `Rows`, that of ``values(part)``, the value columns on each slice
-    ``part`` of at most `hom._CHUNK` axis values, in axis order.  A slice is
-    evaluated when its chunk is taken, in the main thread, so one chunk of
-    cells exists at a time, whatever ``workers`` is.
+    returns: ``chunks(piece, workers)`` yields ``piece`` of the `Rows` of
+    ``values(part)``, the value columns on each slice ``part`` of at most
+    `hom._CHUNK` axis values, in axis order, at most `_TEXT_SLICE` rows each.
+    A slice is evaluated when its chunk is taken, in the main thread, and
+    its columns are turned into cell text one `Rows` at a time as ``piece``
+    takes them, whatever ``workers`` is.
     """
 
     def chunks(piece, workers):
         for lo in range(0, len(axis), hom._CHUNK):
-            yield piece([Rows(*map(_cells, values(axis[lo : lo + hom._CHUNK])))])
+            columns = values(axis[lo : lo + hom._CHUNK])
+            slices = _text_slices(len(columns[0]))
+            yield piece(Rows(*(_cells(c[s]) for c in columns)) for s in slices)
 
     return chunks
 
@@ -496,18 +516,20 @@ def _sweep_add_drop(p: dict):
 
 def _grid_rows(p: dict, walk):
     """The chunks of a (tau, eta, theta) grid sweep: ``chunks(piece,
-    workers)`` yields ``piece`` of each chunk's `Rows` tiles, in grid order.
+    workers)`` yields ``piece`` of each chunk's `Rows`, in grid order.
 
     ``walk(axes, reduce, workers)`` is the grid walk, `hom._census` or
     `hom._walk_grid`, that yields ``reduce(tiles)`` of each chunk's kept
     points, where ``tiles`` yields ``(ti, ei, hi, values)`` of at most
-    `hom._TILE` points each; ``reduce`` maps each tile to a `Rows` as
-    ``piece`` takes it and passes a forked walk's ``turn`` on to ``piece``.
-    Each chunk passes through ``piece``, so only the chunks in flight exist
-    at once, and no list of cells outgrows a tile.  An axis of at most
-    `hom._CHUNK` values is formatted once, into a table the chunks index; a
-    longer one is formatted in each tile, at its distinct indices, so no
-    cell table outgrows a tile.
+    `hom._TILE` points each; ``reduce`` cuts each tile into text slices of
+    at most `_TEXT_SLICE` rows (an empty census tile into one empty slice,
+    so each kernel call renders once), maps each slice to a `Rows` as
+    ``piece`` takes it, and passes a forked walk's ``turn`` on to
+    ``piece``.  Each chunk passes through ``piece``, so only the chunks in
+    flight exist at once, and no list of cells outgrows a slice.  An axis
+    of at most `hom._CHUNK` values is formatted once, into a table the
+    chunks index; a longer one is formatted in each slice, at its distinct
+    indices, so no cell table outgrows a slice.
     """
     axes = hom._grid_axes(p["tau_count"], p["eta_count"], p["theta_count"])
     tau_cells, eta_cells, theta_cells = map(_axis_cells, axes)
@@ -515,8 +537,9 @@ def _grid_rows(p: dict, walk):
     def chunks(piece, workers):
         def reduce(tiles, *turn):
             rows = (
-                Rows(tau_cells(ti), eta_cells(ei), theta_cells(hi), _cells(values))
+                Rows(tau_cells(ti[s]), eta_cells(ei[s]), theta_cells(hi[s]), _cells(values[s]))
                 for ti, ei, hi, values in tiles
+                for s in _text_slices(len(values))
             )
             return piece(rows, *turn)
 
@@ -588,6 +611,8 @@ _ROWS_SLOT = "\0rows"
 
 
 def _json_cells(cells: list[str]) -> list[str]:
+    if _NON_FINITE.isdisjoint(cells):  # most columns: no copy
+        return cells
     return ["null" if cell in _NON_FINITE else cell for cell in cells]
 
 
@@ -621,13 +646,13 @@ def _frame(config: SweepConfig, columns, summary, count: int) -> tuple[str, str]
 
 
 def render_csv(config: SweepConfig, columns, rows: Rows) -> str:
-    """CSV lines of one chunk of rows, and only those: `run_sweep` writes
+    """CSV lines of one slice of rows, and only those: `run_sweep` writes
     the config echo and the header line.  Takes every renderer's arguments."""
     return "\n".join([*map(",".join, zip(*rows.columns)), ""])
 
 
 def render_json(config: SweepConfig, columns, rows: Rows) -> str:
-    """The ``"rows"`` entries of one chunk of rows, laid out as
+    """The ``"rows"`` entries of one slice of rows, laid out as
     ``json.dumps(indent=2)`` lays them out, with undefined cells as
     ``null``.  `run_sweep` writes the payload around them and the ``,``
     between pieces.  Takes every renderer's arguments."""
@@ -638,15 +663,16 @@ def render_json(config: SweepConfig, columns, rows: Rows) -> str:
 def run_sweep(config: SweepConfig, sink) -> None:
     """Evaluate one sweep and write its output text to ``sink``.
 
-    Every chunk is rendered, one `Rows` tile at a time, and written by the
-    task that evaluates it, and only its row count comes back.  A sink with
-    a file descriptor is flushed once, and the text then goes straight to
-    the descriptor: from this process, each tile as it is rendered, or from
-    the `hom._walk_grid` worker whose turn it is, its whole chunk.  A sink
-    without one, such as a ``StringIO``, runs its sweep serially.  The head
-    of `_frame` goes with the first rows, so a sweep that fails before its
-    first rows writes nothing.  The tail, which holds a census summary (it
-    counts the rows), goes last.
+    Every chunk is rendered, one `Rows` text slice of at most `_TEXT_SLICE`
+    rows at a time, and written by the task that evaluates it, and only its
+    row count comes back.  A sink with a file descriptor is flushed once,
+    and the text then goes straight to the descriptor: from this process,
+    each slice as it is rendered, or from the `hom._walk_grid` worker whose
+    turn it is, its whole chunk's slices.  A sink without one, such as a
+    ``StringIO``, runs its sweep serially.  The head of `_frame` goes with
+    the first rows, so a sweep that fails before its first rows writes
+    nothing.  The tail, which holds a census summary (it counts the rows),
+    goes last.
     """
     if config.mode not in _SWEEPS:
         raise ConfigError(f"mode: unknown sweep mode {config.mode!r}")
@@ -664,17 +690,17 @@ def run_sweep(config: SweepConfig, sink) -> None:
     count = 0
 
     def write(texts, before: int) -> int:
-        """Write one chunk's tile texts after ``before`` rows; return its rows."""
+        """Write one chunk's slice texts after ``before`` rows; return its rows."""
         rows = 0
-        for text, tile_rows in texts:
-            if tile_rows:
+        for text, slice_rows in texts:
+            if slice_rows:
                 _write_output((between if before + rows else head) + text, out)
-                rows += tile_rows
+                rows += slice_rows
         return rows
 
-    def piece(tiles, turn=None) -> int:
+    def piece(slices, turn=None) -> int:
         # rendered as taken, and in a forked worker all before the turn
-        texts = ((render(config, columns, rows), len(rows)) for rows in tiles)
+        texts = ((render(config, columns, rows), len(rows)) for rows in slices)
         if turn is None:
             return write(texts, count)
         return turn(functools.partial(write, list(texts)))

@@ -889,14 +889,30 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 def test_a_long_grid_axis_keeps_memory_bounded(mode, sets):
     # A million-value axis costs 8 MB of linspace values; its chunks and
     # cell tables stay at most hom._CHUNK long, whichever axis it is.
+    peak_mb = _peak_rss_mb(mode, sets)
+    assert peak_mb < 120, peak_mb
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="os.wait4 not available")
+@pytest.mark.parametrize("mode", ["add-drop", "single-bus"])
+def test_a_long_axis_sweep_renders_in_text_slices(mode):
+    # one chunk of 65,536 rows, turned into text cli._TEXT_SLICE rows at a
+    # time: rendered whole, its cells and text peaked at 161 MB (add-drop,
+    # 13 columns) and 83 MB (single-bus, 5)
+    peak_mb = _peak_rss_mb(mode, ("theta_count=65536",))
+    assert peak_mb < 80, peak_mb
+
+
+def _peak_rss_mb(mode, sets):
+    """Peak RSS in MB of ``ringsim <mode>`` with ``sets`` to the null device,
+    at two workers, its reaped workers included; the run must succeed."""
     args = [sys.executable, "-c", _PEAK_RSS, "-m", "ringsim", mode, "--out", os.devnull]
     args += [arg for s in sets for arg in ("--set", s)]
     env = dict(os.environ, RINGSIM_THREADS="2")
     done = subprocess.run(args, capture_output=True, text=True, env=env, timeout=120)
     code, peak = map(int, done.stdout.split())
     assert code == 0, done.stderr
-    peak_mb = peak / (2**20 if sys.platform == "darwin" else 2**10)
-    assert peak_mb < 120, peak_mb
+    return peak / (2**20 if sys.platform == "darwin" else 2**10)
 
 
 # --- worker processes -----------------------------------------------------------
@@ -1399,15 +1415,17 @@ def test_census_evaluates_through_the_public_grid_kernel(monkeypatch):
 
 
 def test_no_census_kernel_call_or_chunk_exceeds_a_tile(monkeypatch):
-    # each kernel call is one rendered chunk of its kept rows: the
-    # candidates of every pair, whole axes or windows, gathered into full
-    # tiles in grid order, a 5000-phase axis searched in slices of a tile
+    # each kernel call's kept rows are rendered in text slices, one empty
+    # slice if it keeps none: the candidates of every pair, whole axes or
+    # windows, gathered into full tiles in grid order, a 5000-phase axis
+    # searched in slices of a tile
     monkeypatch.setenv("RINGSIM_THREADS", "2")
-    kernel, calls, render, rows = hom._ratio, [], cli.render_json, []
+    kernel, calls, ratios, render, rows = hom._ratio, [], [], cli.render_json, []
 
     def counting(*operands):
         calls.append(np.broadcast(*operands).size)
-        return kernel(*operands)
+        ratios.append(kernel(*operands))
+        return ratios[-1]
 
     def recording(*args):
         rows.append(len(args[2]))
@@ -1425,12 +1443,16 @@ def test_no_census_kernel_call_or_chunk_exceeds_a_tile(monkeypatch):
         config = cli.load_config("homm-grid", None, list(sets), None, "json")
         want = _reference_json(config, *_reference_table("homm-grid", config.params))
         calls.clear()
+        ratios.clear()
         rows.clear()
         with monkeypatch.context() as patch:
             patch.setattr(hom, "_ratio", counting)
             assert _sweep_text(config) == want
         assert calls == plan
-        assert len(rows) == len(plan) and max(rows) <= tile
+        text = cli._TEXT_SLICE
+        kept = [int((ratio <= threshold).sum()) for ratio in ratios]
+        assert rows == [min(n - k, text) for n in kept for k in range(0, max(n, 1), text)]
+        assert max(rows) == text < tile
 
 
 def test_entropy_grid_evaluates_every_block(monkeypatch):
@@ -1702,28 +1724,42 @@ _GRID_CHUNKED = {
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_no_chunk_exceeds_the_chunk_size(monkeypatch, fmt):
+    # chunks of at most 16 points or axis values, rendered in text slices of
+    # at most 5 rows; only a grid's axis tables, built whole, reach 16 cells
     monkeypatch.setattr(hom, "_CHUNK", 16)
+    monkeypatch.setattr(cli, "_TEXT_SLICE", 5)
     monkeypatch.setenv("RINGSIM_THREADS", "1")
     name = f"render_{fmt}"
-    render, cells, sizes, tables = getattr(cli, name), cli._cells, [], []
+    render, cells, axis_cells = getattr(cli, name), cli._cells, cli._axis_cells
+    sizes, columns, tables, building = [], [], [], []
 
     def recording(*args):  # rows are the third argument, as the tracer reads them
         sizes.append(len(args[2]))
         return render(*args)
 
     def recording_cells(values):
-        tables.append(len(values))
+        (tables if building else columns).append(len(values))
         return cells(values)
+
+    def recording_axis_cells(axis):
+        building.append(axis)
+        try:
+            return axis_cells(axis)
+        finally:
+            building.pop()
 
     monkeypatch.setattr(cli, name, recording)
     monkeypatch.setattr(cli, "_cells", recording_cells)
+    monkeypatch.setattr(cli, "_axis_cells", recording_axis_cells)
     chunked = {**_AXIS_CHUNKED, **_GRID_CHUNKED}
     for mode in cli.SWEEP_MODES:
         sizes.clear()
+        columns.clear()
         tables.clear()
         _sweep_text(cli.load_config(mode, None, list(chunked[mode]), None, fmt))
-        assert max(sizes) <= 16 < sum(sizes), (mode, sizes)
-        assert max(tables) <= 16, (mode, tables)
+        assert max(sizes) <= 5 and 16 < sum(sizes), (mode, sizes)
+        assert max(columns) <= 5, (mode, columns)
+        assert max(tables, default=0) <= 16, (mode, tables)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -1759,6 +1795,24 @@ def test_grid_chunking_never_changes_output_bytes(monkeypatch, tmp_path, mode, s
     assert rings == ([3] if forked else [])
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("text", [1, 7, 10**9])
+def test_text_slices_never_change_output_bytes(monkeypatch, tmp_path, text, fmt):
+    # every mode at chunks of 16, a sparse census too, rendered one, seven
+    # or every row at a time, in the main process and through three forked
+    # entropy-grid workers
+    monkeypatch.setattr(hom, "_CHUNK", 16)
+    monkeypatch.setattr(cli, "_TEXT_SLICE", text)
+    monkeypatch.setattr(hom, "_usable_cpus", lambda: 3)
+    rings = _record_rings(monkeypatch)
+    sparse = ("homm-grid", ("tau_count=9", "eta_count=9", "theta_count=7", "threshold=0.05"))
+    for mode, sets in [*_AXIS_CHUNKED.items(), *_GRID_CHUNKED.items(), sparse]:
+        for threads, path in ((1, None), (3, tmp_path / f"table.{fmt}")):
+            out, want = _sweep_and_reference(monkeypatch, mode, sets, fmt, threads, path)
+            assert out == want, (mode, threads)
+    assert rings == [3]  # entropy-grid, the only forked walk
+
+
 def test_empty_census_has_no_rows(monkeypatch):
     sets = ("tau_count=5", "eta_count=5", "theta_count=7", "threshold=1e-300")
     text, want = _sweep_and_reference(monkeypatch, "homm-grid", sets, "json", 2)
@@ -1784,6 +1838,30 @@ def test_undefined_and_negative_zero_cells_keep_their_text(monkeypatch):
     assert json_text == want
     assert json_text.count("      null\n") == 5
     assert json_text.count("      -0.0\n") == 20
+
+
+def test_json_rows_copy_only_columns_with_undefined_cells(monkeypatch):
+    # tau = eta = 1 has nan entropy cells, which print as null; a column
+    # with no non-finite cell reaches the text as it is, not copied
+    json_cells, copied = cli._json_cells, []
+
+    def recording(cells):
+        out = json_cells(cells)
+        copied.append(out is not cells)
+        return out
+
+    monkeypatch.setattr(cli, "_json_cells", recording)
+    sets = ("tau_count=3", "eta_count=3", "theta_count=5")
+    text, want = _sweep_and_reference(monkeypatch, "entropy-grid", sets, "json", 1)
+    assert text == want
+    assert text.count("      null\n") == 5
+    assert copied == [False, False, False, True]  # tau, eta, theta, entropy_bits
+    rows = cli.Rows(["1.0", "nan"], ["inf", "-0.0"])
+    finite = rows.columns[0][:1]
+    assert cli._json_cells(finite) is finite
+    assert cli.render_json(None, None, rows) == (
+        "\n    [\n      1.0,\n      null\n    ],\n    [\n      null,\n      -0.0\n    ]"
+    )
 
 
 def _python_rows(mode, p):
