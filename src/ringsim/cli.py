@@ -2,34 +2,32 @@
 
 Every sweep writes a deterministic table (CSV or JSON): the same config
 produces byte-identical output regardless of how many workers evaluate the
-grid.  Every sweep is a stream of chunks of rows, each rendered and written
-in sweep order by the task that evaluates it, and no chunk or cell table
-holds more than `hom._CHUNK` points (see `hom._ELIDE`), however long an
-axis.  Output text is made in slices of at most `_TEXT_SLICE` rows, a unit
-apart from the kernel's: the main process renders and writes one slice at
-a time, cells, text and encoded bytes, so it holds at most one slice of
-text.  A sweep along one axis writes its chunks one at a time in the main
+grid.  Every sweep is a stream of chunks of rows, and the main process
+writes every one, in sweep order, as it takes it.  Output text is made in
+slices of at most `_TEXT_SLICE` rows, a unit apart from the kernel's, each
+rendered where its rows are evaluated, so the main process holds at most
+one slice of cells, text and encoded bytes.  A sweep along one axis
+evaluates and renders one slice at a time, each one chunk, in the main
 thread.  So does a census, serially: it gathers the points whose cos theta
 lies in their (tau, eta) pair's window and evaluates them in kernel calls
 of at most `hom._TILE` points, each one chunk.  Entropy-grid chunk k (a
 longer theta axis runs in even slices) runs in forked worker process k mod
 W (``x log x`` and cell text hold the GIL), in tiles of at most
-`hom._TILE` points, so its kernel arrays take about 2 MB.  Both walks hand
-a chunk's points on as such tiles, ``(ti, ei, hi, values)``, whose axis
-indices are built as each is taken, so no index array outgrows a tile,
-and the tile bound lives in `hom` alone.  An entropy-grid worker renders
-its whole chunk, slice by slice, and writes it to the sink's file
-descriptor when the turn, passed round a ring of pipes (`hom._ring`),
-reaches it, so it holds one chunk of text; only the row total comes back.
-``RINGSIM_THREADS`` caps the W processes: at most one runs per usable CPU
-and per chunk, and none for a sink without a file descriptor.
+`hom._TILE` points, so its kernel arrays take about 2 MB.  No grid chunk or
+cell table holds more than `hom._CHUNK` points (see `hom._ELIDE`), however
+long an axis.  Both grid walks hand a chunk's points on as such tiles,
+``(ti, ei, hi, values)``, whose axis indices are built as each is taken, so
+no index array outgrows a tile, and the tile bound lives in `hom` alone.
+An entropy-grid worker renders its whole chunk, slice by slice, and sends
+the slices to the main process on a pipe of its own (`hom._ring`), so it
+holds one chunk of text.  ``RINGSIM_THREADS`` caps the W processes: at
+most one runs per usable CPU and per chunk, whatever the sink.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import json
 import math
 import os
@@ -94,9 +92,9 @@ _MIN_ENTROPY_ALPHA = 1e-100
 #: Most workers (``RINGSIM_THREADS``): the entropy-grid processes that
 #: `hom._ring` forks, the only ones; every other sweep, the census too, runs
 #: in the main thread.  At most one runs per usable CPU and per chunk, with
-#: about 2 MB of kernel arrays and one chunk of text (in `_TEXT_SLICE`-row
-#: slices) each, so the cap bounds memory; two already give all the speedup
-#: measured on entropy-grid.
+#: about 2 MB of kernel arrays and one chunk of text each, which it sends
+#: to the main process a `_TEXT_SLICE`-row slice at a time, so the cap
+#: bounds memory; two already give all the speedup measured on entropy-grid.
 _MAX_THREADS = 64
 
 #: Largest detuning or matched rate (rad/s) of a langevin-compare sweep,
@@ -408,19 +406,16 @@ def _text_slices(count: int):
 
 def _rows(axis, values):
     """The chunks of a sweep along one axis, in the form `_grid_rows`
-    returns: ``chunks(piece, workers)`` yields ``piece`` of the `Rows` of
-    ``values(part)``, the value columns on each slice ``part`` of at most
-    `hom._CHUNK` axis values, in axis order, at most `_TEXT_SLICE` rows each.
-    A slice is evaluated when its chunk is taken, in the main thread, and
-    its columns are turned into cell text one `Rows` at a time as ``piece``
-    takes them, whatever ``workers`` is.
+    returns: ``chunks(piece, workers)`` yields ``piece`` of the one `Rows`
+    of ``values(part)``, the value columns on each slice ``part`` of at most
+    `_TEXT_SLICE` axis values, in axis order.  A slice is evaluated and its
+    columns turned into cell text when its chunk is taken, in the main
+    thread, whatever ``workers`` is.
     """
 
     def chunks(piece, workers):
-        for lo in range(0, len(axis), hom._CHUNK):
-            columns = values(axis[lo : lo + hom._CHUNK])
-            slices = _text_slices(len(columns[0]))
-            yield piece(Rows(*(_cells(c[s]) for c in columns)) for s in slices)
+        for s in _text_slices(len(axis)):
+            yield piece([Rows(*map(_cells, values(axis[s])))])
 
     return chunks
 
@@ -523,25 +518,23 @@ def _grid_rows(p: dict, walk):
     points, where ``tiles`` yields ``(ti, ei, hi, values)`` of at most
     `hom._TILE` points each; ``reduce`` cuts each tile into text slices of
     at most `_TEXT_SLICE` rows (an empty census tile into one empty slice,
-    so each kernel call renders once), maps each slice to a `Rows` as
-    ``piece`` takes it, and passes a forked walk's ``turn`` on to
-    ``piece``.  Each chunk passes through ``piece``, so only the chunks in
-    flight exist at once, and no list of cells outgrows a slice.  An axis
-    of at most `hom._CHUNK` values is formatted once, into a table the
-    chunks index; a longer one is formatted in each slice, at its distinct
-    indices, so no cell table outgrows a slice.
+    so each kernel call renders once) and maps each slice to a `Rows` as
+    ``piece`` takes it.  Each chunk passes through ``piece``, so only the
+    chunks in flight exist at once, and no list of cells outgrows a slice.
+    An axis of at most `hom._CHUNK` values is formatted once, into a table
+    the chunks index; a longer one is formatted in each slice, at its
+    distinct indices, so no cell table outgrows a slice.
     """
     axes = hom._grid_axes(p["tau_count"], p["eta_count"], p["theta_count"])
     tau_cells, eta_cells, theta_cells = map(_axis_cells, axes)
 
     def chunks(piece, workers):
-        def reduce(tiles, *turn):
-            rows = (
+        def reduce(tiles):
+            return piece(
                 Rows(tau_cells(ti[s]), eta_cells(ei[s]), theta_cells(hi[s]), _cells(values[s]))
                 for ti, ei, hi, values in tiles
                 for s in _text_slices(len(values))
             )
-            return piece(rows, *turn)
 
         return walk(axes, reduce, workers)
 
@@ -663,16 +656,14 @@ def render_json(config: SweepConfig, columns, rows: Rows) -> str:
 def run_sweep(config: SweepConfig, sink) -> None:
     """Evaluate one sweep and write its output text to ``sink``.
 
-    Every chunk is rendered, one `Rows` text slice of at most `_TEXT_SLICE`
-    rows at a time, and written by the task that evaluates it, and only its
-    row count comes back.  A sink with a file descriptor is flushed once,
-    and the text then goes straight to the descriptor: from this process,
-    each slice as it is rendered, or from the `hom._walk_grid` worker whose
-    turn it is, its whole chunk's slices.  A sink without one, such as a
-    ``StringIO``, runs its sweep serially.  The head of `_frame` goes with
-    the first rows, so a sweep that fails before its first rows writes
-    nothing.  The tail, which holds a census summary (it counts the rows),
-    goes last.
+    Every chunk is rendered where it is evaluated, one `Rows` text slice of
+    at most `_TEXT_SLICE` rows at a time, and this process writes each
+    slice, in sweep order, as it takes it: serially as it is rendered, or
+    as a `hom._walk_grid` worker sends it.  A sink with a file descriptor
+    is flushed once, and the text then goes straight to the descriptor, so
+    rows reach it as they are written.  The head of `_frame` goes with the
+    first rows, so a sweep that fails before its first rows writes nothing.
+    The tail, which holds a census summary (it counts the rows), goes last.
     """
     if config.mode not in _SWEEPS:
         raise ConfigError(f"mode: unknown sweep mode {config.mode!r}")
@@ -684,30 +675,20 @@ def run_sweep(config: SweepConfig, sink) -> None:
     try:
         out = _Descriptor(sink.fileno())
     except (AttributeError, OSError, ValueError):  # io.UnsupportedOperation is both
-        out, workers = sink, 1
+        out = sink
     else:
         sink.flush()
+
+    def piece(slices):
+        return ((render(config, columns, rows), len(rows)) for rows in slices)
+
     count = 0
-
-    def write(texts, before: int) -> int:
-        """Write one chunk's slice texts after ``before`` rows; return its rows."""
-        rows = 0
-        for text, slice_rows in texts:
-            if slice_rows:
-                _write_output((between if before + rows else head) + text, out)
-                rows += slice_rows
-        return rows
-
-    def piece(slices, turn=None) -> int:
-        # rendered as taken, and in a forked worker all before the turn
-        texts = ((render(config, columns, rows), len(rows)) for rows in slices)
-        if turn is None:
-            return write(texts, count)
-        return turn(functools.partial(write, list(texts)))
-
-    with contextlib.closing(chunks(piece, workers)) as counts:
-        for rows in counts:
-            count += rows
+    with contextlib.closing(chunks(piece, workers)) as walk:
+        for texts in walk:
+            for text, rows in texts:
+                if rows:
+                    _write_output((between if count else head) + text, out)
+                    count += rows
     _, tail = _frame(config, columns, summary(count) if summary else None, count)
     _write_output(tail if count else head + tail, out)
 
@@ -754,7 +735,9 @@ def _open_sink(out: str | None):
     leaves an existing file as it was and no partial file.  The temporary
     file gets the permissions that ``open(out, "w")`` would leave: those of
     the file it replaces, else the default under the umask.  A file that
-    exists and is not regular, such as ``/dev/null``, is written in place.
+    exists and is not regular, such as ``/dev/null`` or the pipe that
+    ``/dev/stdout`` may name, is opened by the name given and written in
+    place.
 
     A reader that closes stdout early, as ``| head`` does, ends the output
     quietly: the block stops, the run goes on past it, and what is left to
@@ -770,15 +753,15 @@ def _open_sink(out: str | None):
         except BrokenPipeError:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return
-    path = os.path.realpath(out)
     try:
-        mode = os.stat(path).st_mode
+        mode = os.stat(out).st_mode
     except FileNotFoundError:
         mode = None
     if mode is not None and not stat.S_ISREG(mode):
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with open(out, "w", encoding="utf-8", newline="") as fh:
             yield fh
         return
+    path = os.path.realpath(out)
     head, name = os.path.split(path)
     tmp = os.path.join(head, f".{name}.{os.urandom(6).hex()}.tmp")
     fh = open(tmp, "x", encoding="utf-8", newline="")

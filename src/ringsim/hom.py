@@ -63,10 +63,9 @@ _EIG_SLACK = 1e-10
 #: chunks never depend on the worker count; it also pins the entropy-grid
 #: bytes (see `_ELIDE`).
 _CHUNK = 65536
-#: Most points in one tile of a grid kernel or census batch, unless one row
-#: is longer.  A tile's complex temporaries then take 64 KiB each, under
-#: glibc's 128 KiB mmap threshold, so they are recycled through the heap,
-#: not fresh pages.
+#: Most points in one tile of a grid kernel or census batch.  A tile's
+#: complex temporaries then take 64 KiB each, under glibc's 128 KiB mmap
+#: threshold, so they are recycled through the heap, not fresh pages.
 _TILE = 4096
 #: Fewest points of an `entropy_grid` call whose ``c12`` products
 #: `_grid_state` writes as ``conj(b) * a``; a smaller call writes
@@ -339,9 +338,8 @@ def coincidence_ratio_grid(
     its array loop fuses.  Within arrays every step is elementwise, so a
     point's value does not depend on the other points of the call: the
     census (`hom_region`) calls this on flat tiles of its window candidates
-    and gets the whole grid's bits.  The grid is evaluated in tiles of whole
-    rows along its leading axis, at most `_TILE` points each (a longer row
-    is one tile), and the call keeps nothing.
+    and gets the whole grid's bits.  The grid is evaluated in tiles of at
+    most `_TILE` points (`_tiled`), and the call keeps nothing.
     """
     _check_alpha(alpha)
     t, e = _real_couplers(tau, eta)
@@ -349,25 +347,32 @@ def coincidence_ratio_grid(
     return _tiled(_ratio, (t, e, z, t * e, (1.0 - t * t) * (1.0 - e * e)))
 
 
-def _tiled(kernel, operands):
+def _tiled(kernel, operands, out=None):
     """``kernel(*part)`` over tiles of the broadcast ``operands``, written
-    into one fresh float array, or a numpy scalar for 0-d operands.
+    into ``out`` or one fresh float array, or a numpy scalar for 0-d
+    operands.
 
-    A tile is whole rows along the leading axis, at most `_TILE` points (a
-    longer row is one tile); an operand without that axis, or of extent 1
-    on it, broadcasts whole into every tile.  Division by zero and invalid
+    A tile is whole rows along the leading axis, at most `_TILE` points; an
+    operand without that axis, or of extent 1 on it, broadcasts whole into
+    every tile.  A row longer than `_TILE` is itself tiled, as views of
+    the operands without the leading axis.  Division by zero and invalid
     operations give inf or NaN without a warning.
     """
     shape = np.broadcast_shapes(*(x.shape for x in operands))
     with np.errstate(divide="ignore", invalid="ignore"):
         if not shape:
             return np.float64(kernel(*operands))
-        out = np.empty(shape)
-        rows = max(1, _TILE // max(1, math.prod(shape[1:])))
+        out = np.empty(shape) if out is None else out
+        row = math.prod(shape[1:])
+        rows = max(1, _TILE // max(1, row))
         cut = [x.ndim == len(shape) and len(x) > 1 for x in operands]
         for lo in range(0, shape[0], rows):
             tile = slice(lo, lo + rows)
-            out[tile] = kernel(*(x[tile] if c else x for x, c in zip(operands, cut)))
+            part = [x[tile] if c else x for x, c in zip(operands, cut)]
+            if row > _TILE:  # one row: tile it without its leading axis
+                _tiled(kernel, [x[0] if x.ndim == len(shape) else x for x in part], out[lo])
+            else:
+                out[tile] = kernel(*part)
     return out
 
 
@@ -578,22 +583,19 @@ def _walk_grid(axes, evaluate, reduce, workers: int = 1):
     ``evaluate(tau, eta, theta)`` receives (pairs, 1), (pairs, 1) and
     (1, slice) arrays and returns the block's values; ``reduce(tiles)``
     receives an iterator of ``(ti, ei, hi, values)`` tiles, the axis indices
-    and values of at most `_TILE` consecutive points each, in C order.  A
-    tile's indices are built as it is taken, so the chunk holds only its
-    values and its pairs' indices, not chunk-sized index arrays.  Both run
-    in the chunk's task.  With more than one of ``workers``
-    (capped per usable CPU and per chunk) and ``fork``, the chunks run in
-    forked processes (`_ring`) and ``reduce`` gets a second argument,
-    ``turn``.  ``turn(write)`` waits until every chunk before its own has
-    been written, then returns ``write(before)``, with ``before`` the rows
-    they wrote; the result is the chunk's row count, and ``reduce`` must
-    return it.  Such a walk yields one number, the rows of all chunks.
-    Otherwise the chunks run serially, with no ``turn``.
+    and values of at most `_TILE` consecutive points each, in C order, and
+    returns an iterable of the chunk's items.  A tile's indices are built as
+    it is taken, so the chunk holds only its values and its pairs' indices,
+    not chunk-sized index arrays.  Both run in the chunk's task.  With more
+    than one of ``workers`` (capped per usable CPU and per chunk) and
+    ``fork``, the chunks run in forked processes (`_ring`), and each is
+    yielded as an iterator over the items its process sent; otherwise they
+    run serially, each as it is taken.
     """
     taus, etas, thetas = axes
     pairs, step, width = _plan(axes)
 
-    def chunk(start, *turn):
+    def chunk(start):
         lo, h = start
         it, ie = np.divmod(np.arange(lo, min(lo + step, pairs)), len(etas))
         values = evaluate(taus[it][:, None], etas[ie][:, None], thetas[None, h : h + width])
@@ -604,12 +606,12 @@ def _walk_grid(axes, evaluate, reduce, workers: int = 1):
                 pair, ith = np.divmod(np.arange(k, min(k + _TILE, values.size)), row)
                 yield it[pair], ie[pair], ith + h, values[k : k + _TILE]
 
-        return reduce(tiles(), *turn)
+        return reduce(tiles())
 
     starts = [(lo, h) for lo in range(0, pairs, step) for h in range(0, len(thetas), width)]
     workers = min(workers, _usable_cpus(), len(starts))
     if workers > 1 and hasattr(os, "fork"):
-        yield _ring(chunk, starts, workers)
+        yield from _ring(chunk, starts, workers)
     else:
         yield from map(chunk, starts)
 
@@ -622,77 +624,62 @@ def _usable_cpus() -> int:
 
 
 class _WorkerDied(RuntimeError):
-    """A `_ring` child ended without passing its turn on or reporting an error."""
+    """A `_ring` child ended before it sent its chunk's end or an error."""
 
 
-def _ring(chunk, starts, workers: int) -> int:
-    """Run ``chunk(start, turn)`` of each of ``starts`` in ``workers`` forked
-    children, chunk k in child k mod ``workers``; return the rows written.
+def _ring(chunk, starts, workers: int):
+    """Run ``chunk(start)`` of each of ``starts`` in ``workers`` forked
+    children, chunk k in child k mod ``workers``, and yield, for each chunk
+    in order, an iterator over the items of the iterable it returned, which
+    must pickle and be neither ``None`` nor an exception.
 
-    The turn is a token, the rows written so far, passed round a ring of
-    one-way pipes: child w takes it from pipe w, writes, and sends the new
-    total on to pipe w + 1.  The last chunk's writer sends the total here
-    on a pipe of its own; a chunk that raises waits for its turn and sends
-    its exception there instead of writing, so the error is that of the
-    first failing chunk, after the whole chunks before it.  A child that
-    fails or dies sends nothing on, so every later one reads end of file
-    and exits unwritten, and so does this process's read: `_WorkerDied`.
-    A child stops before its next chunk once its parent is gone, and a walk
-    left early (an error, an interrupt, SIGTERM) ends every child.
+    Each child makes a chunk's items whole, sends them to this process on a
+    one-way pipe of its own, dropping each once sent, then an end marker, so
+    it holds one chunk's items at a time.  A chunk that raises sends its
+    exception instead and its child stops: the iterator raises it once the
+    chunks before it have been read whole.  End of file before a chunk's
+    end, a child that died, raises `_WorkerDied`.  A child stops at its
+    next send once this process is gone (a broken pipe), and a walk left
+    early (an error, an interrupt, SIGTERM) ends every child.
     """
     import multiprocessing
 
     context = multiprocessing.get_context("fork")
-    pipes = [context.Pipe(duplex=False) for _ in range(workers + 1)]  # (read, write)
+    pipes = [context.Pipe(duplex=False) for _ in range(workers)]  # (read, write)
     ends = [end for pipe in pipes for end in pipe]
-    result, back = pipes[-1]
-    pipes[0][1].send(0)  # the first turn
-    parent = os.getpid()
 
-    def relay(w: int) -> None:
-        # A child that kept `ringsim.cli.main`'s raising SIGTERM handler
-        # would, once ended, leave its successor waiting for a token that
-        # never comes, and this process waiting in `join`.
+    def run(w: int) -> None:
+        # A child that kept `ringsim.cli.main`'s raising SIGTERM handler, or
+        # Python's SIGINT one, would print a traceback when this process
+        # ends it or a Ctrl-C reaches the process group: only this process
+        # reports a signal.
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
-        inbox, outbox = pipes[w][0], pipes[(w + 1) % workers][1]
-        for end in set(ends) - {inbox, outbox, back}:
-            end.close()  # a pipe reads end of file only once all its writers are gone
-
-        def turn(write):
-            nonlocal token
-            token = inbox.recv()
-            return write(token)
-
+        out = pipes[w][1]
+        for end in set(ends) - {out}:
+            end.close()  # a pipe breaks only once all its readers are gone
         try:
             for index in range(w, len(starts), workers):
-                if os.getppid() != parent:
-                    return
-                token = None
                 try:
-                    rows = chunk(starts[index], turn)
+                    items = list(chunk(starts[index]))
                 except Exception as exc:
-                    if token is None:
-                        inbox.recv()
-                    back.send(exc)
+                    out.send(exc)
                     return
-                (back if index == len(starts) - 1 else outbox).send(token + rows)
-        except (EOFError, BrokenPipeError):  # the turn will not come, or its reader is gone
+                items.reverse()  # sent in order, each dropped once sent
+                while items:
+                    out.send(items.pop())
+                out.send(None)
+        except BrokenPipeError:  # this process is gone
             pass
 
-    children = [context.Process(target=relay, args=(w,)) for w in range(workers)]
+    children = [context.Process(target=run, args=(w,)) for w in range(workers)]
     try:
         for child in children:
             child.start()
-        for end in set(ends) - {result}:
-            end.close()
-        try:
-            outcome = result.recv()
-        except EOFError:
-            raise _WorkerDied from None
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
+        for _, out in pipes:
+            out.close()  # a pipe reads end of file only once all its writers are gone
+        for index in range(len(starts)):
+            yield _received(pipes[index % workers][0])
     finally:
         for end in ends:
             end.close()
@@ -700,6 +687,20 @@ def _ring(chunk, starts, workers: int) -> int:
             if child.pid is not None:
                 child.terminate()
                 child.join()
+
+
+def _received(inbox):
+    """The items a `_ring` child sends on ``inbox`` up to its chunk's end."""
+    while True:
+        try:
+            item = inbox.recv()
+        except EOFError:
+            raise _WorkerDied from None
+        if item is None:
+            return
+        if isinstance(item, Exception):
+            raise item
+        yield item
 
 
 def entropy_one_photon(density: SectorDensity) -> float | np.ndarray:

@@ -830,8 +830,8 @@ def test_a_failed_sweep_leaves_the_old_output(monkeypatch, tmp_path, capsys, thr
 
 def test_a_pole_past_the_first_chunk_ends_the_stream_there(monkeypatch, tmp_path, capsys):
     # theta = 0, where a lossless ring with a closed coupler has unit loop
-    # gain, is the first value of the second chunk of 16
-    monkeypatch.setattr(hom, "_CHUNK", 16)
+    # gain, is the first value of the second text slice of 16
+    monkeypatch.setattr(cli, "_TEXT_SLICE", 16)
     args = ("single-bus", "--set", "tau=1", "--set", "alpha=1", "--set", "theta_min=-1",
             "--set", "theta_max=1", "--set", "theta_count=33")
     assert cli.main(list(args)) == 1
@@ -896,11 +896,23 @@ def test_a_long_grid_axis_keeps_memory_bounded(mode, sets):
 @pytest.mark.skipif(not hasattr(os, "wait4"), reason="os.wait4 not available")
 @pytest.mark.parametrize("mode", ["add-drop", "single-bus"])
 def test_a_long_axis_sweep_renders_in_text_slices(mode):
-    # one chunk of 65,536 rows, turned into text cli._TEXT_SLICE rows at a
-    # time: rendered whole, its cells and text peaked at 161 MB (add-drop,
-    # 13 columns) and 83 MB (single-bus, 5)
-    peak_mb = _peak_rss_mb(mode, ("theta_count=65536",))
-    assert peak_mb < 80, peak_mb
+    # 65,536 axis values, evaluated and turned into text cli._TEXT_SLICE
+    # values at a time, peak within 4 MB of the default 201: evaluated in
+    # one chunk, they peaked 13 MB (add-drop, 13 columns) and 8 MB
+    # (single-bus, 5) higher
+    long_mb = _peak_rss_mb(mode, ("theta_count=65536",))
+    short_mb = _peak_rss_mb(mode, ("theta_count=201",))
+    assert long_mb < short_mb + 4, (long_mb, short_mb)
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="os.wait4 not available")
+def test_a_long_theta_row_is_evaluated_in_tiles():
+    # one (tau, eta) pair against 65,536 phases peaks within 12 MB of the
+    # same points in 256-phase rows; most of the gap is the 65,536-cell
+    # theta table.  Evaluated as one tile, the long row peaked 26 MB higher
+    long_mb = _peak_rss_mb("entropy-grid", ("tau_count=1", "eta_count=1", "theta_count=65536"))
+    rows_mb = _peak_rss_mb("entropy-grid", ("tau_count=16", "eta_count=16", "theta_count=256"))
+    assert long_mb < rows_mb + 12, (long_mb, rows_mb)
 
 
 def _peak_rss_mb(mode, sets):
@@ -983,9 +995,9 @@ def test_a_dead_worker_process_ends_the_run_cleanly(monkeypatch, tmp_path, capfd
     ids=lambda error: type(error).__name__,
 )
 def test_an_internal_error_ends_the_run_in_one_line(monkeypatch, tmp_path, capfd, error):
-    # a single-bus sweep of three chunks that fails in its second: no
+    # a single-bus sweep of three text slices that fails in its second: no
     # traceback, exit 4 rather than the config error's 1, and no --out file
-    monkeypatch.setattr(hom, "_CHUNK", 16)
+    monkeypatch.setattr(cli, "_TEXT_SLICE", 16)
     calls, kernel = itertools.count(1), single_bus._transfer
 
     def failing(*args):
@@ -1010,7 +1022,7 @@ def test_no_worker_process_outlives_a_sweep(monkeypatch, tmp_path):
     assert multiprocessing.active_children() == []
 
     # a reader that closes stdout before the first chunk is written: the
-    # worker whose turn it is gets the broken pipe
+    # main process gets the broken pipe in its first write
     class ClosedStdout(io.StringIO):
         def fileno(self):
             return spare
@@ -1032,8 +1044,8 @@ def test_an_interrupt_ends_the_run_in_one_line(tmp_path, threads, sink):
     # workers ignore it, and the parent removes its partial file, ends its
     # workers and prints one line.  The run takes seconds, so it is still
     # writing when the signal comes.  A fifo that is not read blocks the
-    # worker whose turn it is in its write, and the others wait for their
-    # turns: a waiting worker that took the signal printed a traceback
+    # main process in its write, and the workers in their sends: a worker
+    # that took the signal printed a traceback
     out = tmp_path / "table.csv"
     if sink == "fifo":
         os.mkfifo(out)
@@ -1058,7 +1070,7 @@ def test_an_interrupt_ends_the_run_in_one_line(tmp_path, threads, sink):
                 ):
                     time.sleep(0.01)
             os.killpg(proc.pid, signal.SIGINT)
-            if sink == "fifo":  # the writing worker ends its chunk once the fifo is read
+            if sink == "fifo":  # the fifo reads end of file once the run is over
                 os.set_blocking(reader, True)
                 while os.read(reader, 1 << 20):
                     pass
@@ -1138,23 +1150,49 @@ def test_a_worker_leaves_sigint_to_the_parent_and_dies_of_sigterm():
     # each chunk reports the handlers of the worker that runs it
     signals = (signal.SIGINT, signal.SIGTERM)
 
-    def chunk(start, turn):
+    def chunk(start):
         raise LookupError([signal.getsignal(sig) for sig in signals])
 
     saved = signal.signal(signal.SIGTERM, cli._terminate)
     try:
         with _deadline(60), pytest.raises(LookupError) as caught:
-            hom._ring(chunk, [0, 1], 2)
+            with contextlib.closing(hom._ring(chunk, [0, 1], 2)) as ring:
+                for items in ring:
+                    list(items)
     finally:
         signal.signal(signal.SIGTERM, saved)
     assert caught.value.args[0] == [signal.SIG_IGN, signal.SIG_DFL]
     assert multiprocessing.active_children() == []
 
 
+class _Probe:
+    """An item of a `hom._ring` chunk: the probes that the worker held when
+    it made the chunk."""
+
+    def __init__(self, held):
+        self.held = held
+
+
+def _probes(start):
+    held = sum(type(obj) is _Probe for obj in gc.get_objects())
+    return [_Probe(held) for _ in range(3)]
+
+
+def test_a_worker_drops_each_chunk_before_it_makes_the_next():
+    # a worker holds one chunk's items at a time: one that kept the list it
+    # had sent while it made its next chunk pushed the entropy-dense
+    # benchmark's peak RSS up 10 %
+    with _deadline(60), contextlib.closing(hom._ring(_probes, range(6), 2)) as ring:
+        held = [[probe.held for probe in items] for items in ring]
+    assert held == [[0] * 3] * 6
+    assert multiprocessing.active_children() == []
+
+
 @pytest.mark.skipif(not hasattr(os, "killpg"), reason="no process groups")
 def test_workers_stop_soon_after_the_main_process_is_killed(tmp_path):
-    # SIGKILL of the main process alone: its workers notice before their
-    # next chunk and exit, so the session empties; the temporary file stays.
+    # SIGKILL of the main process alone: its workers get a broken pipe at
+    # their next send and exit, so the session empties; the temporary file
+    # stays.
     # 61,206 chunks of at most 16 points: the run takes seconds
     out = tmp_path / "table.csv"
     script = (
@@ -1206,8 +1244,8 @@ print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base)
 
 @pytest.mark.skipif(sys.platform == "win32", reason="no resource module or fork")
 def test_the_main_process_holds_no_chunk_text():
-    # workers write their own chunks of about 4.3 MB of text each: the main
-    # process receives only row counts
+    # workers make chunks of about 4.3 MB of text each: the main process
+    # receives and writes them one text slice at a time
     args = [sys.executable, "-c", _MAIN_RSS, "entropy-grid", "--out", os.devnull]
     args += ["--set", "tau_count=61", "--set", "eta_count=61", "--set", "theta_count=121"]
     env = dict(os.environ, RINGSIM_THREADS="2", PYTHONPATH=str(_ROOT / "src"))
@@ -1249,9 +1287,9 @@ def test_a_chunk_that_fails_mid_run_leaves_whole_chunks(monkeypatch, capfd, thre
 def test_worker_processes_never_change_entropy_grid_bytes(monkeypatch, tmp_path, capfd, fmt):
     # ten chunks of two pairs: every chunk after the first starts with the
     # JSON separator, and the last holds the eight undefined cells (tau = 1).
-    # Workers write in turns passed round a ring of pipes, four of them more
-    # than the CPUs of a small host: a wrong token would misplace the head
-    # or a separator, and a lost one would stall the ring
+    # Up to four workers, more than the CPUs of a small host, each send
+    # their chunks on their own pipe: a chunk read from the wrong pipe would
+    # misplace rows, and a lost end marker would stall the run
     monkeypatch.setattr(hom, "_CHUNK", 16)
     monkeypatch.setattr(hom, "_usable_cpus", lambda: 4)
     _, want = _sweep_and_reference(monkeypatch, _STREAMED[0], _STREAMED[2::2], fmt, 1)
@@ -1297,8 +1335,7 @@ def _record_rings(monkeypatch):
 
 
 def _file_sweep_text(config, path):
-    """`_sweep_text` through a file, a sink with a file descriptor, which a
-    forked walk needs."""
+    """`_sweep_text` through a file, a sink with a file descriptor."""
     with open(path, "w", encoding="utf-8", newline="") as sink:
         cli.run_sweep(config, sink)
     return path.read_text(encoding="utf-8")
@@ -1327,16 +1364,20 @@ def test_worker_processes_are_capped_by_cpus_and_chunks(monkeypatch, tmp_path):
     assert rings == [3, 10, 2, 5]
 
 
-def test_a_sink_without_a_descriptor_builds_no_pool(monkeypatch):
-    # a StringIO has no file descriptor for workers to write to, so its
-    # entropy grid is walked in this process at any worker count
+def test_a_sink_without_a_descriptor_runs_in_parallel(monkeypatch):
+    # the main process writes every text slice, so a StringIO, which has no
+    # file descriptor, gets the entropy grid of forked workers, and the bytes
+    # of one worker
     monkeypatch.setattr(hom, "_CHUNK", 16)
     monkeypatch.setattr(hom, "_usable_cpus", lambda: 3)
     rings = _record_rings(monkeypatch)
     for fmt in ("csv", "json"):
-        text, want = _sweep_and_reference(monkeypatch, _STREAMED[0], _STREAMED[2::2], fmt, 3)
-        assert text == want
-    assert rings == []
+        serial, want = _sweep_and_reference(monkeypatch, _STREAMED[0], _STREAMED[2::2], fmt, 1)
+        with _deadline(60):
+            forked, _ = _sweep_and_reference(monkeypatch, _STREAMED[0], _STREAMED[2::2], fmt, 2)
+        assert forked == serial == want
+    assert rings == [2, 2]
+    assert multiprocessing.active_children() == []
 
 
 def test_the_census_builds_no_pool(monkeypatch, tmp_path):
@@ -1523,6 +1564,25 @@ def test_out_dev_null_is_written_in_place(monkeypatch, capsys):
     code, err = _main(capsys, "single-bus", "--set", "theta_count=3", "--out", os.devnull)
     assert code == 0 and err == ""
     assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_out_dev_stdout_into_a_pipe_writes_the_plain_output():
+    # `--out /dev/stdout | cat`: the name resolves to pipe:[N], which is no
+    # path, so the pipe is opened by the name given and written in place
+    for mode, threads in (("single-bus", "1"), ("entropy-grid", "2")):
+        env = {"RINGSIM_THREADS": threads}
+        plain = _run(mode, env_extra=env)
+        assert plain.returncode == 0 and plain.stderr == ""
+        for out in ("/dev/stdout", "/dev/fd/1"):
+            proc = _run(mode, "--out", out, env_extra=env)
+            assert (proc.returncode, proc.stderr) == (0, ""), (mode, out)
+            assert proc.stdout == plain.stdout, (mode, out)
+    plain = _run("audit", "--samples", "20")
+    proc = _run("audit", "--samples", "20", "--out", "/dev/stdout")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert plain.stdout in proc.stdout
+    assert json.loads(proc.stdout.replace(plain.stdout, ""))["pass"] is True
 
 
 def test_console_script_target_is_main(monkeypatch, capsys):
