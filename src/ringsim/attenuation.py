@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_line, _elementwise, _shaped
+from .core import _MAX_SPLITTERS, _check_line, _elementwise, _shaped
 
 __all__ = [
     "BeamSplitterChain",
@@ -42,10 +42,6 @@ _MAX_PANELS = 1_000_000
 #: one pass over a whole 1024-draw audit block raised the audit's peak
 #: memory by 30%.
 _PASS_NODES = 8192
-#: Most beam splitters in a chain.  Beyond it the step transmission
-#: 1 - gamma*L/N rounds before its N-th power is taken, so the chain error
-#: no longer measures the O(1/N) discretisation.
-_MAX_SPLITTERS = 1_000_000
 
 
 @dataclass(frozen=True)

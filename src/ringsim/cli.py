@@ -22,6 +22,15 @@ An entropy-grid worker renders its whole chunk, slice by slice, and sends
 the slices to the main process on a pipe of its own (`hom._ring`), so it
 holds one chunk of text.  ``RINGSIM_THREADS`` caps the W processes: at
 most one runs per usable CPU and per chunk, whatever the sink.
+
+A process pays only for its mode.  Loading this module loads `core` and
+no kernel module: each sweep imports the modules it calls when it is
+built, and the audit imports `audit` when it runs, so ``ringsim
+single-bus`` never compiles `hom`.  The ``ringsim`` command freezes what
+it has loaded before it calls `main` (`ringsim.__main__.main`), so the
+collection at exit skips numpy's import graph.  `main` itself does not
+freeze: a program or test that calls it in process keeps its own
+collector.
 """
 
 from __future__ import annotations
@@ -47,8 +56,15 @@ if "numpy" not in sys.modules:
 
 import numpy as np
 
-from . import add_drop, attenuation, hom, single_bus
-from .core import CouplerParams, ResonantDivergenceError, UnitarityError, _coupler, _survival
+from .core import (
+    CouplerParams,
+    ResonantDivergenceError,
+    UnitarityError,
+    _MAX_SPLITTERS,
+    _WorkerDied,
+    _coupler,
+    _survival,
+)
 
 __all__ = [
     "ConfigError",
@@ -239,7 +255,7 @@ _RANGES = {
     "delta_tr_max": (),
     "gamma_per_m": (_NON_NEGATIVE,),
     "length_m": (_POSITIVE,),
-    "splitter_counts": (_COUNT, _at_most(attenuation._MAX_SPLITTERS)),
+    "splitter_counts": (_COUNT, _at_most(_MAX_SPLITTERS)),
     "beta_per_m": (),
     "seed": (_NON_NEGATIVE,),
 }
@@ -292,6 +308,8 @@ def _validate(mode: str, params: dict) -> None:
             "times length_m must be finite",
         )
     if mode == "langevin-compare":
+        from . import single_bus
+
         check(params["tau"] > 0.0, "tau", "must be > 0 to match Langevin rates")
         t_r = params["round_trip_time_s"]
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -304,6 +322,13 @@ def _validate(mode: str, params: dict) -> None:
             f"must keep detunings and matched rates within [{1.0 / _MAX_RATE:g}, "
             f"{_MAX_RATE:g}] rad/s",
         )
+
+
+def _check_out(*outs: str | None) -> None:
+    """Raise `ConfigError` for an empty output path, which would otherwise
+    read as none: a sweep would write to stdout and the audit no report."""
+    if "" in outs:
+        raise ConfigError("out: must not be empty (got '')")
 
 
 def load_config(
@@ -356,6 +381,7 @@ def load_config(
         except (ValueError, RecursionError):  # not JSON, too deep, or an int too long
             value = raw
         assign(key, value)
+    _check_out(out, sink["out"])
     _validate(mode, params)
     resolved_fmt = fmt or sink["format"] or "csv"
     if resolved_fmt not in ("csv", "json"):
@@ -422,6 +448,8 @@ def _rows(axis, values):
 
 def _axis_cells(axis):
     """``cells(index)``: the cell text of ``axis`` at the indices ``index``."""
+    from . import hom
+
     if len(axis) <= hom._CHUNK:
         table = np.array(_cells(axis), dtype=object)
         return lambda index: table[index].tolist()
@@ -437,6 +465,8 @@ def _axis_cells(axis):
 
 
 def _sweep_single_bus(p: dict):
+    from . import single_bus
+
     tau, _ = _coupler(p["tau"])
     alpha = _survival(p["alpha"])
     thetas = np.linspace(p["theta_min"], p["theta_max"], p["theta_count"])
@@ -450,6 +480,8 @@ def _sweep_single_bus(p: dict):
 
 
 def _sweep_langevin_compare(p: dict):
+    from . import single_bus
+
     coupler = CouplerParams.from_magnitude(p["tau"])
     per_side = np.logspace(
         math.log10(p["delta_tr_min"]), math.log10(p["delta_tr_max"]), p["delta_count"]
@@ -469,6 +501,8 @@ def _sweep_langevin_compare(p: dict):
 
 
 def _sweep_attenuation_chain(p: dict):
+    from . import attenuation
+
     gamma, length, beta = p["gamma_per_m"], p["length_m"], p["beta_per_m"]
     counts = p["splitter_counts"]
     limit = math.exp(-gamma * length)
@@ -483,10 +517,14 @@ def _sweep_attenuation_chain(p: dict):
 
 def _add_drop_matrices(tau, eta, alpha, theta):
     """Transfer matrices of rings with real couplers, as a (..., 2, 2) stack."""
+    from . import add_drop
+
     return add_drop._matrix(*_coupler(tau), *_coupler(eta), alpha, theta)
 
 
 def _sweep_add_drop(p: dict):
+    from . import add_drop
+
     alpha = _survival(p["alpha"])
     thetas = np.linspace(p["theta_min"], p["theta_max"], p["theta_count"])
 
@@ -525,6 +563,8 @@ def _grid_rows(p: dict, walk):
     the chunks index; a longer one is formatted in each slice, at its
     distinct indices, so no cell table outgrows a slice.
     """
+    from . import hom
+
     axes = hom._grid_axes(p["tau_count"], p["eta_count"], p["theta_count"])
     tau_cells, eta_cells, theta_cells = map(_axis_cells, axes)
 
@@ -542,6 +582,8 @@ def _grid_rows(p: dict, walk):
 
 
 def _sweep_homm_grid(p: dict):
+    from . import hom
+
     shape = (p["tau_count"], p["eta_count"], p["theta_count"])
 
     def summary(count: int) -> dict:
@@ -559,6 +601,8 @@ def _sweep_homm_grid(p: dict):
 
 
 def _sweep_critical_dip(p: dict):
+    from . import hom
+
     thetas = np.linspace(p["theta_min"], p["theta_max"], p["theta_count"])
     tau = 1.0 / math.sqrt(2.0)
 
@@ -570,6 +614,8 @@ def _sweep_critical_dip(p: dict):
 
 
 def _sweep_entropy_grid(p: dict):
+    from . import hom
+
     def evaluate(tau, eta, theta):
         try:
             bits = hom.entropy_grid(tau, eta, theta, p["alpha"], p["p1_threshold"])
@@ -764,7 +810,10 @@ def _open_sink(out: str | None):
     path = os.path.realpath(out)
     head, name = os.path.split(path)
     tmp = os.path.join(head, f".{name}.{os.urandom(6).hex()}.tmp")
-    fh = open(tmp, "x", encoding="utf-8", newline="")
+    try:
+        fh = open(tmp, "x", encoding="utf-8", newline="")
+    except OSError as exc:  # named for the path given, not the hidden one
+        raise OSError(exc.errno, exc.strerror, out) from None
     try:
         with fh:
             if mode is not None:
@@ -832,6 +881,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.mode == "audit":
             # a bad value or sink fails before the draws, not after them
             _validate("audit", {"seed": args.seed, "samples": args.samples})
+            _check_out(args.out)
             report_file = _open_sink(args.out) if args.out else contextlib.nullcontext()
             with _open_sink(None) as stdout, report_file as sink:
                 report = run_audit(args.seed, args.samples)
@@ -857,7 +907,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write("ringsim: terminated\n")
         return EXIT_TERMINATED
     except Exception as exc:  # a bug, a dead worker or exhausted memory
-        if isinstance(exc, hom._WorkerDied):
+        if isinstance(exc, _WorkerDied):
             reason = "a worker process died"
         else:
             reason = f"{type(exc).__name__}: {exc}"

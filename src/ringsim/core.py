@@ -41,6 +41,18 @@ class TruncationError(RuntimeError):
     its entry guard allows (`single_bus.commutator_sum_series`)."""
 
 
+class _WorkerDied(RuntimeError):
+    """A `hom._ring` child ended before it sent its chunk's end or an error."""
+
+
+#: Most beam splitters in an `attenuation.BeamSplitterChain`.  Beyond it the
+#: step transmission 1 - gamma*L/N rounds before its N-th power is taken, so
+#: the chain error no longer measures the O(1/N) discretisation.  Here, not
+#: in `attenuation`, so the command line bounds ``splitter_counts`` without
+#: loading that module.
+_MAX_SPLITTERS = 1_000_000
+
+
 def alpha_from_loss(gamma: float, length: float) -> float:
     """Round-trip amplitude survival factor alpha = exp(-Gamma*L/2).
 

@@ -32,6 +32,7 @@ import numpy as np
 from . import add_drop
 from .core import (
     UnitarityError,
+    _WorkerDied,
     _as_2x2_stack,
     _check_alpha,
     _elementwise,
@@ -621,10 +622,6 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-class _WorkerDied(RuntimeError):
-    """A `_ring` child ended before it sent its chunk's end or an error."""
 
 
 def _ring(chunk, starts, workers: int):

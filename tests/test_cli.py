@@ -313,10 +313,31 @@ def test_config_file_problems_are_config_errors(tmp_path, monkeypatch, capsys):
 
 
 def test_unwritable_output_is_an_io_error(tmp_path):
+    # the line names the path given, not the hidden temporary file beside
+    # it, whose name changes each run
     out = tmp_path / "no-such-dir" / "table.csv"
-    proc = _run("single-bus", "--set", "theta_count=3", "--out", str(out))
-    assert proc.returncode == 3
-    assert "i/o error" in proc.stderr
+    for args in (("single-bus", "--set", "theta_count=3"), ("audit",)):
+        proc = _run(*args, "--out", str(out))
+        assert proc.returncode == 3, args
+        assert proc.stderr == f"ringsim: i/o error: [Errno 2] No such file or directory: '{out}'\n"
+
+
+def test_an_empty_out_is_a_config_error(tmp_path, monkeypatch, capsys):
+    # an unset shell variable must not read as no --out: the sweep would
+    # write to stdout, the audit no report
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "sink.json"
+    config.write_text(json.dumps({"out": ""}))
+    for args in (
+        ("single-bus", "--out", ""),
+        ("audit", "--samples", "20", "--out", ""),
+        ("single-bus", "--config", str(config)),
+        ("single-bus", "--config", str(config), "--out", "table.csv"),
+    ):
+        assert cli.main(list(args)) == 1, args
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "ringsim: config error: out: must not be empty (got '')\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["sink.json"]
 
 
 def test_json_format_payload():
@@ -509,19 +530,89 @@ def test_the_package_root_resolves_its_names_lazily():
         ringsim.no_such_name
 
 
-def test_import_time_lists_every_module():
-    # the package root imports its modules through the builtin __import__,
-    # which -X importtime reports; a bare import still loads no numpy
+#: The kernel modules each command loads, beside the package, `cli` and
+#: `core`: those its sweep calls (`hom` calls `add_drop`), and all of them
+#: for the audit.
+_MODE_MODULES = {
+    "single-bus": ("single_bus",),
+    "langevin-compare": ("single_bus",),
+    "attenuation-chain": ("attenuation",),
+    "add-drop": ("add_drop",),
+    "homm-grid": ("add_drop", "hom"),
+    "critical-dip": ("add_drop", "hom"),
+    "entropy-grid": ("add_drop", "hom"),
+    "audit": ("add_drop", "attenuation", "audit", "hom", "single_bus"),
+}
+
+
+def _importtime(*args):
+    """The ringsim modules that ``python -X importtime *args`` lists, and
+    the run's stdout."""
     env = {**os.environ, "PYTHONPATH": str(_ROOT / "src")}
     proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-c", "import ringsim.cli"],
+        [sys.executable, "-X", "importtime", *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     listed = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()}
-    for name in ("hom", "single_bus", "add_drop", "attenuation", "core", "cli"):
-        assert f"ringsim.{name}" in listed, name
+    return {name for name in listed if name.partition(".")[0] == "ringsim"}, proc.stdout
+
+
+def test_the_cli_loads_no_kernel_module():
+    # the package root imports its modules through the builtin __import__,
+    # which -X importtime reports, so the report lists every module loaded;
+    # a bare import still loads no numpy
+    listed, out = _importtime(
+        "-c",
+        "import sys, ringsim.cli; "
+        "print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'ringsim'))",
+    )
+    assert listed == set(out.split()) == {"ringsim", "ringsim.cli", "ringsim.core"}
     assert _probe("import sys, ringsim; print('numpy' in sys.modules)") == "False\n"
+
+
+@pytest.mark.parametrize("mode", _MODE_MODULES)
+def test_each_mode_loads_the_modules_it_calls(mode):
+    # a module compiles from source in each run that loads it: ringsim
+    # single-bus does not pay for hom
+    if mode == "audit":
+        args = ("--samples", "20")
+    elif mode in ("homm-grid", "entropy-grid"):
+        args = ("--set", "tau_count=3", "--set", "eta_count=3", "--set", "theta_count=5")
+    else:
+        args = ()
+    listed, _ = _importtime("-m", "ringsim", mode, *args, "--out", os.devnull)
+    kernels = {f"ringsim.{name}" for name in _MODE_MODULES[mode]}
+    assert listed == {"ringsim", "ringsim.cli", "ringsim.core", *kernels}
+
+
+def test_the_command_freezes_what_it_loaded_before_it_runs(monkeypatch):
+    # the collection at exit then skips numpy's import graph; the freeze
+    # comes after the command line has loaded and before the sweep loads
+    # its kernel modules
+    entry = importlib.import_module("ringsim.__main__")
+    frozen = []
+    monkeypatch.setattr(cli, "main", lambda: frozen.append(gc.get_freeze_count()) or 0)
+    try:
+        assert entry.main() == 0
+    finally:
+        gc.unfreeze()
+    assert len(frozen) == 1 and frozen[0] > 0
+    probe = (
+        "import gc, os, sys; from ringsim import __main__ as entry; freeze = gc.freeze; "
+        "gc.freeze = lambda: print(*(m in sys.modules for m in "
+        "('numpy', 'ringsim.cli', 'ringsim.single_bus'))) or freeze(); "
+        "sys.argv = ['ringsim', 'single-bus', '--out', os.devnull]; print(entry.main())"
+    )
+    assert _probe(probe) == "True True False\n0\n"
+
+
+def test_cli_main_leaves_the_collector_alone():
+    # a program or test that runs the command line in process keeps its own
+    # collector settings
+    before = gc.get_freeze_count()
+    assert cli.main(["single-bus", "--set", "theta_count=3", "--out", os.devnull]) == 0
+    assert gc.get_freeze_count() == before
 
 
 def test_only_the_process_pool_imports_multiprocessing():
@@ -1594,7 +1685,10 @@ def test_console_script_target_is_main(monkeypatch, capsys):
     entry = importlib.import_module("ringsim.__main__")
     assert getattr(importlib.import_module(module), attr) is entry.main
     monkeypatch.setattr(sys, "argv", ["ringsim", "single-bus", "--set", "theta_count=3"])
-    assert entry.main() == 0
+    try:
+        assert entry.main() == 0
+    finally:
+        gc.unfreeze()  # what the entry froze goes back to this process's collector
     assert capsys.readouterr().out.startswith(CONFIG_PREFIX)
 
 
