@@ -10,11 +10,11 @@ def main() -> int:
 
     Once the command line has loaded, everything loaded so far is frozen
     (`gc.freeze`): numpy's import graph lives as long as the process, yet
-    the collection at interpreter exit would walk all of it, some 16 ms a
-    run.  Forked ``entropy-grid`` workers then leave those pages shared, as
-    no collection in them touches the frozen objects.  The freeze is here,
-    not in `cli.main`, because a program or test that calls `cli.main` in
-    process keeps its own collector settings.
+    the collection at interpreter exit would walk all of it, a tenth of a
+    quick sweep's run.  Forked ``entropy-grid`` workers then leave those
+    pages shared, as no collection in them touches the frozen objects.  The
+    freeze is here, not in `cli.main`, because a program or test that calls
+    `cli.main` in process keeps its own collector settings.
     """
     try:
         from .cli import main as run
